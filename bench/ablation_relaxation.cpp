@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/cli.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/common/statistics.hpp"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
               trained.best_heuristic_gap,
               gp::simplify(trained.best_heuristic).to_string().c_str());
 
-  bcpop::Evaluator eval(market);
+  bcpop::ParallelEvaluator eval(market, /*threads=*/1);
   common::RunningStats w_stats;
   common::RunningStats carbon_stats;
   common::RunningStats cobra_stats;

@@ -16,9 +16,9 @@
 //
 //   evaluator — a CARBON-shaped workload (generations of pricing x
 //   heuristic batches, the pricing pool reused across generations) replayed
-//   through ParallelEvaluator under sched {parallel_for, stealing} x
-//   memo_xgen {off, on}, reporting evaluations/second, the cross-generation
-//   memo hit rate, and the scheduler's task/steal counters.
+//   through ParallelEvaluator under memo_xgen {off, on}, reporting
+//   evaluations/second, the cross-generation memo hit rate, and the
+//   scheduler's task/steal counters.
 //
 // Note the wall-clock numbers are bounded by the machine: on a single
 // hardware thread the parallel paths can only show their coordination
@@ -37,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/common/task_scheduler.hpp"
@@ -213,7 +212,6 @@ Workload make_workload(bool smoke) {
 
 struct EvalRow {
   std::size_t threads;
-  const char* sched;
   bool memo_xgen;
   double seconds = 0.0;
   long long evals = 0;
@@ -225,11 +223,9 @@ struct EvalRow {
   long long sched_steals = 0;
 };
 
-EvalRow run_eval_row(const Workload& w, std::size_t threads,
-                     common::SchedKind kind, bool memo) {
+EvalRow run_eval_row(const Workload& w, std::size_t threads, bool memo) {
   bcpop::ParallelEvaluator::Options opt;
   opt.threads = threads;
-  opt.sched = kind;
   opt.memo_xgen = memo;
   bcpop::ParallelEvaluator eval(w.instance, opt);
 
@@ -242,8 +238,6 @@ EvalRow run_eval_row(const Workload& w, std::size_t threads,
 
   EvalRow row;
   row.threads = threads;
-  row.sched =
-      kind == common::SchedKind::kStealing ? "stealing" : "parallel_for";
   row.memo_xgen = memo;
   row.seconds = std::chrono::duration<double>(t1 - t0).count();
   row.evals = static_cast<long long>(w.batch.size()) * w.generations;
@@ -304,19 +298,16 @@ int main(int argc, char** argv) {
               w.batch.size(), w.generations);
   std::vector<EvalRow> rows;
   for (const std::size_t t : thread_counts) {
-    for (const common::SchedKind kind :
-         {common::SchedKind::kParallelFor, common::SchedKind::kStealing}) {
-      for (const bool memo : {false, true}) {
-        rows.push_back(run_eval_row(w, t, kind, memo));
-      }
+    for (const bool memo : {false, true}) {
+      rows.push_back(run_eval_row(w, t, memo));
     }
   }
-  std::printf("%8s %-13s %5s %9s %12s %11s %10s %8s\n", "threads", "sched",
-              "memo", "sec", "evals/s", "relax-hits", "xgen-hits", "steals");
+  std::printf("%8s %5s %9s %12s %11s %10s %8s\n", "threads", "memo", "sec",
+              "evals/s", "relax-hits", "xgen-hits", "steals");
   for (const EvalRow& r : rows) {
-    std::printf("%8zu %-13s %5d %9.3f %12.0f %11lld %10lld %8lld\n",
-                r.threads, r.sched, r.memo_xgen ? 1 : 0, r.seconds,
-                r.evals_per_s, r.relax_hits, r.xgen_hits, r.sched_steals);
+    std::printf("%8zu %5d %9.3f %12.0f %11lld %10lld %8lld\n", r.threads,
+                r.memo_xgen ? 1 : 0, r.seconds, r.evals_per_s, r.relax_hits,
+                r.xgen_hits, r.sched_steals);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -341,11 +332,11 @@ int main(int argc, char** argv) {
     const EvalRow& r = rows[i];
     std::fprintf(
         f,
-        "    {\"threads\": %zu, \"sched\": \"%s\", \"memo_xgen\": %s, "
+        "    {\"threads\": %zu, \"memo_xgen\": %s, "
         "\"seconds\": %.4f, \"evals_per_s\": %.0f, \"relax_solves\": %lld, "
         "\"relax_hits\": %lld, \"xgen_hits\": %lld, \"sched_tasks\": %lld, "
         "\"sched_steals\": %lld}%s\n",
-        r.threads, r.sched, r.memo_xgen ? "true" : "false", r.seconds,
+        r.threads, r.memo_xgen ? "true" : "false", r.seconds,
         r.evals_per_s, r.relax_solves, r.relax_hits, r.xgen_hits,
         r.sched_tasks, r.sched_steals, i + 1 < rows.size() ? "," : "");
   }

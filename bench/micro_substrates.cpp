@@ -4,7 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "carbon/bcpop/evaluator.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/cover/exact.hpp"
 #include "carbon/cover/generator.hpp"
@@ -130,7 +130,7 @@ BENCHMARK(BM_SbxCrossover);
 void BM_FullBilevelEvaluation(benchmark::State& state) {
   const bcpop::Instance market =
       bcpop::make_paper_bcpop(static_cast<std::size_t>(state.range(0)));
-  bcpop::Evaluator eval(market);
+  bcpop::ParallelEvaluator eval(market, /*threads=*/1);
   common::Rng rng(7);
   const gp::Tree tree = gp::generate_full(rng, 4);
   for (auto _ : state) {

@@ -10,7 +10,8 @@
 
 #include <cstdint>
 
-#include "carbon/bcpop/evaluator.hpp"
+#include "carbon/bcpop/evaluator_interface.hpp"
+#include "carbon/bcpop/instance.hpp"
 #include "carbon/core/result.hpp"
 #include "carbon/ea/binary_ops.hpp"
 #include "carbon/ea/real_ops.hpp"

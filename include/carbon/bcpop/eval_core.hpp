@@ -1,4 +1,4 @@
-// Evaluation core shared by the serial and parallel BCPOP evaluators.
+// Evaluation core of the BCPOP evaluator (bcpop::ParallelEvaluator).
 //
 // Everything here is a pure function of (context, inputs): no counters, no
 // caches, no hidden state that depends on call history. That property is

@@ -4,9 +4,9 @@
 // decision box, the length of a binary follower genome, and the two
 // evaluation entry points (heuristic-driven and genome-driven). Putting that
 // behind an interface lets the same solvers run on the single-customer BCPOP
-// (bcpop::Evaluator) and on extensions such as the multi-follower market
-// (bcpop::MultiFollowerEvaluator) — the direction the paper's conclusion
-// names as future work.
+// (bcpop::ParallelEvaluator, the one BCPOP backend) and on extensions such
+// as the multi-follower market (bcpop::MultiFollowerEvaluator) — the
+// direction the paper's conclusion names as future work.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +134,7 @@ class EvaluatorInterface {
   /// deterministic reduction). The default runs the jobs serially in order,
   /// so a solver written against the batch API behaves bit-identically to
   /// one written against the scalar calls; ParallelEvaluator overrides this
-  /// to fan the jobs across a thread pool.
+  /// to fan the jobs across its scheduler.
   virtual std::vector<Evaluation> evaluate_heuristic_batch(
       std::span<const HeuristicJob> jobs) {
     std::vector<Evaluation> results;

@@ -22,9 +22,9 @@
 #include <memory>
 #include <vector>
 
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/evaluator_interface.hpp"
 #include "carbon/bcpop/instance.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 
 namespace carbon::bcpop {
 
@@ -107,7 +107,8 @@ class MultiFollowerEvaluator final : public EvaluatorInterface {
   Evaluation aggregate(std::span<const double> pricing, EvalPurpose purpose);
 
   const MultiFollowerProblem& problem_;
-  std::vector<std::unique_ptr<Evaluator>> per_follower_;
+  /// One single-participant evaluator per follower instance.
+  std::vector<std::unique_ptr<ParallelEvaluator>> per_follower_;
   std::vector<Evaluation> last_breakdown_;
   long long ul_evals_ = 0;
   long long ll_evals_ = 0;

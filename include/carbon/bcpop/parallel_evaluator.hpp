@@ -1,14 +1,27 @@
-// Parallel batch evaluation of BCPOP pricings.
+// The BCPOP evaluator: every CARBON/COBRA fitness is one pass through it.
 //
-// A generation of CARBON or COBRA evaluates hundreds of independent
-// (pricing × heuristic) or (pricing × genome) pairs before any reduction
-// happens — the hottest path of the whole system (Table II allots 10^5
-// evaluations per run). ParallelEvaluator fans those batches across a
-// work-stealing common::TaskScheduler (default) or the barriered
-// common::ThreadPool reference path (Options::sched):
+// Every pricing x induces a fresh lower-level covering instance LL(x). An
+// evaluation
+//   1. substitutes the leader's prices into the market,
+//   2. solves (and memoizes) the LP relaxation -> LB(x), duals d_k, x̄,
+//   3. obtains a customer decision y: either by running a (GP-evolved)
+//      greedy heuristic, or by repairing a binary genome (COBRA's encoding),
+//   4. reports F (leader revenue), f = A(x) (customer cost) and the %-gap,
+// and charges the UL/LL evaluation counters used as the stopping criterion
+// (Table II allots 50 000 evaluations to each level).
 //
-//   * each worker evaluates with its OWN EvalContext (market copy, LP,
-//     fixed warm-start basis) — no shared mutable state on the solve path;
+// A generation evaluates hundreds of independent (pricing × heuristic) or
+// (pricing × genome) pairs before any reduction happens — the hottest path
+// of the whole system. ParallelEvaluator fans those batches across a
+// work-stealing common::TaskScheduler:
+//
+//   * threads == 1: the calling thread is the only participant — no worker
+//     thread is spawned, there is one EvalContext, and both caches keep a
+//     single shard, so every lookup, insert and eviction happens in job
+//     order on the calling thread;
+//   * threads == N > 1: N workers plus the calling thread, each with its OWN
+//     EvalContext (market copy, LP, fixed warm-start basis) — no shared
+//     mutable state on the solve path; threads == 0: hardware concurrency;
 //   * relaxations are shared through a sharded, mutex-per-shard LRU cache
 //     (ShardedRelaxationCache) with once-semantics, so a pricing reused
 //     across jobs, threads, and generations is solved exactly once;
@@ -21,8 +34,8 @@
 // Determinism: every Evaluation is a pure function of its job inputs (the
 // relaxation solve warm-starts from a fixed baseline basis; greedy, repair
 // and scoring are deterministic; evaluation consumes no RNG), and solvers
-// reduce batch results in submission order — so a run with N threads is
-// bit-identical to the serial path for a fixed seed, for any N.
+// reduce batch results in submission order — so a run is bit-identical for
+// any thread count at a fixed seed.
 //
 // Pool mode (Options::lp_warm = LpWarm::kPool, docs/ALGORITHMS.md §15):
 // relaxation solves warm-start from the nearest pooled basis instead of the
@@ -30,13 +43,13 @@
 // pool selections on the calling thread in submission order, LP solves
 // fanned out with pre-copied start bases, commits back on the calling
 // thread in submission order — so the pool, the (1-shard) caches and every
-// counter evolve identically for any thread count and either engine. A
-// rejected pooled basis is re-solved from the fixed baseline, making the
-// result bit-identical to a pool miss. Scalar entry points in pool mode run
-// the same staging inline and are NOT safe to call concurrently (the
-// solvers only call them from their main loop); the wall-clock watchdog
-// skip is not applied on pooled batch solves (it is explicitly
-// non-deterministic and suspends the score memo anyway).
+// counter evolve identically for any thread count. A rejected pooled basis
+// is re-solved from the fixed baseline, making the result bit-identical to
+// a pool miss. Scalar entry points in pool mode run the same staging inline
+// and are NOT safe to call concurrently (the solvers only call them from
+// their main loop); the wall-clock watchdog skip is not applied on pooled
+// solves (it is explicitly non-deterministic and suspends the score memo
+// anyway).
 #pragma once
 
 #include <atomic>
@@ -55,7 +68,7 @@
 #include "carbon/bcpop/relaxation_cache.hpp"
 #include "carbon/bcpop/score_cache.hpp"
 #include "carbon/common/task_scheduler.hpp"
-#include "carbon/common/thread_pool.hpp"
+#include "carbon/cover/greedy.hpp"
 #include "carbon/obs/metrics.hpp"
 
 namespace carbon::bcpop {
@@ -64,32 +77,31 @@ class ParallelEvaluator final : public EvaluatorInterface {
  public:
   using EvaluatorInterface::evaluate_with_heuristic;
   using EvaluatorInterface::evaluate_with_selection;
+  using RelaxationPtr = ShardedRelaxationCache::RelaxationPtr;
 
   struct Options {
-    std::size_t threads = 0;  ///< 0 = hardware concurrency
+    /// 1 = the calling thread alone; N > 1 = N workers plus the caller;
+    /// 0 = hardware concurrency.
+    std::size_t threads = 0;
     std::size_t relaxation_cache_capacity = 4096;
+    /// Ignored (one shard) with a single participant or in pool mode.
     std::size_t cache_shards = 16;
-    /// Fan-out engine: the work-stealing TaskScheduler (default) or the
-    /// barriered ThreadPool::parallel_for reference path. Bit-identical
-    /// results either way; stealing overlaps a slow relaxation-miss job
-    /// with the rest of the batch instead of idling behind chunk barriers.
-    common::SchedKind sched = common::SchedKind::kStealing;
     /// Cross-generation score memoization (docs/ALGORITHMS.md §14).
     bool memo_xgen = true;
     std::size_t score_cache_capacity = 4096;
     std::size_t score_cache_shards = 16;
     /// Warm-start policy for the LL relaxation solves. kPool switches the
     /// evaluator to the staged pool discipline (see the header comment) and
-    /// forces both caches to ONE shard so their eviction order matches the
-    /// serial LRU exactly; kBaseline (default) leaves PR-1 behavior — and
-    /// every existing golden trajectory — bit-for-bit intact.
+    /// forces both caches to ONE shard so their eviction order is the
+    /// serial LRU order for any thread count; kBaseline (default) starts
+    /// every solve from the fixed base-cost basis.
     LpWarm lp_warm = LpWarm::kBaseline;
     /// Bound on the basis pool (pool mode only).
     std::size_t basis_pool_capacity = BasisPool::kDefaultCapacity;
   };
 
   ParallelEvaluator(const Instance& instance, Options options);
-  /// Convenience: `threads` workers, default cache geometry and engine.
+  /// Convenience: `threads` as in Options, default cache geometry.
   ParallelEvaluator(const Instance& instance, std::size_t threads)
       : ParallelEvaluator(instance, Options{.threads = threads}) {}
 
@@ -104,16 +116,36 @@ class ParallelEvaluator final : public EvaluatorInterface {
       std::span<const SelectionJob> jobs) override;
 
   /// Scalar entry points run on the calling thread (they still share the
-  /// relaxation cache and counters, and are safe to call concurrently).
+  /// relaxation cache and counters, and are safe to call concurrently
+  /// under lp_warm=baseline). Scoring trees without residual-dependent
+  /// terminals take the sort-based cover::greedy_solve_static fast path.
   Evaluation evaluate_with_heuristic(std::span<const double> pricing,
                                      const gp::Tree& heuristic,
                                      EvalPurpose purpose) override;
+  /// Binary customer genome (COBRA's lower level). Infeasible selections
+  /// are greedily repaired (cheapest effective bundle first); redundant
+  /// bundles are NOT removed, the genome is respected otherwise.
   Evaluation evaluate_with_selection(std::span<const double> pricing,
                                      std::span<const std::uint8_t> selection,
                                      EvalPurpose purpose) override;
+  /// Greedy driven by an arbitrary scoring function (baselines, tests).
+  /// Not memoized across generations (a std::function has no key).
+  Evaluation evaluate_with_score(std::span<const double> pricing,
+                                 const cover::ScoreFunction& score,
+                                 EvalPurpose purpose = EvalPurpose::kBoth);
 
-  /// Toggling drops the cross-generation score cache (entries were computed
-  /// under the other setting). Configure between batches.
+  /// LP relaxation of LL(pricing), memoized in the bounded LRU (and
+  /// warm-started through the basis pool in pool mode). The returned entry
+  /// is pinned: it stays valid for as long as the caller holds the pointer,
+  /// no matter what the cache evicts afterwards. Charges no budget.
+  [[nodiscard]] RelaxationPtr relaxation(std::span<const double> pricing);
+
+  /// When enabled, heuristic-built covers are polished with
+  /// cover::local_search (drop + swap descent) before scoring — the memetic
+  /// variant evaluated by bench/ablation_memetic. Off by default: the
+  /// paper's CARBON scores the raw greedy output. Toggling drops the
+  /// cross-generation score cache (entries were computed under the other
+  /// setting). Configure between batches.
   void set_polish(bool enabled) noexcept {
     if (enabled != polish_) xgen_.clear();
     polish_ = enabled;
@@ -142,7 +174,12 @@ class ParallelEvaluator final : public EvaluatorInterface {
     return inst_.num_bundles();
   }
   [[nodiscard]] const Instance& instance() const noexcept { return inst_; }
+  /// Resolved thread count (Options::threads with 0 replaced).
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
+  /// Worker threads spawned: 0 when the caller is the only participant.
+  [[nodiscard]] std::size_t workers() const noexcept {
+    return scheduler_.workers();
+  }
   /// Warm-start policy this evaluator was built with (immutable: switching
   /// would invalidate cached relaxations computed under the other policy).
   [[nodiscard]] LpWarm lp_warm() const noexcept { return lp_warm_; }
@@ -150,12 +187,10 @@ class ParallelEvaluator final : public EvaluatorInterface {
   [[nodiscard]] const BasisPool& basis_pool() const noexcept {
     return basis_pool_;
   }
-  /// Which fan-out engine batches run on.
-  [[nodiscard]] common::SchedKind sched() const noexcept { return sched_kind_; }
-  /// Scheduler-side counters (tasks/steals/idle); all-zero under the
-  /// ThreadPool engine. Timing-dependent — observability only.
+  /// Scheduler-side counters (tasks/steals/idle). Timing-dependent —
+  /// observability only.
   [[nodiscard]] common::TaskScheduler::Stats sched_stats() const noexcept {
-    return scheduler_ ? scheduler_->stats() : common::TaskScheduler::Stats{};
+    return scheduler_.stats();
   }
 
   [[nodiscard]] long long ul_evaluations() const override {
@@ -218,20 +253,17 @@ class ParallelEvaluator final : public EvaluatorInterface {
   void clear_caches() noexcept override;
 
  private:
-  using RelaxationPtr = ShardedRelaxationCache::RelaxationPtr;
-
   /// RAII lease of one evaluation context from the free list.
   class ContextLease;
   /// RAII block of per-participant context leases for a scheduler batch
   /// (acquired lazily: a participant that never runs a job never leases).
   class BatchLeases;
 
-  /// Engine dispatch: runs body(ctx, i) for every i in [0, n) on the
-  /// configured fan-out engine, handing each invocation a leased context.
-  /// Under the work-stealing engine one context is leased per PARTICIPANT
-  /// for the whole batch (≤ threads+1 free-list round trips per batch,
-  /// instead of one per job) and sched/{tasks,steals,idle_ns} deltas are
-  /// pushed to the metrics registry at the barrier.
+  /// Runs body(ctx, i) for every i in [0, n) on the scheduler, leasing one
+  /// context per PARTICIPANT for the whole batch (≤ participants free-list
+  /// round trips per batch, instead of one per job), and pushes
+  /// sched/{tasks,steals,idle_ns} deltas to the metrics registry at the
+  /// barrier. With a single participant every job runs inline, in order.
   void for_each(std::size_t n,
                 const std::function<void(EvalContext&, std::size_t)>& body);
 
@@ -245,19 +277,39 @@ class ParallelEvaluator final : public EvaluatorInterface {
   [[nodiscard]] EvalContext* acquire_context();
   void release_context(EvalContext* ctx) noexcept;
 
-  /// Solve + finalize, WITHOUT charging (batch/scalar callers charge per
-  /// submitted job so memo hits still pay). Null `program` = interpreter.
-  /// `injected` forces the guard trip (fresh, cache-bypassing relaxation).
-  Evaluation evaluate_heuristic_job(EvalContext& ctx, const HeuristicJob& job,
-                                    const gp::CompiledProgram* program,
-                                    bool injected);
-  /// Charges, then solves + finalizes + counts guard outcomes.
-  Evaluation evaluate_one(EvalContext& ctx, const SelectionJob& job,
-                          bool injected);
-  /// Pool-mode variant of evaluate_one: the relaxation was already resolved
-  /// by the staged pass, only the construction stage runs here.
-  Evaluation evaluate_one_with(EvalContext& ctx, const SelectionJob& job,
-                               const cover::Relaxation& relax);
+  /// Baseline-mode relaxation through the shared cache, solved on `ctx` on
+  /// a miss.
+  [[nodiscard]] RelaxationPtr cached_relaxation(
+      EvalContext& ctx, std::span<const double> pricing);
+  /// Relaxation stage + construct(relax), WITHOUT charging (callers charge
+  /// per submitted job so memo hits still pay): an injected job gets a
+  /// fresh, force-tripped, cache-bypassing relaxation; any other job the
+  /// cached one, with construction skipped once the armed watchdog expired.
+  template <typename Construct>
+  Evaluation evaluate_job(EvalContext& ctx, std::span<const double> pricing,
+                          EvalPurpose purpose, bool injected,
+                          const Construct& construct);
+  /// Scalar entry point body: relaxation stage (staged through the pool in
+  /// pool mode) + construct(ctx, relax) on a leased context, then the guard
+  /// outcome is counted. The caller has already charged.
+  template <typename Construct>
+  Evaluation evaluate_scalar(std::span<const double> pricing,
+                             EvalPurpose purpose, bool injected,
+                             const Construct& construct);
+  /// Construction stage under the guard plan: skipped when the node budget
+  /// is gone, otherwise solve(greedy options) under the ll_solve timer,
+  /// then finalized.
+  template <typename Solve>
+  Evaluation construct_with(EvalContext& ctx, const cover::Relaxation& relax,
+                            std::span<const double> pricing,
+                            EvalPurpose purpose, const Solve& solve);
+  /// Construction for a heuristic job. Null `program` = interpreter.
+  Evaluation finish_heuristic(EvalContext& ctx, const cover::Relaxation& relax,
+                              const HeuristicJob& job,
+                              const gp::CompiledProgram* program);
+  /// Construction (repair) for a genome job.
+  Evaluation finish_selection(EvalContext& ctx, const cover::Relaxation& relax,
+                              const SelectionJob& job);
   /// Pool-mode staged relaxation resolution: stage A probes the cache and
   /// selects (copying) pooled start bases on the calling thread in
   /// submission order; stage B fans the misses out through
@@ -268,31 +320,25 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// per input pricing (duplicates share a solve).
   [[nodiscard]] std::vector<RelaxationPtr> resolve_pooled(
       std::span<const std::span<const double>> pricings);
-  /// Construction stage under the guard plan (skip-or-solve + finalize).
-  Evaluation finish_heuristic(EvalContext& ctx, const cover::Relaxation& relax,
-                              const HeuristicJob& job,
-                              const gp::CompiledProgram* program);
-  void charge(EvalPurpose purpose) noexcept;
+  /// Inserts into the cross-generation cache, counting evictions.
+  void memoize(std::span<const gp::Node> key, std::span<const double> pricing,
+               EvalPurpose purpose, const Evaluation& result);
+  /// Charges the budget counters for one evaluation of `purpose` and
+  /// reports whether it is the one the injection hook must force-trip.
+  bool charge(EvalPurpose purpose) noexcept;
   void count_guard(const Evaluation& evaluation) noexcept;
   [[nodiscard]] bool inject_now(long long ordinal) const noexcept {
     return inject_at_ >= 0 && ordinal == inject_at_;
   }
 
-  template <typename Job>
-  std::vector<Evaluation> run_batch(std::span<const Job> jobs);
-
   const Instance& inst_;
   std::size_t threads_;
-  common::SchedKind sched_kind_;
   LpWarm lp_warm_;
-  // Exactly one engine is constructed, per Options::sched.
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::unique_ptr<common::TaskScheduler> scheduler_;
+  common::TaskScheduler scheduler_;
   ShardedRelaxationCache cache_;
   ScoreCache xgen_;
   bool memo_xgen_;
-  // threads + 1 contexts: every worker plus the caller thread (scalar calls
-  // and the tail of a batch the caller may help with never starve).
+  // One context per participant: every worker plus the caller thread.
   std::vector<std::unique_ptr<EvalContext>> contexts_;
   std::vector<EvalContext*> free_contexts_;
   std::mutex free_mutex_;

@@ -49,8 +49,8 @@ class ShardedRelaxationCache {
 
   /// `capacity` bounds the total number of cached relaxations (split evenly
   /// across `num_shards`, each shard keeping at least one entry). One shard
-  /// degenerates to a classic mutex-protected LRU, which is what the serial
-  /// evaluator uses so its eviction order stays exact.
+  /// degenerates to a classic mutex-protected LRU with exact eviction order,
+  /// which is what a single-participant or pool-mode evaluator uses.
   explicit ShardedRelaxationCache(std::size_t capacity,
                                   std::size_t num_shards = 16);
 

@@ -15,7 +15,8 @@
 // rule the per-batch plan applies); with the interpreter it keys by the raw
 // tree. Everything else an Evaluation depends on (guard limits, the polish
 // toggle, the scoring backend) is held fixed by the owning evaluator, which
-// clears the cache whenever one of them changes — see Evaluator::set_guard.
+// clears the cache whenever one of them changes — see
+// ParallelEvaluator::set_guard.
 //
 // Budget neutrality: the cache stores RESULTS, not budget charges. Callers
 // charge the Table II UL/LL counters for every submitted job, hit or miss,
@@ -47,8 +48,8 @@ class ScoreCache {
  public:
   /// `capacity` bounds the total cached evaluations, split evenly across
   /// `num_shards` (each shard keeps at least one). One shard degenerates to
-  /// a classic mutex-protected LRU with exact eviction order — what the
-  /// serial evaluator uses.
+  /// a classic mutex-protected LRU with exact eviction order — what a
+  /// single-participant or pool-mode evaluator uses.
   explicit ScoreCache(std::size_t capacity, std::size_t num_shards = 16);
 
   ScoreCache(const ScoreCache&) = delete;

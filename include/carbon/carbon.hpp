@@ -26,10 +26,10 @@
 #include "carbon/baselines/biga.hpp"
 #include "carbon/baselines/codba.hpp"
 #include "carbon/baselines/nested_ga.hpp"
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/evaluator_interface.hpp"
 #include "carbon/bcpop/instance.hpp"
 #include "carbon/bcpop/multi_follower.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/bilevel/gap.hpp"
 #include "carbon/bilevel/linear.hpp"
 #include "carbon/cobra/cobra_solver.hpp"

@@ -20,8 +20,8 @@
 #include <cstdint>
 
 #include "carbon/bcpop/basis_pool.hpp"
-#include "carbon/bcpop/evaluator.hpp"
-#include "carbon/common/task_scheduler.hpp"
+#include "carbon/bcpop/evaluator_interface.hpp"
+#include "carbon/bcpop/instance.hpp"
 #include "carbon/core/checkpoint.hpp"
 #include "carbon/core/result.hpp"
 #include "carbon/ea/binary_ops.hpp"
@@ -59,21 +59,16 @@ struct CobraConfig {
   long long ul_eval_budget = 50'000;
   long long ll_eval_budget = 50'000;
 
-  /// Worker threads for batch evaluation (when the solver owns its
-  /// evaluator); same semantics as CarbonConfig::eval_threads.
+  /// Evaluation threads (when the solver owns its evaluator); same
+  /// semantics as CarbonConfig::eval_threads.
   std::size_t eval_threads = 1;
-
-  /// Fan-out engine for the parallel evaluator; same semantics as
-  /// CarbonConfig::sched.
-  common::SchedKind sched = common::SchedKind::kStealing;
 
   /// Cross-generation score memoization; same semantics as
   /// CarbonConfig::memo_xgen (only the heuristic path consults it).
   bool memo_xgen = true;
 
   /// Warm-start policy for the LL relaxation LPs; same semantics as
-  /// CarbonConfig::lp_warm (kPool routes evaluation through the parallel
-  /// evaluator even when eval_threads == 1).
+  /// CarbonConfig::lp_warm.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   /// Compile GP scoring trees to batched bytecode (relevant only when a
@@ -101,7 +96,7 @@ struct CobraConfig {
 
 class CobraSolver {
  public:
-  /// Solves the single-customer BCPOP (creates its own Evaluator).
+  /// Solves the single-customer BCPOP (creates its own ParallelEvaluator).
   CobraSolver(const bcpop::Instance& instance, CobraConfig config);
 
   /// Solves against any bi-level evaluation backend; budgets are counted

@@ -3,9 +3,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace carbon::common {
@@ -31,6 +33,11 @@ class CliArgs {
                                            long long fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name,
                               bool fallback = false) const;
+
+  /// The first flag (in name order) that is not in `known`, if any — lets a
+  /// command reject a typo such as `--thread` instead of ignoring it.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const {

@@ -48,15 +48,6 @@
 
 namespace carbon::common {
 
-/// Which engine an evaluator fans batches out with. kParallelFor is the
-/// PR 1 ThreadPool path (kept as the reference implementation and for
-/// differential benchmarks); kStealing is the work-stealing scheduler.
-/// Both produce bit-identical results; they differ only in wall-clock.
-enum class SchedKind : unsigned char {
-  kParallelFor,
-  kStealing,
-};
-
 class TaskScheduler {
  public:
   /// Cumulative scheduler-side counters (timing-dependent; observability
@@ -70,10 +61,11 @@ class TaskScheduler {
     long long idle_ns = 0;
   };
 
-  /// Spawns `threads` persistent workers (0 = hardware concurrency, at
-  /// least 1). A batch is executed by `threads + 1` participants: the
-  /// calling thread helps instead of blocking.
-  explicit TaskScheduler(std::size_t threads = 0);
+  /// Spawns exactly `workers` persistent worker threads. A batch is
+  /// executed by `workers + 1` participants: the calling thread helps
+  /// instead of blocking. With 0 workers the caller is the only
+  /// participant and every batch runs inline, in index order.
+  explicit TaskScheduler(std::size_t workers);
   ~TaskScheduler();
 
   TaskScheduler(const TaskScheduler&) = delete;

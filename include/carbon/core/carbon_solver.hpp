@@ -16,7 +16,8 @@
 // decoupled — this is how CARBON breaks the nested structure.
 #pragma once
 
-#include "carbon/bcpop/evaluator.hpp"
+#include "carbon/bcpop/evaluator_interface.hpp"
+#include "carbon/bcpop/instance.hpp"
 #include "carbon/core/config.hpp"
 #include "carbon/core/result.hpp"
 #include "carbon/gp/tree.hpp"
@@ -32,7 +33,7 @@ struct CarbonResult : RunResult {
 
 class CarbonSolver {
  public:
-  /// Solves the single-customer BCPOP (creates its own Evaluator).
+  /// Solves the single-customer BCPOP (creates its own ParallelEvaluator).
   CarbonSolver(const bcpop::Instance& instance, CarbonConfig config);
 
   /// Solves against any bi-level evaluation backend (e.g. the

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "carbon/bcpop/basis_pool.hpp"
-#include "carbon/common/task_scheduler.hpp"
 #include "carbon/core/checkpoint.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/operators.hpp"
@@ -74,19 +73,12 @@ struct CarbonConfig {
   long long ul_eval_budget = 50'000;
   long long ll_eval_budget = 50'000;
 
-  /// Worker threads for batch evaluation (when the solver owns its
-  /// evaluator). 1 = the legacy serial evaluator; >1 = a
-  /// bcpop::ParallelEvaluator with that many workers; 0 = hardware
+  /// Evaluation threads (when the solver owns its evaluator, always a
+  /// bcpop::ParallelEvaluator): 1 = the calling thread alone, no worker
+  /// spawned; N > 1 = N workers plus the calling thread; 0 = hardware
   /// concurrency. Results are bit-identical for any value at a fixed seed
   /// (per-thread contexts + ordered reduction; see docs/ALGORITHMS.md §7).
   std::size_t eval_threads = 1;
-
-  /// Fan-out engine for the parallel evaluator (eval_threads > 1 or 0):
-  /// the deterministic work-stealing TaskScheduler (default) or the
-  /// barriered ThreadPool reference path. Bit-identical trajectories either
-  /// way (docs/ALGORITHMS.md §14); the knob exists for differential testing
-  /// and benchmarks. Ignored by the serial evaluator.
-  common::SchedKind sched = common::SchedKind::kStealing;
 
   /// Cross-generation score memoization: finished heuristic Evaluations are
   /// cached across generations, keyed by (canonical program × pricing ×
@@ -98,10 +90,8 @@ struct CarbonConfig {
   /// kBaseline (default): every solve starts from the fixed base-cost basis
   /// — existing golden trajectories hold bit for bit. kPool: solves start
   /// from the nearest pooled basis (deterministic for any eval_threads ×
-  /// sched × compiled_scoring, but a DIFFERENT golden axis: degenerate LPs
-  /// can surface alternate optimal duals/x̄ under a different start basis).
-  /// kPool routes evaluation through the parallel evaluator even when
-  /// eval_threads == 1.
+  /// compiled_scoring, but a DIFFERENT golden axis: degenerate LPs can
+  /// surface alternate optimal duals/x̄ under a different start basis).
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   /// Compile GP scoring trees to batched SoA bytecode (gp::CompiledProgram)

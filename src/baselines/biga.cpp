@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/statistics.hpp"
 #include "carbon/ea/archive.hpp"
 
@@ -36,7 +37,7 @@ BigaSolver::BigaSolver(bcpop::EvaluatorInterface& evaluator, BigaConfig config)
 
 core::RunResult BigaSolver::run() {
   if (external_ != nullptr) return run_with(*external_);
-  bcpop::Evaluator own(*inst_);
+  bcpop::ParallelEvaluator own(*inst_, /*threads=*/1);
   return run_with(own);
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/statistics.hpp"
 #include "carbon/ea/archive.hpp"
 
@@ -29,7 +30,7 @@ NestedGaSolver::NestedGaSolver(const bcpop::Instance& instance,
 
 core::RunResult NestedGaSolver::run() {
   common::Rng rng(cfg_.seed);
-  bcpop::Evaluator eval(inst_);
+  bcpop::ParallelEvaluator eval(inst_, /*threads=*/1);
   const auto bounds = inst_.price_bounds();
 
   std::vector<bcpop::Pricing> pop;

@@ -76,8 +76,8 @@ MultiFollowerEvaluator::MultiFollowerEvaluator(
     const MultiFollowerProblem& problem)
     : problem_(problem) {
   for (std::size_t f = 0; f < problem_.num_followers(); ++f) {
-    per_follower_.push_back(
-        std::make_unique<Evaluator>(problem_.follower(f)));
+    per_follower_.push_back(std::make_unique<ParallelEvaluator>(
+        problem_.follower(f), /*threads=*/1));
   }
 }
 
@@ -98,7 +98,7 @@ Evaluation MultiFollowerEvaluator::aggregate(std::span<const double> pricing,
           ? bilevel::percent_gap(total.ll_objective, total.lower_bound)
           : 1e9;
   ll_evals_ += static_cast<long long>(problem_.num_followers());
-  // Mirror of Evaluator's budget rule: leader revenue is computed if and
+  // Mirror of ParallelEvaluator's budget rule: leader revenue is computed if and
   // only if the evaluation is charged to the UL budget. Sub-evaluations run
   // as kLowerOnly (they never produce F), so the per-follower revenues are
   // computed here, once, under the charged purpose, and back-filled into the

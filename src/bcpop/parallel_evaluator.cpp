@@ -73,37 +73,44 @@ class ParallelEvaluator::BatchLeases {
   std::vector<EvalContext*> slots_;
 };
 
+namespace {
+
+/// Worker threads for a resolved thread count: one thread means the caller
+/// alone; N > 1 means N workers next to the caller.
+std::size_t workers_for(std::size_t threads) {
+  return threads == 1 ? 0 : threads;
+}
+
+/// Cache shards: ONE when every lookup and insert happens on the calling
+/// thread in job order — a single participant, or pool mode, which stages
+/// them there for any thread count — so a single global LRU evicts as a
+/// pure function of the job sequence.
+std::size_t shards_for(std::size_t requested, std::size_t threads,
+                       LpWarm lp_warm) {
+  if (threads == 1 || lp_warm == LpWarm::kPool) return 1;
+  return std::max<std::size_t>(requested, 1);
+}
+
+}  // namespace
+
 ParallelEvaluator::ParallelEvaluator(const Instance& instance, Options options)
     : inst_(instance),
       threads_(options.threads != 0
                    ? options.threads
                    : std::max<std::size_t>(
                          1, std::thread::hardware_concurrency())),
-      sched_kind_(options.sched),
       lp_warm_(options.lp_warm),
-      // Pool mode forces ONE shard per cache: all staged lookups/inserts
-      // happen on the calling thread anyway, and a single global LRU makes
-      // the eviction order — and hence the pooled-solve history — exactly
-      // the serial one for any thread count.
+      scheduler_(workers_for(threads_)),
       cache_(std::max<std::size_t>(options.relaxation_cache_capacity, 1),
-             options.lp_warm == LpWarm::kPool
-                 ? 1
-                 : std::max<std::size_t>(options.cache_shards, 1)),
+             shards_for(options.cache_shards, threads_, lp_warm_)),
       xgen_(std::max<std::size_t>(options.score_cache_capacity, 1),
-            options.lp_warm == LpWarm::kPool
-                ? 1
-                : std::max<std::size_t>(options.score_cache_shards, 1)),
+            shards_for(options.score_cache_shards, threads_, lp_warm_)),
       memo_xgen_(options.memo_xgen),
       basis_pool_(std::max<std::size_t>(options.basis_pool_capacity, 1)) {
-  if (sched_kind_ == common::SchedKind::kStealing) {
-    scheduler_ = std::make_unique<common::TaskScheduler>(threads_);
-  } else {
-    pool_ = std::make_unique<common::ThreadPool>(threads_);
-  }
   // Build + validate the relaxation structure and solve the base-cost LP
-  // once, then stamp every per-thread context from the shared family.
+  // once, then stamp every per-participant context from the shared family.
   const cover::RelaxationFamily shared(inst_.market());
-  const std::size_t n = threads_ + 1;
+  const std::size_t n = scheduler_.participants();
   contexts_.reserve(n);
   free_contexts_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -114,38 +121,31 @@ ParallelEvaluator::ParallelEvaluator(const Instance& instance, Options options)
 
 void ParallelEvaluator::for_each(
     std::size_t n, const std::function<void(EvalContext&, std::size_t)>& body) {
-  if (scheduler_ != nullptr) {
-    const common::TaskScheduler::Stats before = scheduler_->stats();
-    {
-      BatchLeases leases(*this, scheduler_->participants());
-      scheduler_->parallel_for(
-          n, [&](std::size_t participant, std::size_t i) {
-            body(leases.get(participant), i);
-          });
-    }
-    if (metrics_ != nullptr) {
-      const common::TaskScheduler::Stats after = scheduler_->stats();
-      obs::count(metrics_, "sched/tasks", after.tasks - before.tasks);
-      if (after.steals > before.steals) {
-        obs::count(metrics_, "sched/steals", after.steals - before.steals);
-      }
-      if (after.idle_ns > before.idle_ns) {
-        obs::count(metrics_, "sched/idle_ns", after.idle_ns - before.idle_ns);
-      }
-    }
-    return;
+  const common::TaskScheduler::Stats before = scheduler_.stats();
+  {
+    BatchLeases leases(*this, scheduler_.participants());
+    scheduler_.parallel_for(n, [&](std::size_t participant, std::size_t i) {
+      body(leases.get(participant), i);
+    });
   }
-  pool_->parallel_for(n, [&](std::size_t i) {
-    ContextLease lease(*this);
-    body(lease.get(), i);
-  });
+  if (metrics_ != nullptr) {
+    const common::TaskScheduler::Stats after = scheduler_.stats();
+    obs::count(metrics_, "sched/tasks", after.tasks - before.tasks);
+    if (after.steals > before.steals) {
+      obs::count(metrics_, "sched/steals", after.steals - before.steals);
+    }
+    if (after.idle_ns > before.idle_ns) {
+      obs::count(metrics_, "sched/idle_ns", after.idle_ns - before.idle_ns);
+    }
+  }
 }
 
-void ParallelEvaluator::charge(EvalPurpose purpose) noexcept {
-  ll_evals_.fetch_add(1, std::memory_order_relaxed);
+bool ParallelEvaluator::charge(EvalPurpose purpose) noexcept {
+  const long long ordinal = ll_evals_.fetch_add(1, std::memory_order_relaxed);
   if (purpose == EvalPurpose::kBoth) {
     ul_evals_.fetch_add(1, std::memory_order_relaxed);
   }
+  return inject_now(ordinal);
 }
 
 void ParallelEvaluator::count_guard(const Evaluation& evaluation) noexcept {
@@ -196,143 +196,130 @@ void ParallelEvaluator::clear_caches() noexcept {
   base_iter_count_ = 0;
 }
 
+ParallelEvaluator::RelaxationPtr ParallelEvaluator::cached_relaxation(
+    EvalContext& ctx, std::span<const double> pricing) {
+  return cache_.get_or_compute(pricing, [&](std::span<const double> p) {
+    obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
+    cover::Relaxation relax = solve_relaxation_guarded(ctx, p);
+    timer.stop();
+    record_lp_metrics(metrics_, relax);
+    if (relax.stats.warm_start_rejected) {
+      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return relax;
+  });
+}
+
+ParallelEvaluator::RelaxationPtr ParallelEvaluator::relaxation(
+    std::span<const double> pricing) {
+  if (lp_warm_ == LpWarm::kPool) {
+    const std::span<const double> one[] = {pricing};
+    return resolve_pooled(one).front();
+  }
+  ContextLease lease(*this);
+  return cached_relaxation(lease.get(), pricing);
+}
+
+template <typename Solve>
+Evaluation ParallelEvaluator::construct_with(
+    EvalContext& ctx, const cover::Relaxation& relax,
+    std::span<const double> pricing, EvalPurpose purpose, const Solve& solve) {
+  const ConstructionBudget plan = plan_construction(ctx.guard, relax);
+  if (plan.skip) {
+    return skipped_evaluation(inst_, pricing, relax, guard::Trip::kNodeBudget,
+                              purpose);
+  }
+  obs::ScopedTimer timer(metrics_, "time/ll_solve");
+  const cover::SolveResult solved = solve(plan.options);
+  timer.stop();
+  return finalize_evaluation(inst_, pricing, solved, relax, purpose);
+}
+
 Evaluation ParallelEvaluator::finish_heuristic(
     EvalContext& ctx, const cover::Relaxation& relax, const HeuristicJob& job,
     const gp::CompiledProgram* program) {
-  const ConstructionBudget plan = plan_construction(ctx.guard, relax);
-  if (plan.skip) {
-    return skipped_evaluation(inst_, job.pricing, relax,
-                              guard::Trip::kNodeBudget, job.purpose);
-  }
-  obs::ScopedTimer timer(metrics_, "time/ll_solve");
-  const cover::SolveResult solved =
-      program
-          ? solve_with_program(ctx, relax, job.pricing, *program, polish_,
-                               metrics_, plan.options)
-          : solve_with_heuristic(ctx, relax, job.pricing, *job.heuristic,
-                                 polish_, plan.options);
-  timer.stop();
-  return finalize_evaluation(inst_, job.pricing, solved, relax, job.purpose);
+  return construct_with(
+      ctx, relax, job.pricing, job.purpose,
+      [&](const cover::GreedyOptions& options) {
+        return program != nullptr
+                   ? solve_with_program(ctx, relax, job.pricing, *program,
+                                        polish_, metrics_, options)
+                   : solve_with_heuristic(ctx, relax, job.pricing,
+                                          *job.heuristic, polish_, options);
+      });
 }
 
-Evaluation ParallelEvaluator::evaluate_heuristic_job(
-    EvalContext& ctx, const HeuristicJob& job,
-    const gp::CompiledProgram* program, bool injected) {
+Evaluation ParallelEvaluator::finish_selection(EvalContext& ctx,
+                                               const cover::Relaxation& relax,
+                                               const SelectionJob& job) {
+  return construct_with(ctx, relax, job.pricing, job.purpose,
+                        [&](const cover::GreedyOptions& options) {
+                          return solve_with_selection(ctx, relax, job.pricing,
+                                                      job.selection, options);
+                        });
+}
+
+template <typename Construct>
+Evaluation ParallelEvaluator::evaluate_job(EvalContext& ctx,
+                                           std::span<const double> pricing,
+                                           EvalPurpose purpose, bool injected,
+                                           const Construct& construct) {
   if (injected) {
     // Forced trip: the degradation is ordinal-dependent, so it must never
     // land in — or come from — the pricing-keyed shared cache (nor touch
     // the basis pool in pool mode).
     const cover::Relaxation relax = solve_relaxation_guarded(
-        ctx, job.pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
+        ctx, pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
     if (relax.stats.warm_start_rejected) {
       warm_rejects_.fetch_add(1, std::memory_order_relaxed);
     }
-    return finish_heuristic(ctx, relax, job, program);
+    return construct(relax);
   }
   common::Stopwatch watchdog;
-  const auto relax =
-      cache_.get_or_compute(job.pricing, [&](std::span<const double> p) {
-        obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
-        cover::Relaxation r = solve_relaxation_guarded(ctx, p);
-        timer.stop();
-        record_lp_metrics(metrics_, r);
-        if (r.stats.warm_start_rejected) {
-          warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return r;
-      });
+  const RelaxationPtr relax = cached_relaxation(ctx, pricing);
   if (guard_.limits.watchdog_seconds > 0.0 &&
       watchdog.seconds() > guard_.limits.watchdog_seconds) {
     // Only this evaluation's construction stage is skipped; the cached
     // relaxation stays full-fidelity. Opt-in, explicitly non-deterministic.
-    return skipped_evaluation(inst_, job.pricing, *relax,
-                              guard::Trip::kWatchdog, job.purpose);
+    return skipped_evaluation(inst_, pricing, *relax, guard::Trip::kWatchdog,
+                              purpose);
   }
-  return finish_heuristic(ctx, *relax, job, program);
+  return construct(*relax);
 }
 
-Evaluation ParallelEvaluator::evaluate_one(EvalContext& ctx,
-                                           const SelectionJob& job,
-                                           bool injected) {
+template <typename Construct>
+Evaluation ParallelEvaluator::evaluate_scalar(std::span<const double> pricing,
+                                              EvalPurpose purpose,
+                                              bool injected,
+                                              const Construct& construct) {
   Evaluation result;
-  if (injected) {
-    const cover::Relaxation relax = solve_relaxation_guarded(
-        ctx, job.pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
-    if (relax.stats.warm_start_rejected) {
-      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    charge(job.purpose);
-    const ConstructionBudget plan = plan_construction(ctx.guard, relax);
-    if (plan.skip) {
-      result = skipped_evaluation(inst_, job.pricing, relax,
-                                  guard::Trip::kNodeBudget, job.purpose);
-    } else {
-      obs::ScopedTimer timer(metrics_, "time/ll_solve");
-      const cover::SolveResult solved = solve_with_selection(
-          ctx, relax, job.pricing, job.selection, plan.options);
-      timer.stop();
-      result =
-          finalize_evaluation(inst_, job.pricing, solved, relax, job.purpose);
-    }
-    count_guard(result);
-    return result;
-  }
-
-  common::Stopwatch watchdog;
-  const auto relax =
-      cache_.get_or_compute(job.pricing, [&](std::span<const double> p) {
-        obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
-        cover::Relaxation r = solve_relaxation_guarded(ctx, p);
-        timer.stop();
-        record_lp_metrics(metrics_, r);
-        if (r.stats.warm_start_rejected) {
-          warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return r;
-      });
-  charge(job.purpose);
-  if (guard_.limits.watchdog_seconds > 0.0 &&
-      watchdog.seconds() > guard_.limits.watchdog_seconds) {
-    result = skipped_evaluation(inst_, job.pricing, *relax,
-                                guard::Trip::kWatchdog, job.purpose);
-    count_guard(result);
-    return result;
-  }
-  const ConstructionBudget plan = plan_construction(ctx.guard, *relax);
-  if (plan.skip) {
-    result = skipped_evaluation(inst_, job.pricing, *relax,
-                                guard::Trip::kNodeBudget, job.purpose);
+  if (lp_warm_ == LpWarm::kPool && !injected) {
+    // Inline staging (single-element batch). NOT safe to call concurrently
+    // in pool mode — the pool is single-threaded by contract. The context
+    // is leased only after staging, which leases contexts of its own.
+    const RelaxationPtr relax = relaxation(pricing);
+    ContextLease lease(*this);
+    result = construct(lease.get(), *relax);
   } else {
-    obs::ScopedTimer timer(metrics_, "time/ll_solve");
-    const cover::SolveResult solved = solve_with_selection(
-        ctx, *relax, job.pricing, job.selection, plan.options);
-    timer.stop();
-    result =
-        finalize_evaluation(inst_, job.pricing, solved, *relax, job.purpose);
+    ContextLease lease(*this);
+    EvalContext& ctx = lease.get();
+    result = evaluate_job(ctx, pricing, purpose, injected,
+                          [&](const cover::Relaxation& relax) {
+                            return construct(ctx, relax);
+                          });
   }
   count_guard(result);
   return result;
 }
 
-Evaluation ParallelEvaluator::evaluate_one_with(
-    EvalContext& ctx, const SelectionJob& job,
-    const cover::Relaxation& relax) {
-  charge(job.purpose);
-  Evaluation result;
-  const ConstructionBudget plan = plan_construction(ctx.guard, relax);
-  if (plan.skip) {
-    result = skipped_evaluation(inst_, job.pricing, relax,
-                                guard::Trip::kNodeBudget, job.purpose);
-  } else {
-    obs::ScopedTimer timer(metrics_, "time/ll_solve");
-    const cover::SolveResult solved = solve_with_selection(
-        ctx, relax, job.pricing, job.selection, plan.options);
-    timer.stop();
-    result =
-        finalize_evaluation(inst_, job.pricing, solved, relax, job.purpose);
-  }
-  count_guard(result);
-  return result;
+void ParallelEvaluator::memoize(std::span<const gp::Node> key,
+                                std::span<const double> pricing,
+                                EvalPurpose purpose,
+                                const Evaluation& result) {
+  const long long evictions_before = xgen_.evictions();
+  xgen_.insert(key, pricing, purpose, result);
+  const long long evicted = xgen_.evictions() - evictions_before;
+  if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
 }
 
 std::vector<ParallelEvaluator::RelaxationPtr>
@@ -460,64 +447,32 @@ BackendStats ParallelEvaluator::backend_stats() const {
   return s;
 }
 
-template <typename Job>
-std::vector<Evaluation> ParallelEvaluator::run_batch(
-    std::span<const Job> jobs) {
-  std::vector<Evaluation> results(jobs.size());
-  if (jobs.empty()) return results;
-  // Injection ordinals are assigned by submission index BEFORE fan-out
-  // (job i gets base + i — the ordinal the serial call sequence would
-  // charge it with), so the tripped job is the same for any thread count
-  // even though the atomic charges land in arbitrary order.
-  const long long base = ll_evals_.load(std::memory_order_relaxed);
-  if (lp_warm_ == LpWarm::kPool) {
-    // Staged pool path: relaxations first (pool/cache traffic on this
-    // thread, in submission order), then only the construction stage fans
-    // out. Injected jobs bypass the pool like they bypass the cache.
-    std::vector<std::size_t> pooled;
-    std::vector<std::span<const double>> pricings;
-    pooled.reserve(jobs.size());
-    pricings.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!inject_now(base + static_cast<long long>(i))) {
-        pooled.push_back(i);
-        pricings.push_back(jobs[i].pricing);
-      }
-    }
-    const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
-    std::vector<RelaxationPtr> by_job(jobs.size());
-    for (std::size_t k = 0; k < pooled.size(); ++k) {
-      by_job[pooled[k]] = relaxes[k];
-    }
-    for_each(jobs.size(), [&](EvalContext& ctx, std::size_t i) {
-      results[i] = by_job[i] != nullptr
-                       ? evaluate_one_with(ctx, jobs[i], *by_job[i])
-                       : evaluate_one(ctx, jobs[i], /*injected=*/true);
-    });
-    return results;
-  }
-  // Tasks write disjoint slots of `results`; both engines drain every task
-  // before returning (even on exceptions), so the by-reference captures
-  // cannot dangle.
-  for_each(jobs.size(), [&](EvalContext& ctx, std::size_t i) {
-    results[i] = evaluate_one(ctx, jobs[i],
-                              inject_now(base + static_cast<long long>(i)));
-  });
-  return results;
-}
-
 std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
     std::span<const HeuristicJob> jobs) {
   std::vector<Evaluation> results(jobs.size());
   if (jobs.empty()) return results;
+  // Which kernel width the compiled scorer dispatched to (1 = scalar,
+  // 4 = AVX2) — constant per process, but recorded per batch so journals
+  // from different machines stay attributable.
   obs::gauge(metrics_, "gp/lanes", static_cast<double>(gp::simd::lanes()));
   // Plan the score memo on the calling thread BEFORE fan-out: the plan is a
   // pure function of the submitted jobs, so deduplication needs no locks
   // and the set of real solves is identical for any thread count.
   const HeuristicBatchPlan plan =
       plan_heuristic_batch(jobs, compiled_scoring_);
+  // Jobs are charged in submission order below, so job i's ll ordinal is
+  // base + i — the same ordinal a scalar call sequence would assign. The
+  // injection target is therefore identical for any batching.
   const long long base = ll_evals_.load(std::memory_order_relaxed);
   std::vector<Evaluation> unique_results(plan.uniques.size());
+  const auto job_of = [&](std::size_t u) -> const HeuristicJob& {
+    return jobs[plan.uniques[u].job_index];
+  };
+  const auto key_nodes_of = [&](std::size_t u) -> std::span<const gp::Node> {
+    const HeuristicBatchPlan::Unique& uq = plan.uniques[u];
+    return uq.program != nullptr ? uq.program->canonical_nodes()
+                                 : job_of(u).heuristic->nodes();
+  };
 
   // Cross-generation memo: probe on the calling thread in unique order (so
   // hit/miss counters and the LRU walk are thread-count independent), fan
@@ -525,67 +480,47 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   // order, after the barrier. The cache state after the batch is therefore
   // a pure function of the submitted jobs.
   const bool use_xgen = xgen_active();
-  const auto key_nodes_of = [&](std::size_t u) -> std::span<const gp::Node> {
-    const HeuristicBatchPlan::Unique& uq = plan.uniques[u];
-    return uq.program != nullptr ? uq.program->canonical_nodes()
-                                 : jobs[uq.job_index].heuristic->nodes();
-  };
   std::vector<std::size_t> misses;
-  if (use_xgen) {
-    misses.reserve(plan.uniques.size());
-    long long xgen_hits = 0;
-    for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
-      const HeuristicJob& job = jobs[plan.uniques[u].job_index];
-      if (xgen_.lookup(key_nodes_of(u), job.pricing, job.purpose,
-                       &unique_results[u])) {
-        ++xgen_hits;
-      } else {
-        misses.push_back(u);
-      }
+  misses.reserve(plan.uniques.size());
+  long long xgen_hits = 0;
+  for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
+    if (use_xgen && xgen_.lookup(key_nodes_of(u), job_of(u).pricing,
+                                 job_of(u).purpose, &unique_results[u])) {
+      ++xgen_hits;
+    } else {
+      misses.push_back(u);
     }
-    if (xgen_hits > 0) obs::count(metrics_, "memo/xgen_hits", xgen_hits);
-  } else {
-    misses.resize(plan.uniques.size());
-    for (std::size_t u = 0; u < misses.size(); ++u) misses[u] = u;
   }
+  if (xgen_hits > 0) obs::count(metrics_, "memo/xgen_hits", xgen_hits);
 
+  // Pool mode resolves the misses' relaxations through the staged basis
+  // pool first (submission-order pool/cache traffic on this thread), so
+  // only the construction stage fans out.
+  std::vector<RelaxationPtr> pooled;
   if (lp_warm_ == LpWarm::kPool) {
-    // Staged pool path: the miss set's relaxations are resolved through the
-    // basis pool first (submission-order pool/cache traffic on this
-    // thread), then only the construction stage fans out. The wall-clock
-    // watchdog skip does not apply to pooled batch solves (see the class
-    // comment).
     std::vector<std::span<const double>> pricings;
     pricings.reserve(misses.size());
-    for (const std::size_t u : misses) {
-      pricings.push_back(jobs[plan.uniques[u].job_index].pricing);
-    }
-    const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
-    for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
-      const std::size_t u = misses[m];
-      unique_results[u] =
-          finish_heuristic(ctx, *relaxes[m], jobs[plan.uniques[u].job_index],
-                           plan.uniques[u].program.get());
-    });
-  } else {
-    for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
-      const std::size_t u = misses[m];
-      unique_results[u] =
-          evaluate_heuristic_job(ctx, jobs[plan.uniques[u].job_index],
-                                 plan.uniques[u].program.get(),
-                                 /*injected=*/false);
-    });
+    for (const std::size_t u : misses) pricings.push_back(job_of(u).pricing);
+    pooled = resolve_pooled(pricings);
   }
+  for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
+    const std::size_t u = misses[m];
+    const gp::CompiledProgram* program = plan.uniques[u].program.get();
+    const auto finish = [&](const cover::Relaxation& relax) {
+      return finish_heuristic(ctx, relax, job_of(u), program);
+    };
+    unique_results[u] =
+        pooled.empty() ? evaluate_job(ctx, job_of(u).pricing,
+                                      job_of(u).purpose, /*injected=*/false,
+                                      finish)
+                       : finish(*pooled[m]);
+  });
 
   if (use_xgen) {
-    const long long evictions_before = xgen_.evictions();
     for (const std::size_t u : misses) {
-      const HeuristicJob& job = jobs[plan.uniques[u].job_index];
-      xgen_.insert(key_nodes_of(u), job.pricing, job.purpose,
-                   unique_results[u]);
+      memoize(key_nodes_of(u), job_of(u).pricing, job_of(u).purpose,
+              unique_results[u]);
     }
-    const long long evicted = xgen_.evictions() - evictions_before;
-    if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
   }
   // Every submitted job pays the budget — the memo optimizes wall-clock,
   // never the Table II accounting, so trajectories stay bit-identical.
@@ -593,11 +528,16 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
     if (inject_now(base + static_cast<long long>(i))) {
       // The injected job gets its own forced-trip evaluation on the calling
       // thread; its memo siblings keep the full-fidelity result, exactly as
-      // the serial call sequence would produce.
+      // a scalar call sequence would produce.
       ContextLease lease(*this);
-      results[i] = evaluate_heuristic_job(
-          lease.get(), jobs[i], plan.uniques[plan.result_of[i]].program.get(),
-          /*injected=*/true);
+      EvalContext& ctx = lease.get();
+      results[i] = evaluate_job(
+          ctx, jobs[i].pricing, jobs[i].purpose, /*injected=*/true,
+          [&](const cover::Relaxation& relax) {
+            return finish_heuristic(
+                ctx, relax, jobs[i],
+                plan.uniques[plan.result_of[i]].program.get());
+          });
     } else {
       results[i] = unique_results[plan.result_of[i]];
     }
@@ -611,16 +551,57 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
 
 std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
     std::span<const SelectionJob> jobs) {
-  return run_batch(jobs);
+  std::vector<Evaluation> results(jobs.size());
+  if (jobs.empty()) return results;
+  // Injection ordinals are assigned by submission index BEFORE fan-out
+  // (job i gets base + i — the ordinal a scalar call sequence would charge
+  // it with), so the tripped job is the same for any thread count.
+  const long long base = ll_evals_.load(std::memory_order_relaxed);
+  const auto injected = [&](std::size_t i) {
+    return inject_now(base + static_cast<long long>(i));
+  };
+  // Pool mode: relaxations first (pool/cache traffic on this thread, in
+  // submission order), then only the construction stage fans out. Injected
+  // jobs bypass the pool like they bypass the cache.
+  std::vector<RelaxationPtr> pooled(jobs.size());
+  if (lp_warm_ == LpWarm::kPool) {
+    std::vector<std::size_t> staged;
+    std::vector<std::span<const double>> pricings;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!injected(i)) {
+        staged.push_back(i);
+        pricings.push_back(jobs[i].pricing);
+      }
+    }
+    const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
+    for (std::size_t k = 0; k < staged.size(); ++k) {
+      pooled[staged[k]] = relaxes[k];
+    }
+  }
+  // Tasks write disjoint slots of `results`; the scheduler drains every
+  // task before returning (even on exceptions), so the by-reference
+  // captures cannot dangle.
+  for_each(jobs.size(), [&](EvalContext& ctx, std::size_t i) {
+    const auto finish = [&](const cover::Relaxation& relax) {
+      return finish_selection(ctx, relax, jobs[i]);
+    };
+    results[i] = pooled[i] != nullptr
+                     ? finish(*pooled[i])
+                     : evaluate_job(ctx, jobs[i].pricing, jobs[i].purpose,
+                                    injected(i), finish);
+  });
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    charge(jobs[i].purpose);
+    count_guard(results[i]);
+  }
+  return results;
 }
 
 Evaluation ParallelEvaluator::evaluate_with_heuristic(
     std::span<const double> pricing, const gp::Tree& heuristic,
     EvalPurpose purpose) {
   const HeuristicJob job{pricing, &heuristic, purpose};
-  const bool injected =
-      inject_now(ll_evals_.load(std::memory_order_relaxed));
-  charge(purpose);
+  const bool injected = charge(purpose);
 
   const gp::CompiledProgram* program = nullptr;
   gp::CompiledProgram compiled;
@@ -628,9 +609,11 @@ Evaluation ParallelEvaluator::evaluate_with_heuristic(
     compiled = gp::CompiledProgram::compile(heuristic);
     program = &compiled;
   }
-  // Cross-generation memo (skipped for injected jobs — their degradation is
-  // ordinal-dependent). Concurrent scalar callers race benignly: both
-  // compute identical bits, insert() keeps one.
+  // Cross-generation memo, keyed by the canonical program (compiled
+  // scoring) or the raw tree (interpreter); skipped for injected jobs —
+  // their degradation is ordinal-dependent. A hit still charges the full
+  // budget. Concurrent scalar callers race benignly: both compute
+  // identical bits, insert() keeps one.
   const bool use_xgen = xgen_active() && !injected;
   const std::span<const gp::Node> key_nodes =
       program != nullptr ? program->canonical_nodes() : heuristic.nodes();
@@ -642,26 +625,12 @@ Evaluation ParallelEvaluator::evaluate_with_heuristic(
       return cached;
     }
   }
-
-  Evaluation result;
-  if (lp_warm_ == LpWarm::kPool && !injected) {
-    // Inline staging (single-element batch). NOT safe to call concurrently
-    // in pool mode — the pool is single-threaded by contract.
-    const std::span<const double> one[] = {pricing};
-    const std::vector<RelaxationPtr> relaxes = resolve_pooled(one);
-    ContextLease lease(*this);
-    result = finish_heuristic(lease.get(), *relaxes[0], job, program);
-  } else {
-    ContextLease lease(*this);
-    result = evaluate_heuristic_job(lease.get(), job, program, injected);
-  }
-  count_guard(result);
-  if (use_xgen) {
-    const long long evictions_before = xgen_.evictions();
-    xgen_.insert(key_nodes, pricing, purpose, result);
-    const long long evicted = xgen_.evictions() - evictions_before;
-    if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
-  }
+  Evaluation result = evaluate_scalar(
+      pricing, purpose, injected,
+      [&](EvalContext& ctx, const cover::Relaxation& relax) {
+        return finish_heuristic(ctx, relax, job, program);
+      });
+  if (use_xgen) memoize(key_nodes, pricing, purpose, result);
   return result;
 }
 
@@ -669,17 +638,24 @@ Evaluation ParallelEvaluator::evaluate_with_selection(
     std::span<const double> pricing, std::span<const std::uint8_t> selection,
     EvalPurpose purpose) {
   const SelectionJob job{pricing, selection, purpose};
-  const bool injected =
-      inject_now(ll_evals_.load(std::memory_order_relaxed));
-  if (lp_warm_ == LpWarm::kPool && !injected) {
-    // Inline staging; see evaluate_with_heuristic.
-    const std::span<const double> one[] = {pricing};
-    const std::vector<RelaxationPtr> relaxes = resolve_pooled(one);
-    ContextLease lease(*this);
-    return evaluate_one_with(lease.get(), job, *relaxes[0]);
-  }
-  ContextLease lease(*this);
-  return evaluate_one(lease.get(), job, injected);
+  return evaluate_scalar(pricing, purpose, charge(purpose),
+                         [&](EvalContext& ctx, const cover::Relaxation& relax) {
+                           return finish_selection(ctx, relax, job);
+                         });
+}
+
+Evaluation ParallelEvaluator::evaluate_with_score(
+    std::span<const double> pricing, const cover::ScoreFunction& score,
+    EvalPurpose purpose) {
+  return evaluate_scalar(
+      pricing, purpose, charge(purpose),
+      [&](EvalContext& ctx, const cover::Relaxation& relax) {
+        return construct_with(ctx, relax, pricing, purpose,
+                              [&](const cover::GreedyOptions& options) {
+                                return solve_with_score(ctx, relax, pricing,
+                                                        score, options);
+                              });
+      });
 }
 
 }  // namespace carbon::bcpop

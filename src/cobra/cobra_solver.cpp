@@ -88,29 +88,20 @@ CobraSolver::CobraSolver(bcpop::EvaluatorInterface& evaluator,
 
 core::RunResult CobraSolver::run() {
   if (external_ != nullptr) return run_with(*external_);
-  // Pool mode always routes through the parallel evaluator — it owns the
-  // staged basis-pool discipline — even at eval_threads == 1.
-  if (cfg_.eval_threads != 1 || cfg_.lp_warm == bcpop::LpWarm::kPool) {
-    // Two generations of UL pricing bases must fit, or mid-generation LRU
-    // evictions reap the parents the rest of the batch is about to warm-
-    // start from (see CarbonSolver::run for the full argument).
-    const std::size_t pool_cap =
-        std::max<std::size_t>(bcpop::BasisPool::kDefaultCapacity,
-                              2 * cfg_.ul_population_size);
-    bcpop::ParallelEvaluator par(
-        *inst_,
-        bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
-                                          .sched = cfg_.sched,
-                                          .memo_xgen = cfg_.memo_xgen,
-                                          .lp_warm = cfg_.lp_warm,
-                                          .basis_pool_capacity = pool_cap});
-    par.set_compiled_scoring(cfg_.compiled_scoring);
-    return run_with(par);
-  }
-  bcpop::Evaluator own(*inst_);
-  own.set_compiled_scoring(cfg_.compiled_scoring);
-  own.set_memo_xgen(cfg_.memo_xgen);
-  return run_with(own);
+  // Two generations of UL pricing bases must fit, or mid-generation LRU
+  // evictions reap the parents the rest of the batch is about to warm-
+  // start from (see CarbonSolver::run for the full argument).
+  const std::size_t pool_cap =
+      std::max<std::size_t>(bcpop::BasisPool::kDefaultCapacity,
+                            2 * cfg_.ul_population_size);
+  bcpop::ParallelEvaluator eval(
+      *inst_,
+      bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
+                                        .memo_xgen = cfg_.memo_xgen,
+                                        .lp_warm = cfg_.lp_warm,
+                                        .basis_pool_capacity = pool_cap});
+  eval.set_compiled_scoring(cfg_.compiled_scoring);
+  return run_with(eval);
 }
 
 core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {

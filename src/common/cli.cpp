@@ -1,5 +1,6 @@
 #include "carbon/common/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -27,6 +28,16 @@ CliArgs::CliArgs(int argc, char** argv) {
 
 bool CliArgs::has(const std::string& name) const {
   return flags_.count(name) > 0;
+}
+
+std::optional<std::string> CliArgs::unknown_flag(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
 }
 
 std::string CliArgs::get(const std::string& name,

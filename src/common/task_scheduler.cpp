@@ -6,13 +6,6 @@ namespace carbon::common {
 
 namespace {
 
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-  }
-  return threads == 0 ? 1 : threads;
-}
-
 std::uint64_t xorshift64(std::uint64_t x) noexcept {
   x ^= x << 13;
   x ^= x >> 7;
@@ -27,9 +20,7 @@ long long ns_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-TaskScheduler::TaskScheduler(std::size_t threads)
-    : deques_(resolve_threads(threads) + 1) {
-  const std::size_t workers = deques_.size() - 1;
+TaskScheduler::TaskScheduler(std::size_t workers) : deques_(workers + 1) {
   workers_.reserve(workers);
   for (std::size_t k = 0; k < workers; ++k) {
     workers_.emplace_back([this, k] { worker_loop(k + 1); });

@@ -90,33 +90,23 @@ CarbonSolver::CarbonSolver(bcpop::EvaluatorInterface& evaluator,
 
 CarbonResult CarbonSolver::run() {
   if (external_ != nullptr) return run_with(*external_);
-  // Pool mode always routes through the parallel evaluator — it owns the
-  // staged basis-pool discipline — even at eval_threads == 1.
-  if (cfg_.eval_threads != 1 || cfg_.lp_warm == bcpop::LpWarm::kPool) {
-    // The pool must hold at least two generations of the UL population's
-    // bases: with fewer slots the LRU evicts the not-yet-re-evaluated
-    // members' parent bases mid-generation (their last touch is a whole
-    // generation old), and every such member falls back to a far-away
-    // cousin basis instead of its own lineage.
-    const std::size_t pool_cap =
-        std::max<std::size_t>(bcpop::BasisPool::kDefaultCapacity,
-                              2 * cfg_.ul_population_size);
-    bcpop::ParallelEvaluator par(
-        *inst_,
-        bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
-                                          .sched = cfg_.sched,
-                                          .memo_xgen = cfg_.memo_xgen,
-                                          .lp_warm = cfg_.lp_warm,
-                                          .basis_pool_capacity = pool_cap});
-    par.set_polish(cfg_.memetic_polish);
-    par.set_compiled_scoring(cfg_.compiled_scoring);
-    return run_with(par);
-  }
-  bcpop::Evaluator own(*inst_);
-  own.set_polish(cfg_.memetic_polish);
-  own.set_compiled_scoring(cfg_.compiled_scoring);
-  own.set_memo_xgen(cfg_.memo_xgen);
-  return run_with(own);
+  // The pool must hold at least two generations of the UL population's
+  // bases: with fewer slots the LRU evicts the not-yet-re-evaluated
+  // members' parent bases mid-generation (their last touch is a whole
+  // generation old), and every such member falls back to a far-away
+  // cousin basis instead of its own lineage.
+  const std::size_t pool_cap =
+      std::max<std::size_t>(bcpop::BasisPool::kDefaultCapacity,
+                            2 * cfg_.ul_population_size);
+  bcpop::ParallelEvaluator eval(
+      *inst_,
+      bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
+                                        .memo_xgen = cfg_.memo_xgen,
+                                        .lp_warm = cfg_.lp_warm,
+                                        .basis_pool_capacity = pool_cap});
+  eval.set_polish(cfg_.memetic_polish);
+  eval.set_compiled_scoring(cfg_.compiled_scoring);
+  return run_with(eval);
 }
 
 CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {

@@ -8,8 +8,8 @@
 #include "carbon/baselines/biga.hpp"
 #include "carbon/baselines/codba.hpp"
 #include "carbon/baselines/nested_ga.hpp"
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/multi_follower.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/core/experiment.hpp"
@@ -286,7 +286,7 @@ TEST(Differential, RelaxationBruteForceGreedySandwichOnRandomPricings) {
   // The same sandwich, decoupled from any solver: for random pricings the
   // evaluator's LB and greedy cost must bracket the enumerated optimum.
   const bcpop::Instance inst = tiny_instance();
-  bcpop::Evaluator eval(inst);
+  bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
   const gp::Tree tree = gp::parse("(div QCOV COST)");
   common::Rng rng(2026);
   for (int trial = 0; trial < 25; ++trial) {

@@ -1,4 +1,7 @@
-#include "carbon/bcpop/evaluator.hpp"
+// The single-evaluation contract of the BCPOP evaluator (feasibility,
+// objectives, purposes, relaxation memo), exercised on a one-thread
+// ParallelEvaluator: the calling thread alone, one context, one-shard caches.
+#include "carbon/bcpop/parallel_evaluator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -34,7 +37,7 @@ gp::Tree cost_effectiveness_tree() {
 
 TEST(Evaluator, HeuristicEvaluationIsFeasibleAndConsistent) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const Evaluation e =
       eval.evaluate_with_heuristic(pricing, cost_effectiveness_tree());
@@ -54,7 +57,7 @@ TEST(Evaluator, HeuristicEvaluationIsFeasibleAndConsistent) {
 
 TEST(Evaluator, TreeAndScoreFunctionPathsAgree) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const gp::Tree tree = cost_effectiveness_tree();
   const Evaluation via_tree = eval.evaluate_with_heuristic(pricing, tree);
@@ -67,7 +70,7 @@ TEST(Evaluator, TreeAndScoreFunctionPathsAgree) {
 
 TEST(Evaluator, SelectionRepairAchievesFeasibility) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   common::Rng rng(3);
   for (int rep = 0; rep < 20; ++rep) {
@@ -88,7 +91,7 @@ TEST(Evaluator, SelectionRepairAchievesFeasibility) {
 
 TEST(Evaluator, AlreadyFeasibleSelectionUntouched) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
   const Evaluation e = eval.evaluate_with_selection(pricing, everything);
@@ -98,7 +101,7 @@ TEST(Evaluator, AlreadyFeasibleSelectionUntouched) {
 
 TEST(Evaluator, CountsEvaluationsByPurpose) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const gp::Tree tree = cost_effectiveness_tree();
 
@@ -116,7 +119,7 @@ TEST(Evaluator, CountsEvaluationsByPurpose) {
 
 TEST(Evaluator, RelaxationIsMemoized) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   (void)eval.relaxation(pricing);
   const long long solved_once = eval.relaxations_solved();
@@ -133,7 +136,8 @@ TEST(Evaluator, RelaxationIsMemoized) {
 
 TEST(Evaluator, CacheEvictionStillCorrect) {
   const Instance inst = make_instance();
-  Evaluator eval(inst, /*relaxation_cache_capacity=*/2);
+  ParallelEvaluator eval(inst,
+                         {.threads = 1, .relaxation_cache_capacity = 2});
   common::Rng rng(5);
   const Pricing base = mid_pricing(inst);
   const double lb0 = eval.relaxation(base)->lower_bound;
@@ -152,7 +156,8 @@ TEST(Evaluator, EvictedRelaxationStaysValidWhileHeld) {
   // cache now hands out shared ownership, so a held relaxation survives any
   // amount of churn in a capacity-1 cache.
   const Instance inst = make_instance();
-  Evaluator eval(inst, /*relaxation_cache_capacity=*/1);
+  ParallelEvaluator eval(inst,
+                         {.threads = 1, .relaxation_cache_capacity = 1});
   const Pricing base = mid_pricing(inst);
   const auto held = eval.relaxation(base);
   ASSERT_NE(held, nullptr);
@@ -174,7 +179,7 @@ TEST(Evaluator, LowerOnlyDoesNotComputeLeaderRevenue) {
   // EvalPurpose::kLowerOnly evaluations are not charged to the UL budget and
   // must not produce a leader objective: F is computed iff it is paid for.
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const Evaluation e = eval.evaluate_with_heuristic(
       pricing, cost_effectiveness_tree(), EvalPurpose::kLowerOnly);
@@ -193,7 +198,7 @@ TEST(Evaluator, LowerOnlyDoesNotComputeLeaderRevenue) {
 
 TEST(Evaluator, LowerBoundRespondsToLeaderPrices) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   Pricing cheap(inst.num_owned(), 0.0);
   Pricing expensive;
   for (const auto& b : inst.price_bounds()) expensive.push_back(b.hi);
@@ -205,7 +210,7 @@ TEST(Evaluator, LowerBoundRespondsToLeaderPrices) {
 
 TEST(Evaluator, ZeroPricedOwnedBundlesAreIrresistible) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing freebies(inst.num_owned(), 0.0);
   const Evaluation e =
       eval.evaluate_with_heuristic(freebies, cost_effectiveness_tree());
@@ -216,7 +221,7 @@ TEST(Evaluator, ZeroPricedOwnedBundlesAreIrresistible) {
 
 TEST(Evaluator, GapIsNonNegativeAcrossRandomHeuristics) {
   const Instance inst = make_instance();
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   common::Rng rng(11);
   const Pricing pricing = mid_pricing(inst);
   for (int rep = 0; rep < 25; ++rep) {

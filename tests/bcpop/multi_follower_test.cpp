@@ -48,7 +48,7 @@ TEST(MultiFollower, SingleFollowerMatchesPlainEvaluator) {
   const auto problem = make_multi_follower(base_market(), 1);
   MultiFollowerEvaluator multi(problem);
   const Instance plain = base_market();
-  Evaluator single(plain);
+  ParallelEvaluator single(plain, /*threads=*/1);
 
   common::Rng rng(9);
   const auto pricing = ea::random_real_vector(rng, plain.price_bounds());

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/relaxation_cache.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/core/carbon_solver.hpp"
@@ -57,15 +56,22 @@ TEST(ParallelEvaluator, HeuristicBatchMatchesSerialBitwise) {
     }
   }
 
-  Evaluator serial(inst);
-  const std::vector<Evaluation> want = serial.evaluate_heuristic_batch(jobs);
+  // Reference: the serial call sequence — one scalar call per job.
+  ParallelEvaluator serial(inst, /*threads=*/1);
+  std::vector<Evaluation> want;
+  for (const HeuristicJob& job : jobs) {
+    want.push_back(
+        serial.evaluate_with_heuristic(job.pricing, *job.heuristic,
+                                       job.purpose));
+  }
 
-  ParallelEvaluator par(inst, /*threads=*/4);
-  const std::vector<Evaluation> got = par.evaluate_heuristic_batch(jobs);
-
-  ASSERT_EQ(got.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_same(want[i], got[i]);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ParallelEvaluator par(inst, threads);
+    const std::vector<Evaluation> got = par.evaluate_heuristic_batch(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_same(want[i], got[i]);
+    }
   }
 }
 
@@ -84,15 +90,22 @@ TEST(ParallelEvaluator, SelectionBatchMatchesSerialBitwise) {
     jobs.push_back({pricings[i], genomes[i], EvalPurpose::kBoth});
   }
 
-  Evaluator serial(inst);
-  const std::vector<Evaluation> want = serial.evaluate_selection_batch(jobs);
+  // Reference: the serial call sequence — one scalar call per job.
+  ParallelEvaluator serial(inst, /*threads=*/1);
+  std::vector<Evaluation> want;
+  for (const SelectionJob& job : jobs) {
+    want.push_back(
+        serial.evaluate_with_selection(job.pricing, job.selection,
+                                       job.purpose));
+  }
 
-  ParallelEvaluator par(inst, /*threads=*/3);
-  const std::vector<Evaluation> got = par.evaluate_selection_batch(jobs);
-
-  ASSERT_EQ(got.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_same(want[i], got[i]);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    ParallelEvaluator par(inst, threads);
+    const std::vector<Evaluation> got = par.evaluate_selection_batch(jobs);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_same(want[i], got[i]);
+    }
   }
 }
 
@@ -172,7 +185,7 @@ TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
   opt.threads = 2;
   opt.memo_xgen = false;
   ParallelEvaluator par(inst, opt);
-  Evaluator serial(inst);
+  ParallelEvaluator serial(inst, /*threads=*/1);
   serial.set_memo_xgen(false);
   const auto pricings = random_pricings(inst, 4, 77);
   common::Rng rng(19);
@@ -191,7 +204,7 @@ TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
 TEST(ParallelEvaluator, ScalarRepeatIsServedByTheScoreMemo) {
   const Instance inst = make_instance();
   ParallelEvaluator par(inst, /*threads=*/2);
-  Evaluator serial(inst);
+  ParallelEvaluator serial(inst, /*threads=*/1);
   const auto pricings = random_pricings(inst, 4, 77);
   common::Rng rng(19);
   const gp::Tree tree = gp::generate_ramped(rng);
@@ -211,6 +224,33 @@ TEST(ParallelEvaluator, ScalarRepeatIsServedByTheScoreMemo) {
   EXPECT_EQ(par.backend_stats().score_cache_hits, 1);
 }
 
+TEST(ParallelEvaluator, OneThreadRunsOnTheCallerWithOneShardCaches) {
+  const Instance inst = make_instance();
+  ParallelEvaluator solo(inst, /*threads=*/1);
+  EXPECT_EQ(solo.threads(), 1u);
+  EXPECT_EQ(solo.workers(), 0u);
+  // One shard per cache keeps the LRU eviction order of a serial loop.
+  EXPECT_EQ(solo.cache().num_shards(), 1u);
+  EXPECT_EQ(solo.score_cache().num_shards(), 1u);
+
+  // Batches still run — inline, so the scheduler never steals.
+  const auto pricings = random_pricings(inst, 6, 29);
+  const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
+  std::vector<SelectionJob> jobs;
+  for (const auto& p : pricings) jobs.push_back({p, everything});
+  EXPECT_EQ(solo.evaluate_selection_batch(jobs).size(), jobs.size());
+  EXPECT_EQ(solo.sched_stats().tasks, static_cast<long long>(jobs.size()));
+  EXPECT_EQ(solo.sched_stats().steals, 0);
+  EXPECT_EQ(solo.ll_evaluations(), static_cast<long long>(jobs.size()));
+
+  // More than one thread: N workers next to the caller, requested shards.
+  ParallelEvaluator wide(
+      inst, {.threads = 2, .cache_shards = 8, .score_cache_shards = 8});
+  EXPECT_EQ(wide.workers(), 2u);
+  EXPECT_EQ(wide.cache().num_shards(), 8u);
+  EXPECT_EQ(wide.score_cache().num_shards(), 8u);
+}
+
 TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   // Exercised under TSan by tools/run_sanitizers.sh: concurrent misses on a
   // capacity-1 cache force an eviction on almost every insert while other
@@ -223,9 +263,12 @@ TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   ParallelEvaluator par(inst, opt);
 
   const auto pricings = random_pricings(inst, 32, 3);
-  Evaluator reference(inst, /*relaxation_cache_capacity=*/64);
+  ParallelEvaluator reference(
+      inst, {.threads = 1, .relaxation_cache_capacity = 64});
   std::vector<double> want;
-  for (const auto& p : pricings) want.push_back(reference.relaxation(p)->lower_bound);
+  for (const auto& p : pricings) {
+    want.push_back(reference.relaxation(p)->lower_bound);
+  }
 
   const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
   std::vector<SelectionJob> jobs;
@@ -245,7 +288,7 @@ TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   EXPECT_LE(par.cache().size(), 1u);
 }
 
-// --- End-to-end determinism: N threads == serial, bit for bit -------------
+// --- End-to-end determinism: N threads == one thread, bit for bit ---------
 
 core::CarbonConfig small_carbon_config() {
   core::CarbonConfig cfg;
@@ -339,8 +382,8 @@ TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
   gen.max_depth = 7;
   const auto pricings = random_pricings(inst, 6, 21);
 
-  Evaluator compiled(inst);
-  Evaluator interpreted(inst);
+  ParallelEvaluator compiled(inst, /*threads=*/1);
+  ParallelEvaluator interpreted(inst, /*threads=*/1);
   interpreted.set_compiled_scoring(false);
   ASSERT_TRUE(compiled.compiled_scoring());
 
@@ -419,7 +462,7 @@ TEST(CompiledScoring, BatchMemoDeduplicatesButStillCharges) {
   EXPECT_EQ(par.heuristic_dedup_hits(),
             static_cast<long long>(jobs.size()) - 3);
   // All duplicates share the representative's bits.
-  Evaluator serial(inst);
+  ParallelEvaluator serial(inst, /*threads=*/1);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     expect_same(serial.evaluate_with_heuristic(jobs[i].pricing, tree,
                                                jobs[i].purpose),
@@ -441,11 +484,11 @@ TEST(CompiledScoring, MemoMergesCanonicallyEqualTrees) {
 
   // Compiled on: the canonical forms coincide, so each pricing costs one
   // solve. Off: content differs, no merge.
-  Evaluator compiled(inst);
+  ParallelEvaluator compiled(inst, /*threads=*/1);
   (void)compiled.evaluate_heuristic_batch(jobs);
   EXPECT_EQ(compiled.heuristic_dedup_hits(), 2);
 
-  Evaluator interpreted(inst);
+  ParallelEvaluator interpreted(inst, /*threads=*/1);
   interpreted.set_compiled_scoring(false);
   (void)interpreted.evaluate_heuristic_batch(jobs);
   EXPECT_EQ(interpreted.heuristic_dedup_hits(), 0);
@@ -502,7 +545,7 @@ TEST(BackendStats, MirrorsTheIndividualCountersOnBothEvaluators) {
     }
   }
 
-  Evaluator serial(inst);
+  ParallelEvaluator serial(inst, /*threads=*/1);
   (void)serial.evaluate_heuristic_batch(jobs);
   const BackendStats ss = serial.backend_stats();
   EXPECT_EQ(ss.relaxation_cache_hits, serial.relaxation_cache_hits());
@@ -517,7 +560,7 @@ TEST(BackendStats, MirrorsTheIndividualCountersOnBothEvaluators) {
   EXPECT_EQ(ps.relaxation_cache_hits, par.relaxation_cache_hits());
   EXPECT_EQ(ps.relaxation_cache_misses, par.relaxations_solved());
   EXPECT_EQ(ps.heuristic_dedup_hits, par.heuristic_dedup_hits());
-  // Same workload => same backend accounting as the serial evaluator.
+  // Same workload => same backend accounting as the one-thread evaluator.
   EXPECT_EQ(ps.relaxation_cache_misses, ss.relaxation_cache_misses);
   EXPECT_EQ(ps.heuristic_dedup_hits, ss.heuristic_dedup_hits);
 }

@@ -97,6 +97,38 @@ TEST(TaskScheduler, AllJobsRunEvenWhenOneThrows) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(TaskScheduler, ZeroWorkersRunEverythingOnTheCaller) {
+  TaskScheduler sched(0);
+  EXPECT_EQ(sched.workers(), 0u);
+  EXPECT_EQ(sched.participants(), 1u);
+  // Every job runs on participant 0, inline and in index order.
+  std::vector<std::size_t> order;
+  sched.parallel_for(50, [&](std::size_t participant, std::size_t i) {
+    EXPECT_EQ(participant, 0u);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(sched.stats().tasks, 50);
+  EXPECT_EQ(sched.stats().steals, 0);
+
+  // Every job still runs when some throw, and the lowest index wins.
+  std::vector<int> hits(64, 0);
+  try {
+    sched.parallel_for(hits.size(), [&](std::size_t, std::size_t i) {
+      ++hits[i];
+      if (i == 7) throw std::runtime_error("seven");
+      if (i == 3) throw std::logic_error("three");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "three");
+  } catch (const std::runtime_error&) {
+    FAIL() << "index 7's error surfaced instead of index 3's";
+  }
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
 TEST(TaskScheduler, StatsCountEveryTask) {
   TaskScheduler sched(4);
   const auto before = sched.stats();
@@ -111,13 +143,13 @@ TEST(TaskScheduler, StatsCountEveryTask) {
 // The determinism contract (docs/ALGORITHMS.md §14): for PURE jobs committed
 // into index-ordered result slots, the result vector is bitwise identical to
 // the serial loop for any worker count and any steal interleaving. 500
-// seeds × skewed job durations × threads {1,2,4,8}; each seed also varies
+// seeds × skewed job durations × workers {0,1,2,4,8}; each seed also varies
 // the batch size (including n < participants and n == 0 edge shapes).
 TEST(TaskScheduler, DeterminismFuzzMatchesSerialBitwise) {
   constexpr int kSeeds = 500;
-  const std::size_t thread_counts[] = {1, 2, 4, 8};
+  const std::size_t worker_counts[] = {0, 1, 2, 4, 8};
   std::vector<std::unique_ptr<TaskScheduler>> scheds;  // reused across seeds
-  for (const std::size_t t : thread_counts) {
+  for (const std::size_t t : worker_counts) {
     scheds.push_back(std::make_unique<TaskScheduler>(t));
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/cover/generator.hpp"
 
 namespace carbon::core {
@@ -117,7 +118,7 @@ TEST(CarbonSolver, EvolvedHeuristicBeatsTheWorstRandomOne) {
   // bundle first).
   const bcpop::Instance inst = small_instance();
   const CarbonResult r = CarbonSolver(inst, small_config()).run();
-  bcpop::Evaluator eval(inst);
+  bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
   common::Rng rng(1);
   const auto pricing = ea::random_real_vector(rng, inst.price_bounds());
   const auto bad = eval.evaluate_with_score(

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "carbon/bcpop/eval_core.hpp"
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/instance.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/gp/tree.hpp"
 #include "carbon/obs/metrics.hpp"
@@ -30,7 +30,7 @@ namespace {
 using bcpop::EvalContext;
 using bcpop::EvalPurpose;
 using bcpop::Evaluation;
-using bcpop::Evaluator;
+using bcpop::ParallelEvaluator;
 
 bcpop::Instance make_instance() {
   cover::GeneratorConfig cfg;
@@ -289,8 +289,8 @@ TEST(GuardEvaluator, DefaultGuardLeavesEvaluationsBitIdentical) {
   const gp::Tree tree = gp::parse("(div QCOV COST)");
   const std::vector<double> pricing = stress_pricing(inst);
 
-  Evaluator plain(inst);
-  Evaluator guarded(inst);
+  ParallelEvaluator plain(inst, /*threads=*/1);
+  ParallelEvaluator guarded(inst, /*threads=*/1);
   guarded.set_guard(guard::GuardConfig{}, 0);
 
   const Evaluation a = plain.evaluate_with_heuristic(pricing, tree);
@@ -309,7 +309,7 @@ TEST(GuardEvaluator, InjectionFiresAtTheExactOrdinalOnly) {
   const gp::Tree tree = gp::parse("(div QCOV COST)");
   const std::vector<double> pricing = stress_pricing(inst);
 
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   obs::MetricsRegistry metrics;
   eval.set_metrics(&metrics);
   guard::GuardConfig cfg;
@@ -347,7 +347,7 @@ TEST(GuardEvaluator, InjectionHonorsEvalBaseAcrossResume) {
   const gp::Tree tree = gp::parse("(div QCOV COST)");
   const std::vector<double> pricing = stress_pricing(inst);
 
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   for (int i = 0; i < 3; ++i) {  // the "pre-checkpoint" segment
     (void)eval.evaluate_with_heuristic(pricing, tree, EvalPurpose::kLowerOnly);
   }
@@ -378,7 +378,7 @@ TEST(GuardEvaluator, TinyNodeBudgetExhaustsBeforeConstruction) {
   const gp::Tree tree = gp::parse("(div QCOV COST)");
   const std::vector<double> pricing = stress_pricing(inst);
 
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   guard::GuardConfig cfg;
   cfg.limits.ll_node_cap = 1;  // the bound alone exceeds this
   cfg.limits.lagrangian_iteration_cap = 1;
@@ -403,14 +403,14 @@ TEST(GuardEvaluator, ConstructionRoundCapMarksOutcome) {
   const std::vector<double> pricing = stress_pricing(inst);
 
   // How many selection rounds does the unguarded greedy need?
-  Evaluator probe(inst);
+  ParallelEvaluator probe(inst, /*threads=*/1);
   const Evaluation full = probe.evaluate_with_heuristic(pricing, tree);
   ASSERT_TRUE(full.ll_feasible);
   long long bundles_picked = 0;
   for (const std::uint8_t s : full.selection) bundles_picked += s;
   ASSERT_GT(bundles_picked, 1);
 
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   guard::GuardConfig cfg;
   cfg.limits.construction_round_cap = 1;  // can't cover with one selection
   eval.set_guard(cfg, 0);
@@ -421,7 +421,7 @@ TEST(GuardEvaluator, ConstructionRoundCapMarksOutcome) {
   EXPECT_EQ(eval.backend_stats().guard_trips, 1);
 
   // A cap with room to spare reproduces the unguarded result bitwise.
-  Evaluator roomy(inst);
+  ParallelEvaluator roomy(inst, /*threads=*/1);
   cfg.limits.construction_round_cap = bundles_picked;
   roomy.set_guard(cfg, 0);
   const Evaluation same = roomy.evaluate_with_heuristic(pricing, tree);
@@ -451,7 +451,7 @@ TEST(GuardEvaluator, BatchInjectionMatchesScalarCallSequence) {
     cfg.inject.at_eval = 3;  // the duplicate job
     cfg.inject.degrade_to = guard::Rung::kGreedyOnly;
 
-    Evaluator scalar(inst);
+    ParallelEvaluator scalar(inst, /*threads=*/1);
     scalar.set_compiled_scoring(compiled);
     scalar.set_guard(cfg, 0);
     std::vector<Evaluation> want;
@@ -461,7 +461,7 @@ TEST(GuardEvaluator, BatchInjectionMatchesScalarCallSequence) {
                                                     job.purpose));
     }
 
-    Evaluator batch(inst);
+    ParallelEvaluator batch(inst, /*threads=*/1);
     batch.set_compiled_scoring(compiled);
     batch.set_guard(cfg, 0);
     const std::vector<Evaluation> got = batch.evaluate_heuristic_batch(jobs);
@@ -483,7 +483,7 @@ TEST(GuardEvaluator, SelectionPathHonorsInjectionAndCaps) {
   const std::vector<double> pricing = stress_pricing(inst);
   const std::vector<std::uint8_t> empty_genome(inst.num_bundles(), 0);
 
-  Evaluator eval(inst);
+  ParallelEvaluator eval(inst, /*threads=*/1);
   guard::GuardConfig cfg;
   cfg.inject.at_eval = 1;
   eval.set_guard(cfg, 0);
@@ -497,6 +497,29 @@ TEST(GuardEvaluator, SelectionPathHonorsInjectionAndCaps) {
   // The repair still runs: a degraded bound weakens the gap, not coverage.
   EXPECT_TRUE(second.ll_feasible);
   EXPECT_EQ(second.ll_objective, first.ll_objective);  // same cover, bitwise
+}
+
+TEST(GuardEvaluator, ScorePathHonorsInjection) {
+  // evaluate_with_score (the nested-GA baseline's entry point) charges and
+  // trips like the other scalar paths.
+  const bcpop::Instance inst = make_instance();
+  const std::vector<double> pricing = stress_pricing(inst);
+
+  ParallelEvaluator eval(inst, /*threads=*/1);
+  guard::GuardConfig cfg;
+  cfg.inject.at_eval = 1;
+  eval.set_guard(cfg, 0);
+  const Evaluation first =
+      eval.evaluate_with_score(pricing, cover::cost_effectiveness_score);
+  EXPECT_EQ(first.guard, guard::Outcome{});
+  const Evaluation second =
+      eval.evaluate_with_score(pricing, cover::cost_effectiveness_score);
+  EXPECT_EQ(second.guard.trip, guard::Trip::kInjected);
+  EXPECT_EQ(second.guard.rung, guard::Rung::kLagrangian);
+  EXPECT_TRUE(second.ll_feasible);
+  EXPECT_EQ(second.selection, first.selection);  // bound-independent score
+  EXPECT_EQ(eval.ul_evaluations(), 2);
+  EXPECT_EQ(eval.ll_evaluations(), 2);
 }
 
 }  // namespace

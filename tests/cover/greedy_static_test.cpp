@@ -1,7 +1,7 @@
 // Equivalence tests for the sort-based static-scorer greedy fast path.
 #include <gtest/gtest.h>
 
-#include "carbon/bcpop/evaluator.hpp"
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/greedy.hpp"
@@ -123,14 +123,14 @@ TEST(UsesTerminal, WalksAllNodes) {
 }
 
 TEST(EvaluatorFastPath, StaticAndDynamicTreePathsAgree) {
-  // A static tree evaluated through the Evaluator must produce the exact
+  // A static tree evaluated through the evaluator must produce the exact
   // result of forcing it down the generic (dynamic) greedy path.
   cover::GeneratorConfig cfg;
   cfg.num_bundles = 40;
   cfg.num_services = 5;
   cfg.seed = 9;
   const bcpop::Instance market(generate(cfg), 4);
-  bcpop::Evaluator eval(market);
+  bcpop::ParallelEvaluator eval(market, /*threads=*/1);
   common::Rng rng(2);
 
   for (int rep = 0; rep < 20; ++rep) {

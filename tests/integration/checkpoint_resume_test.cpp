@@ -16,7 +16,6 @@
 #include <fstream>
 #include <string>
 
-#include "carbon/bcpop/evaluator.hpp"
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/common/rng.hpp"
@@ -287,7 +286,7 @@ TEST(CheckpointResume, RejectedResumeLeavesEvaluatorUntouched) {
     const std::string path = temp_path("bad.ckpt");
     spit(path, c.contents);
 
-    bcpop::Evaluator eval(inst);
+    bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
     core::CarbonConfig cfg = golden::carbon_config();
     cfg.checkpoint.resume_from = path;
     EXPECT_THROW((void)core::CarbonSolver(eval, cfg).run(),
@@ -300,7 +299,7 @@ TEST(CheckpointResume, RejectedResumeLeavesEvaluatorUntouched) {
 
   // Wrong algorithm: a CARBON file must not resume a COBRA run.
   {
-    bcpop::Evaluator eval(inst);
+    bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
     cobra::CobraConfig cfg = golden::cobra_config();
     cfg.checkpoint.resume_from = good;
     EXPECT_THROW((void)cobra::CobraSolver(eval, cfg).run(),
@@ -311,7 +310,7 @@ TEST(CheckpointResume, RejectedResumeLeavesEvaluatorUntouched) {
 
   // Wrong seed: the file echoes its config seed and a mismatch rejects.
   {
-    bcpop::Evaluator eval(inst);
+    bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
     core::CarbonConfig cfg = golden::carbon_config();
     cfg.seed = 12345;
     cfg.checkpoint.resume_from = good;
@@ -322,7 +321,7 @@ TEST(CheckpointResume, RejectedResumeLeavesEvaluatorUntouched) {
 
   // Wrong population shape.
   {
-    bcpop::Evaluator eval(inst);
+    bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
     core::CarbonConfig cfg = golden::carbon_config();
     cfg.ul_population_size = 16;
     cfg.checkpoint.resume_from = good;

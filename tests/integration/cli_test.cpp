@@ -2,6 +2,7 @@
 // exact -> solve, checking exit codes and that artifacts appear. The binary
 // path is injected by CMake as CARBON_CLI_PATH.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -137,6 +138,25 @@ TEST(Cli, CheckpointThenResumeSmoke) {
     EXPECT_NE(second.find("best leader revenue"), std::string::npos);
     std::remove(ckpt.c_str());
   }
+}
+
+TEST(Cli, SolveRejectsUnknownFlags) {
+  const std::string inst = carbon::test::test_temp_dir() + "flags.orlib";
+  ASSERT_EQ(run("generate --bundles 20 --services 3 --out " + inst), 0);
+  const std::string solve = "solve --in " + inst +
+                            " --owned 2 --algo carbon --ul-budget 40 "
+                            "--ll-budget 100 --pop 8";
+  const auto exit_code = [](int status) {
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  // A typo must not silently fall back to a default (here: one thread).
+  EXPECT_EQ(exit_code(run(solve + " --thread 4")), 1);
+  EXPECT_EQ(exit_code(run(solve + " --shed parallel_for")), 1);
+  // The retired evaluator-engine switch is rejected like any unknown flag.
+  const std::string retired = "sched";
+  EXPECT_EQ(exit_code(run(solve + " --" + retired + " stealing")), 1);
+  EXPECT_EQ(exit_code(run(solve + " --" + retired + "=parallel_for")), 1);
+  EXPECT_EQ(exit_code(run(solve + " --threads 2 --memo-xgen off")), 0);
 }
 
 TEST(Cli, SolveRejectsUnknownAlgorithm) {

@@ -1,14 +1,18 @@
 // Golden-trajectory regression harness: the per-generation best-objective
-// sequence of a fixed-seed run must be bit-identical across every
-// implementation toggle that claims trajectory neutrality —
+// sequence of a fixed-seed run must be bit-identical to the trajectory
+// frozen in golden_common.hpp, across every implementation toggle that
+// claims trajectory neutrality —
 //   simd in {auto, scalar}  x  eval_threads in {1, 4}
-//   x  compiled_scoring in {on, off}  x  telemetry in {off, metrics+journal}
+//   x  compiled_scoring in {on, off}  x  memo_xgen in {on, off}
+//   x  telemetry in {off, metrics+journal}
 // for CARBON, and the analogous matrix (no compiled-scoring axis is
 // exercised by its evaluation path, but the toggle must still be inert)
 // for COBRA. A regression in the parallel reduction order, the compiled
 // scorer, the SIMD kernels' bit-identity contract, or an instrumentation
 // site that consumes RNG shows up here as a diverging trajectory, not as a
-// flaky end-result comparison.
+// flaky end-result comparison. The reference is a literal, not a run of
+// some other code path, so deleting or rewriting an evaluator cannot move
+// the baseline along with it.
 
 #include <gtest/gtest.h>
 
@@ -36,15 +40,7 @@ using golden::trajectory_of;
 
 TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
   const bcpop::Instance inst = make_instance();
-
-  // Baseline: serial, interpreted, no telemetry, forced-scalar kernels.
-  gp::simd::select_path("scalar");
-  core::CarbonConfig base = carbon_config();
-  base.eval_threads = 1;
-  base.compiled_scoring = false;
-  const Trajectory golden =
-      trajectory_of(core::CarbonSolver(inst, base).run());
-  ASSERT_GT(golden.generations, 1);
+  const Trajectory& golden = golden::kCarbonBaseline;
 
   for (const char* simd : {"auto", "scalar"}) {
     gp::simd::select_path(simd);
@@ -90,74 +86,55 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
 }
 
 TEST(GoldenTrajectory, CarbonIsInvariantAcrossSchedulerAndScoreMemo) {
-  // The PR-9 axes against the unregenerated baseline: the work-stealing
-  // scheduler (vs the barriered parallel_for reference) and the
-  // cross-generation score memo (vs none) both claim bit-identical
-  // trajectories — memo hits still charge the Table II budgets, and the
-  // scheduler only reorders execution of pure jobs committed into
-  // index-ordered slots (docs/ALGORITHMS.md §14). A divergence anywhere in
-  // sched x memo_xgen x eval_threads x compiled_scoring lands here.
+  // The cross-generation score memo (vs none) claims a bit-identical
+  // trajectory — memo hits still charge the Table II budgets — and so does
+  // the work-stealing scheduler, which only reorders execution of pure jobs
+  // committed into index-ordered slots (docs/ALGORITHMS.md §14). A
+  // divergence anywhere in memo_xgen x eval_threads x compiled_scoring
+  // lands here.
   const bcpop::Instance inst = make_instance();
 
-  // Baseline: the legacy path — serial, interpreted, no memoization.
-  core::CarbonConfig base = carbon_config();
-  base.eval_threads = 1;
-  base.compiled_scoring = false;
-  base.memo_xgen = false;
-  const Trajectory golden =
-      trajectory_of(core::CarbonSolver(inst, base).run());
-  ASSERT_GT(golden.generations, 1);
-
-  for (const common::SchedKind sched :
-       {common::SchedKind::kParallelFor, common::SchedKind::kStealing}) {
+  for (const char* simd : {"auto", "scalar"}) {
+    gp::simd::select_path(simd);
     for (const bool memo : {false, true}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         for (const bool compiled : {false, true}) {
           core::CarbonConfig cfg = carbon_config();
-          cfg.sched = sched;
           cfg.memo_xgen = memo;
           cfg.eval_threads = threads;
           cfg.compiled_scoring = compiled;
           const std::string label =
-              std::string("sched=") +
-              (sched == common::SchedKind::kStealing ? "stealing"
-                                                     : "parallel_for") +
+              std::string("simd=") + gp::simd::path_name() +
               " memo_xgen=" + std::to_string(memo) +
               " threads=" + std::to_string(threads) +
               " compiled=" + std::to_string(compiled);
           expect_same_trajectory(
-              golden, trajectory_of(core::CarbonSolver(inst, cfg).run()),
-              label);
+              golden::kCarbonBaseline,
+              trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
         }
       }
     }
   }
+  gp::simd::select_path("auto");
 }
 
 TEST(GoldenTrajectory, CobraIsInvariantAcrossSchedulerAndScoreMemo) {
   const bcpop::Instance inst = make_instance();
 
-  cobra::CobraConfig base = cobra_config();
-  base.eval_threads = 1;
-  base.memo_xgen = false;
-  const Trajectory golden =
-      trajectory_of(cobra::CobraSolver(inst, base).run());
-  ASSERT_GT(golden.generations, 1);
-
-  for (const common::SchedKind sched :
-       {common::SchedKind::kParallelFor, common::SchedKind::kStealing}) {
-    for (const bool memo : {false, true}) {
-      cobra::CobraConfig cfg = cobra_config();
-      cfg.sched = sched;
-      cfg.memo_xgen = memo;
-      cfg.eval_threads = 4;
-      const std::string label =
-          std::string("sched=") +
-          (sched == common::SchedKind::kStealing ? "stealing"
-                                                 : "parallel_for") +
-          " memo_xgen=" + std::to_string(memo);
-      expect_same_trajectory(
-          golden, trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
+  for (const bool memo : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool compiled : {false, true}) {
+        cobra::CobraConfig cfg = cobra_config();
+        cfg.memo_xgen = memo;
+        cfg.eval_threads = threads;
+        cfg.compiled_scoring = compiled;
+        const std::string label = "memo_xgen=" + std::to_string(memo) +
+                                  " threads=" + std::to_string(threads) +
+                                  " compiled=" + std::to_string(compiled);
+        expect_same_trajectory(
+            golden::kCobraBaseline,
+            trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
+      }
     }
   }
 }
@@ -200,12 +177,7 @@ TEST(GoldenTrajectory, CarbonJournalTrajectoryIsThreadCountInvariant) {
 
 TEST(GoldenTrajectory, CobraIsInvariantAcrossThreadsAndTelemetry) {
   const bcpop::Instance inst = make_instance();
-
-  cobra::CobraConfig base = cobra_config();
-  base.eval_threads = 1;
-  const Trajectory golden =
-      trajectory_of(cobra::CobraSolver(inst, base).run());
-  ASSERT_GT(golden.generations, 1);
+  const Trajectory& golden = golden::kCobraBaseline;
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const bool telemetry : {false, true}) {
@@ -244,6 +216,38 @@ TEST(GoldenTrajectory, CobraIsInvariantAcrossThreadsAndTelemetry) {
         EXPECT_TRUE(saw_upper && saw_lower && saw_coevolution) << label;
       }
     }
+  }
+}
+
+TEST(GoldenTrajectory, SerialBackendCountersMatchFrozenBaseline) {
+  // eval_threads=1 runs the evaluator on the calling thread alone, with
+  // one-shard caches: its relaxation-cache and score-memo traffic must be
+  // exactly the frozen serial traffic, not merely trajectory-neutral.
+  const bcpop::Instance inst = make_instance();
+  {
+    core::CarbonConfig cfg = carbon_config();
+    cfg.eval_threads = 1;
+    std::ostringstream sink;
+    obs::RunJournal journal(sink);
+    cfg.telemetry.journal = &journal;
+    const core::CarbonResult r = core::CarbonSolver(inst, cfg).run();
+    expect_same_trajectory(golden::kCarbonBaseline, trajectory_of(r),
+                           "carbon");
+    golden::expect_backend_counters(golden::kCarbonBaselineCounters,
+                                    parse_journal(sink.str()).back(),
+                                    "carbon");
+  }
+  {
+    cobra::CobraConfig cfg = cobra_config();
+    cfg.eval_threads = 1;
+    std::ostringstream sink;
+    obs::RunJournal journal(sink);
+    cfg.telemetry.journal = &journal;
+    const core::RunResult r = cobra::CobraSolver(inst, cfg).run();
+    expect_same_trajectory(golden::kCobraBaseline, trajectory_of(r), "cobra");
+    golden::expect_backend_counters(golden::kCobraBaselineCounters,
+                                    parse_journal(sink.str()).back(),
+                                    "cobra");
   }
 }
 

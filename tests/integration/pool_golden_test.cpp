@@ -3,16 +3,18 @@
 // degenerate LPs may surface alternate optimal duals/x̄ under a pooled start
 // basis — but it makes its own determinism claims, asserted here:
 //
-//   * one pool trajectory per algorithm, bit-identical across
-//     eval_threads {1, 4} x compiled_scoring {off, on} and across repeated
-//     runs (the staged select/insert discipline keeps pool state a pure
-//     function of the batch sequence, not of thread scheduling);
+//   * one pool trajectory per algorithm, frozen in golden_common.hpp and
+//     reproduced bit for bit across simd {auto, scalar} x eval_threads
+//     {1, 4} x compiled_scoring {off, on} x memo_xgen {off, on} and across
+//     repeated runs (the staged select/insert discipline keeps pool state a
+//     pure function of the batch sequence, not of thread scheduling);
 //   * resume determinism: two resumes from one checkpoint agree bit for
 //     bit, and a resumed segment never consumes pooled bases from another
 //     segment (clear-on-resume), proven with a pool poisoned by foreign
 //     work between kill and resume;
 //   * the backend telemetry actually reports pool activity (family
-//     rebinds, pool hits) so the counters cannot silently rot.
+//     rebinds, pool hits) so the counters cannot silently rot, and the
+//     eval_threads=1 cache/pool counters match the frozen ones.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/generate.hpp"
+#include "carbon/gp/simd.hpp"
 #include "carbon/obs/json.hpp"
 #include "carbon/obs/run_journal.hpp"
 #include "common/temp_dir.hpp"
@@ -45,71 +48,71 @@ using golden::trajectory_of;
 TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
   const bcpop::Instance inst = make_instance();
 
-  core::CarbonConfig base = golden::carbon_config();
-  base.lp_warm = bcpop::LpWarm::kPool;
-  base.eval_threads = 1;
-  base.compiled_scoring = false;
-  const Trajectory golden_run =
-      trajectory_of(core::CarbonSolver(inst, base).run());
-  ASSERT_GT(golden_run.generations, 1);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        core::CarbonConfig cfg = golden::carbon_config();
-        cfg.lp_warm = bcpop::LpWarm::kPool;
-        cfg.eval_threads = threads;
-        cfg.compiled_scoring = compiled;
-        const std::string label = "pool threads=" + std::to_string(threads) +
-                                  " compiled=" + std::to_string(compiled) +
-                                  " repeat=" + std::to_string(repeat);
-        expect_same_trajectory(
-            golden_run, trajectory_of(core::CarbonSolver(inst, cfg).run()),
-            label);
+  for (const char* simd : {"auto", "scalar"}) {
+    gp::simd::select_path(simd);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool compiled : {false, true}) {
+        for (const bool memo : {false, true}) {
+          for (int repeat = 0; repeat < 2; ++repeat) {
+            core::CarbonConfig cfg = golden::carbon_config();
+            cfg.lp_warm = bcpop::LpWarm::kPool;
+            cfg.eval_threads = threads;
+            cfg.compiled_scoring = compiled;
+            cfg.memo_xgen = memo;
+            const std::string label =
+                std::string("pool simd=") + gp::simd::path_name() +
+                " threads=" + std::to_string(threads) +
+                " compiled=" + std::to_string(compiled) +
+                " memo_xgen=" + std::to_string(memo) +
+                " repeat=" + std::to_string(repeat);
+            expect_same_trajectory(
+                golden::kCarbonPool,
+                trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
+          }
+        }
       }
     }
   }
+  gp::simd::select_path("auto");
 }
 
 TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
   const bcpop::Instance inst = make_instance();
 
-  cobra::CobraConfig base = golden::cobra_config();
-  base.lp_warm = bcpop::LpWarm::kPool;
-  base.eval_threads = 1;
-  base.compiled_scoring = false;
-  const Trajectory golden_run =
-      trajectory_of(cobra::CobraSolver(inst, base).run());
-  ASSERT_GT(golden_run.generations, 1);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        cobra::CobraConfig cfg = golden::cobra_config();
-        cfg.lp_warm = bcpop::LpWarm::kPool;
-        cfg.eval_threads = threads;
-        cfg.compiled_scoring = compiled;
-        const std::string label = "pool threads=" + std::to_string(threads) +
-                                  " compiled=" + std::to_string(compiled) +
-                                  " repeat=" + std::to_string(repeat);
-        expect_same_trajectory(
-            golden_run, trajectory_of(cobra::CobraSolver(inst, cfg).run()),
-            label);
+  for (const char* simd : {"auto", "scalar"}) {
+    gp::simd::select_path(simd);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool compiled : {false, true}) {
+        for (const bool memo : {false, true}) {
+          for (int repeat = 0; repeat < 2; ++repeat) {
+            cobra::CobraConfig cfg = golden::cobra_config();
+            cfg.lp_warm = bcpop::LpWarm::kPool;
+            cfg.eval_threads = threads;
+            cfg.compiled_scoring = compiled;
+            cfg.memo_xgen = memo;
+            const std::string label =
+                std::string("pool simd=") + gp::simd::path_name() +
+                " threads=" + std::to_string(threads) +
+                " compiled=" + std::to_string(compiled) +
+                " memo_xgen=" + std::to_string(memo) +
+                " repeat=" + std::to_string(repeat);
+            expect_same_trajectory(
+                golden::kCobraPool,
+                trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
+          }
+        }
       }
     }
   }
+  gp::simd::select_path("auto");
 }
 
 TEST(PoolGolden, PoolBackendCountersReportActivity) {
   // Telemetry must not perturb the pool trajectory, and the summary's
   // backend block must show the pool actually working: cost-only rebinds
   // on every relaxation solve and warm-start hits once the pool is primed.
+  // At eval_threads=1 every cache and pool counter is frozen as well.
   const bcpop::Instance inst = make_instance();
-
-  core::CarbonConfig base = golden::carbon_config();
-  base.lp_warm = bcpop::LpWarm::kPool;
-  const Trajectory golden_run =
-      trajectory_of(core::CarbonSolver(inst, base).run());
 
   core::CarbonConfig cfg = golden::carbon_config();
   cfg.lp_warm = bcpop::LpWarm::kPool;
@@ -119,7 +122,8 @@ TEST(PoolGolden, PoolBackendCountersReportActivity) {
   cfg.telemetry.metrics = &metrics;
   cfg.telemetry.journal = &journal;
   const core::CarbonResult r = core::CarbonSolver(inst, cfg).run();
-  expect_same_trajectory(golden_run, trajectory_of(r), "pool + telemetry");
+  expect_same_trajectory(golden::kCarbonPool, trajectory_of(r),
+                         "pool + telemetry");
 
   const auto records = parse_journal(sink.str());
   ASSERT_FALSE(records.empty());
@@ -132,6 +136,20 @@ TEST(PoolGolden, PoolBackendCountersReportActivity) {
   // rejections should be the exception, never the rule.
   EXPECT_LE(backend.at("lp_pool_rejects").as_integer(),
             backend.at("lp_pool_hits").as_integer());
+  golden::expect_backend_counters(golden::kCarbonPoolCounters, summary,
+                                  "carbon pool");
+
+  cobra::CobraConfig cc = golden::cobra_config();
+  cc.lp_warm = bcpop::LpWarm::kPool;
+  std::ostringstream cobra_sink;
+  obs::RunJournal cobra_journal(cobra_sink);
+  cc.telemetry.journal = &cobra_journal;
+  expect_same_trajectory(golden::kCobraPool,
+                         trajectory_of(cobra::CobraSolver(inst, cc).run()),
+                         "cobra pool + journal");
+  golden::expect_backend_counters(golden::kCobraPoolCounters,
+                                  parse_journal(cobra_sink.str()).back(),
+                                  "cobra pool");
 }
 
 TEST(PoolGolden, PoolResumeIsDeterministicAndSegmentIsolated) {

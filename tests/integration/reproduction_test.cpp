@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/core/experiment.hpp"
@@ -76,7 +77,7 @@ TEST(Reproduction, Eq3_RelaxationOrderingOnSampledPricings) {
   cc.seed = 5;
   const core::CarbonResult trained = core::CarbonSolver(market, cc).run();
 
-  bcpop::Evaluator eval(market);
+  bcpop::ParallelEvaluator eval(market, /*threads=*/1);
   common::Rng rng(3);
   int lower_ok = 0;
   int upper_ok = 0;

@@ -19,11 +19,13 @@
 //                [--journal OUT.jsonl] [--metrics]
 //                [--checkpoint FILE --checkpoint-every N] [--resume FILE]
 //                [--guard-lp-iters N] [--guard-rounds N] [--guard-nodes N]
-//                [--guard-watchdog SECONDS]
-//                [--sched stealing|parallel_for] [--memo-xgen on|off]
+//                [--guard-watchdog SECONDS] [--memo-xgen on|off]
 //                [--lp-warm baseline|pool]
 //       Treats the first L bundles as the leader's and solves the bi-level
-//       pricing problem. --journal appends one JSON record per generation
+//       pricing problem. Any other flag is rejected as a usage error.
+//       --threads 1 (the default) evaluates on the calling thread alone;
+//       T > 1 adds T worker threads — results are identical for any T.
+//       --journal appends one JSON record per generation
 //       plus a run summary (schema: docs/ALGORITHMS.md §9); --metrics
 //       prints counter/timer totals after the run. Telemetry never alters
 //       the trajectory (carbon and cobra only). --checkpoint/--checkpoint-
@@ -33,9 +35,8 @@
 //       per-evaluation budgets (simplex iterations, greedy rounds, total LL
 //       nodes) with a fixed degradation ladder, plus an opt-in wall-clock
 //       watchdog (carbon and cobra only; docs/ALGORITHMS.md §13).
-//       --sched picks the parallel evaluator's fan-out engine and
-//       --memo-xgen toggles cross-generation score memoization; both are
-//       trajectory-neutral knobs for benchmarking and differential testing
+//       --memo-xgen toggles cross-generation score memoization, a
+//       trajectory-neutral knob for benchmarking and differential testing
 //       (carbon and cobra only; docs/ALGORITHMS.md §14). --lp-warm picks
 //       the LL relaxation warm-start policy: baseline (default, the fixed
 //       base-cost basis — historical trajectories bit for bit) or pool
@@ -182,6 +183,15 @@ int cmd_greedy(const common::CliArgs& args) {
 }
 
 int cmd_solve(const common::CliArgs& args) {
+  if (const auto flag = args.unknown_flag(
+          {"in", "owned", "algo", "pop", "ul-budget", "ll-budget", "seed",
+           "threads", "convergence", "memetic", "journal", "metrics",
+           "checkpoint", "checkpoint-every", "resume", "guard-lp-iters",
+           "guard-rounds", "guard-nodes", "guard-watchdog", "memo-xgen",
+           "lp-warm"})) {
+    std::fprintf(stderr, "solve: unknown flag --%s\n", flag->c_str());
+    return 1;
+  }
   const cover::Instance market = load(args);
   const auto owned = static_cast<std::size_t>(
       args.get_int("owned", static_cast<long long>(market.num_bundles() / 10)));
@@ -237,14 +247,6 @@ int cmd_solve(const common::CliArgs& args) {
   }
 
   // Evaluator knobs (trajectory-neutral; docs/ALGORITHMS.md §14).
-  const std::string sched_str = args.get("sched", "stealing");
-  common::SchedKind sched = common::SchedKind::kStealing;
-  if (sched_str == "parallel_for") {
-    sched = common::SchedKind::kParallelFor;
-  } else if (sched_str != "stealing") {
-    std::fprintf(stderr, "solve: --sched must be stealing|parallel_for\n");
-    return 1;
-  }
   const std::string memo_str = args.get("memo-xgen", "on");
   if (memo_str != "on" && memo_str != "off") {
     std::fprintf(stderr, "solve: --memo-xgen must be on|off\n");
@@ -259,11 +261,10 @@ int cmd_solve(const common::CliArgs& args) {
     std::fprintf(stderr, "solve: --lp-warm must be baseline|pool\n");
     return 1;
   }
-  if ((args.has("sched") || args.has("memo-xgen") || args.has("lp-warm")) &&
-      algo != "carbon" && algo != "cobra") {
+  if ((args.has("memo-xgen") || args.has("lp-warm")) && algo != "carbon" &&
+      algo != "cobra") {
     std::fprintf(stderr,
-                 "solve: --sched/--memo-xgen/--lp-warm require "
-                 "--algo carbon|cobra\n");
+                 "solve: --memo-xgen/--lp-warm require --algo carbon|cobra\n");
     return 1;
   }
 
@@ -298,7 +299,6 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.memetic_polish = args.get_bool("memetic");
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.sched = sched;
     cfg.memo_xgen = memo_xgen;
     cfg.lp_warm = lp_warm;
     cfg.telemetry = telemetry;
@@ -315,7 +315,6 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.ll_eval_budget = ll_budget;
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.sched = sched;
     cfg.memo_xgen = memo_xgen;
     cfg.lp_warm = lp_warm;
     cfg.telemetry = telemetry;

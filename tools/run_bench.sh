@@ -6,7 +6,7 @@
 # (dense-vs-sparse simplex kernels + end-to-end warm-started relaxation
 # batch) and BENCH_parallel_eval.json (work-stealing TaskScheduler vs the
 # barriered ThreadPool::parallel_for on skewed job-cost grids, plus the
-# ParallelEvaluator replay across sched x memo_xgen).
+# ParallelEvaluator replay across threads x memo_xgen).
 #
 # After regenerating, each BENCH_*.json is diffed against the committed
 # baseline (warn-only: timing drift across machines is expected; the diff

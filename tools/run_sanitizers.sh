@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 # The tests that exercise shared-state code paths: the thread pool, the
 # work-stealing task scheduler (Chase-Lev-style deques probed by the
 # determinism fuzz: 500 seeds of skewed job durations across worker counts
-# 1/2/4/8, where TSan sees every owner-pop vs thief-CAS interleaving), the
+# 0/1/2/4/8, where TSan sees every owner-pop vs thief-CAS interleaving), the
 # cross-generation score cache (sharded LRU under concurrent mixed
 # lookup/insert traffic at eviction pressure), the
 # sharded relaxation cache (direct eviction/pinning contention), the
