@@ -16,8 +16,8 @@
 // ordinal). Given the same sequence of select()/insert() calls the pool is
 // therefore a pure function of its history, with no dependence on memory
 // addresses or hash-map iteration order. The pool is NOT thread-safe: the
-// pool-mode evaluator performs every select/insert on the batch-submitting
-// thread in submission order (see docs/ALGORITHMS.md §15).
+// evaluator's staged relaxation resolve performs every select/insert on the
+// submitting thread in submission order (see docs/ALGORITHMS.md §15).
 #pragma once
 
 #include <cstddef>

@@ -83,32 +83,30 @@ struct EvalContext {
 [[nodiscard]] cover::Relaxation solve_relaxation(
     EvalContext& ctx, std::span<const double> pricing);
 
-/// Budget-guarded relaxation: walks the degradation ladder under
-/// ctx.guard's deterministic limits. With unlimited limits and no forced
-/// trip this IS solve_relaxation (bitwise). Otherwise rung 0 runs the
-/// simplex under an iteration cap; a capped-out (or force-tripped) solve
-/// falls to the rung-1 Lagrangian subgradient bound, and past that to the
-/// rung-2 greedy-only bound (LB = 0, empty duals/x̄). The result — rung,
-/// trip, and node charge included — is a pure function of (pricing,
-/// ctx.guard, force_trip, force_rung), so cap-induced degradations are
-/// safely cacheable; forced (injected) ones are eval-ordinal-dependent and
-/// must bypass the relaxation cache.
+/// Budget-guarded relaxation from an explicit start basis — the kernel
+/// behind every evaluation that is not force-tripped. Rung 0 runs the
+/// simplex warm-started from a copy of `start` (empty = crash start) under
+/// ctx.guard's iteration cap (the tighter of lp_iteration_cap and
+/// ll_node_cap; with neither set this is solve_relaxation from `start`, bit
+/// for bit). A capped-out solve falls to the rung-1 Lagrangian subgradient
+/// bound, and past that to the rung-2 greedy-only bound (LB = 0, empty
+/// duals/x̄). When `final_basis` is non-null and rung 0 finished optimal
+/// with an artificial-free basis, that basis is copied out for the caller
+/// to commit to its basis pool; degraded rungs never export one. The result
+/// — rung, trip and node charge included — is a pure function of (pricing,
+/// start, ctx.guard), so cap-induced degradations are safely cacheable.
+[[nodiscard]] cover::Relaxation solve_relaxation_from(
+    EvalContext& ctx, std::span<const double> pricing, const lp::Basis& start,
+    lp::Basis* final_basis = nullptr);
+
+/// solve_relaxation_from the context's fixed baseline basis, or — with a
+/// forced (injected) trip — straight to `force_rung` without running the
+/// simplex. Forced degradations are eval-ordinal-dependent and must bypass
+/// the relaxation cache.
 [[nodiscard]] cover::Relaxation solve_relaxation_guarded(
     EvalContext& ctx, std::span<const double> pricing,
     guard::Trip force_trip = guard::Trip::kNone,
     guard::Rung force_rung = guard::Rung::kLagrangian);
-
-/// Pool-mode relaxation kernel: like solve_relaxation_guarded without the
-/// forced-trip branch (injected evaluations bypass the pool entirely), but
-/// warm-starting from an EXPLICIT basis instead of the context's fixed
-/// baseline. Pass an empty `warm` to crash-start. When `final_basis` is
-/// non-null and the rung-0 simplex finished optimal with an artificial-free
-/// basis, that basis is copied out for the caller to commit to its pool;
-/// degraded rungs (cap trips) never export one. Pure in (pricing, warm,
-/// ctx.guard) like the other kernels.
-[[nodiscard]] cover::Relaxation solve_relaxation_pooled(
-    EvalContext& ctx, std::span<const double> pricing, const lp::Basis& warm,
-    lp::Basis* final_basis);
 
 /// Construction-stage budget derived from the limits and the node charge
 /// the bound already consumed. When `skip` is set the whole node budget is

@@ -13,51 +13,47 @@
 // A generation evaluates hundreds of independent (pricing × heuristic) or
 // (pricing × genome) pairs before any reduction happens — the hottest path
 // of the whole system. ParallelEvaluator fans those batches across a
-// work-stealing common::TaskScheduler:
+// work-stealing common::TaskScheduler: threads == 1 makes the calling thread
+// the only participant (no worker thread is spawned), threads == N > 1 runs
+// N workers plus the caller, threads == 0 means hardware concurrency.
+// Participant p evaluates on its own EvalContext, contexts_[p] (market
+// copy, LP, scratch); the scheduler guarantees that participant 0 is the
+// calling thread and that no two jobs share a participant at once.
 //
-//   * threads == 1: the calling thread is the only participant — no worker
-//     thread is spawned, there is one EvalContext, and both caches keep a
-//     single shard, so every lookup, insert and eviction happens in job
-//     order on the calling thread;
-//   * threads == N > 1: N workers plus the calling thread, each with its OWN
-//     EvalContext (market copy, LP, fixed warm-start basis) — no shared
-//     mutable state on the solve path; threads == 0: hardware concurrency;
-//   * relaxations are shared through a sharded, mutex-per-shard LRU cache
-//     (ShardedRelaxationCache) with once-semantics, so a pricing reused
-//     across jobs, threads, and generations is solved exactly once;
-//   * finished heuristic Evaluations are memoized ACROSS generations in a
-//     bounded ScoreCache (hits still charge the Table II budgets, so the
-//     trajectory is untouched — docs/ALGORITHMS.md §14);
-//   * budget counters are atomics, aggregated per job;
-//   * batch results are returned in submission order.
+// One relaxation discipline serves batches and scalar calls alike
+// (resolve_relaxations, docs/ALGORITHMS.md §7):
+//   A. the submitting thread probes the relaxation cache and picks each
+//      miss's start basis, in submission order;
+//   B. the distinct misses fan out as pure LP solves;
+//   C. the submitting thread commits the solves — metrics, counters, cache
+//      inserts and pool commits — in submission order;
+// then only the construction stage (greedy, repair) fans out. Workers never
+// touch shared mutable state: the relaxation cache, the cross-generation
+// ScoreCache (docs/ALGORITHMS.md §14), the basis pool and every counter are
+// plain single-threaded structures that evolve identically for any thread
+// count. The contract is ONE submitting thread per evaluator: no entry
+// point may be called concurrently with another.
 //
-// Determinism: every Evaluation is a pure function of its job inputs (the
-// relaxation solve warm-starts from a fixed baseline basis; greedy, repair
-// and scoring are deterministic; evaluation consumes no RNG), and solvers
-// reduce batch results in submission order — so a run is bit-identical for
-// any thread count at a fixed seed.
+// Options::lp_warm (docs/ALGORITHMS.md §15) decides exactly two things:
+// where a miss's start basis comes from — the fixed base-cost basis
+// (kBaseline) or the nearest pooled basis (kPool) — and whether stage C
+// commits final bases to the pool. A rejected pooled basis is re-solved
+// from the baseline, so its result is bit-identical to a pool miss.
 //
-// Pool mode (Options::lp_warm = LpWarm::kPool, docs/ALGORITHMS.md §15):
-// relaxation solves warm-start from the nearest pooled basis instead of the
-// fixed baseline. Batches then run a staged discipline — cache probes and
-// pool selections on the calling thread in submission order, LP solves
-// fanned out with pre-copied start bases, commits back on the calling
-// thread in submission order — so the pool, the (1-shard) caches and every
-// counter evolve identically for any thread count. A rejected pooled basis
-// is re-solved from the fixed baseline, making the result bit-identical to
-// a pool miss. Scalar entry points in pool mode run the same staging inline
-// and are NOT safe to call concurrently (the solvers only call them from
-// their main loop); the wall-clock watchdog skip is not applied on pooled
-// solves (it is explicitly non-deterministic and suspends the score memo
-// anyway).
+// Determinism: every Evaluation is a pure function of its job inputs and
+// the staged state (greedy, repair and scoring are deterministic;
+// evaluation consumes no RNG), budget counters are charged per job in
+// submission order — memo hits included, so the Table II accounting never
+// changes — and batch results are returned in submission order. A run is
+// therefore bit-identical for any thread count at a fixed seed. The only
+// exception is the opt-in wall-clock watchdog: it times each stage-B solve,
+// and when one overruns, the job that owned the miss skips construction
+// (Trip::kWatchdog) while the score memo stays suspended.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -77,24 +73,19 @@ class ParallelEvaluator final : public EvaluatorInterface {
  public:
   using EvaluatorInterface::evaluate_with_heuristic;
   using EvaluatorInterface::evaluate_with_selection;
-  using RelaxationPtr = ShardedRelaxationCache::RelaxationPtr;
+  using RelaxationPtr = RelaxationCache::RelaxationPtr;
 
   struct Options {
     /// 1 = the calling thread alone; N > 1 = N workers plus the caller;
     /// 0 = hardware concurrency.
     std::size_t threads = 0;
     std::size_t relaxation_cache_capacity = 4096;
-    /// Ignored (one shard) with a single participant or in pool mode.
-    std::size_t cache_shards = 16;
     /// Cross-generation score memoization (docs/ALGORITHMS.md §14).
     bool memo_xgen = true;
     std::size_t score_cache_capacity = 4096;
-    std::size_t score_cache_shards = 16;
-    /// Warm-start policy for the LL relaxation solves. kPool switches the
-    /// evaluator to the staged pool discipline (see the header comment) and
-    /// forces both caches to ONE shard so their eviction order is the
-    /// serial LRU order for any thread count; kBaseline (default) starts
-    /// every solve from the fixed base-cost basis.
+    /// Start basis of the relaxation solves: the fixed base-cost basis
+    /// (kBaseline, default) or the nearest pooled one (kPool, which also
+    /// commits final bases to the pool).
     LpWarm lp_warm = LpWarm::kBaseline;
     /// Bound on the basis pool (pool mode only).
     std::size_t basis_pool_capacity = BasisPool::kDefaultCapacity;
@@ -105,7 +96,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
   ParallelEvaluator(const Instance& instance, std::size_t threads)
       : ParallelEvaluator(instance, Options{.threads = threads}) {}
 
-  /// Fans the jobs across the pool; results[i] answers jobs[i]. Heuristic
+  /// Fans the jobs across the scheduler; results[i] answers jobs[i]. Heuristic
   /// batches first deduplicate through the per-batch score memo (planned on
   /// the calling thread, so the evaluated set — and therefore the result
   /// bits — is independent of the thread count); duplicates still charge
@@ -115,9 +106,9 @@ class ParallelEvaluator final : public EvaluatorInterface {
   std::vector<Evaluation> evaluate_selection_batch(
       std::span<const SelectionJob> jobs) override;
 
-  /// Scalar entry points run on the calling thread (they still share the
-  /// relaxation cache and counters, and are safe to call concurrently
-  /// under lp_warm=baseline). Scoring trees without residual-dependent
+  /// Scalar entry points run on the calling thread's context (participant
+  /// 0) through the same staged resolve as a one-job batch, sharing the
+  /// caches and counters. Scoring trees without residual-dependent
   /// terminals take the sort-based cover::greedy_solve_static fast path.
   Evaluation evaluate_with_heuristic(std::span<const double> pricing,
                                      const gp::Tree& heuristic,
@@ -134,8 +125,8 @@ class ParallelEvaluator final : public EvaluatorInterface {
                                  const cover::ScoreFunction& score,
                                  EvalPurpose purpose = EvalPurpose::kBoth);
 
-  /// LP relaxation of LL(pricing), memoized in the bounded LRU (and
-  /// warm-started through the basis pool in pool mode). The returned entry
+  /// LP relaxation of LL(pricing) through the staged resolve: memoized in
+  /// the bounded LRU, warm-started per lp_warm. The returned entry
   /// is pinned: it stays valid for as long as the caller holds the pointer,
   /// no matter what the cache evicts afterwards. Charges no budget.
   [[nodiscard]] RelaxationPtr relaxation(std::span<const double> pricing);
@@ -194,10 +185,10 @@ class ParallelEvaluator final : public EvaluatorInterface {
   }
 
   [[nodiscard]] long long ul_evaluations() const override {
-    return ul_evals_.load(std::memory_order_relaxed);
+    return ul_evals_;
   }
   [[nodiscard]] long long ll_evaluations() const override {
-    return ll_evals_.load(std::memory_order_relaxed);
+    return ll_evals_;
   }
   [[nodiscard]] long long relaxations_solved() const noexcept {
     return cache_.solves();
@@ -205,13 +196,13 @@ class ParallelEvaluator final : public EvaluatorInterface {
   [[nodiscard]] long long relaxation_cache_hits() const noexcept {
     return cache_.hits();
   }
-  [[nodiscard]] const ShardedRelaxationCache& cache() const noexcept {
+  [[nodiscard]] const RelaxationCache& cache() const noexcept {
     return cache_;
   }
   /// Batch heuristic jobs answered by the per-batch score memo instead of a
   /// fresh greedy solve (still charged to the budget).
   [[nodiscard]] long long heuristic_dedup_hits() const noexcept {
-    return dedup_hits_.load(std::memory_order_relaxed);
+    return dedup_hits_;
   }
 
   /// Cross-generation score memoization (docs/ALGORITHMS.md §14): finished
@@ -253,17 +244,18 @@ class ParallelEvaluator final : public EvaluatorInterface {
   void clear_caches() noexcept override;
 
  private:
-  /// RAII lease of one evaluation context from the free list.
-  class ContextLease;
-  /// RAII block of per-participant context leases for a scheduler batch
-  /// (acquired lazily: a participant that never runs a job never leases).
-  class BatchLeases;
+  /// One pricing answered by resolve_relaxations.
+  struct Resolved {
+    RelaxationPtr relax;
+    /// The armed watchdog expired while this pricing's own miss was being
+    /// solved (in-batch duplicates and cache hits never expire).
+    bool watchdog_expired = false;
+  };
 
-  /// Runs body(ctx, i) for every i in [0, n) on the scheduler, leasing one
-  /// context per PARTICIPANT for the whole batch (≤ participants free-list
-  /// round trips per batch, instead of one per job), and pushes
-  /// sched/{tasks,steals,idle_ns} deltas to the metrics registry at the
-  /// barrier. With a single participant every job runs inline, in order.
+  /// Runs body(contexts_[participant], i) for every i in [0, n) on the
+  /// scheduler and pushes sched/{tasks,steals,idle_ns} deltas to the
+  /// metrics registry at the barrier. With a single participant every job
+  /// runs inline, in order.
   void for_each(std::size_t n,
                 const std::function<void(EvalContext&, std::size_t)>& body);
 
@@ -273,25 +265,32 @@ class ParallelEvaluator final : public EvaluatorInterface {
     return memo_xgen_ && guard_.limits.watchdog_seconds <= 0.0;
   }
 
-  /// Free-list primitives behind ContextLease/BatchLeases.
-  [[nodiscard]] EvalContext* acquire_context();
-  void release_context(EvalContext* ctx) noexcept;
-
-  /// Baseline-mode relaxation through the shared cache, solved on `ctx` on
-  /// a miss.
-  [[nodiscard]] RelaxationPtr cached_relaxation(
-      EvalContext& ctx, std::span<const double> pricing);
-  /// Relaxation stage + construct(relax), WITHOUT charging (callers charge
-  /// per submitted job so memo hits still pay): an injected job gets a
-  /// fresh, force-tripped, cache-bypassing relaxation; any other job the
-  /// cached one, with construction skipped once the armed watchdog expired.
+  /// The staged relaxation resolve behind every evaluation (see the header
+  /// comment): stage A probes the cache and chooses start bases on the
+  /// calling thread in submission order; stage B fans the distinct misses
+  /// out through solve_relaxation_from (a rejected pooled basis is
+  /// re-solved from the fixed baseline); stage C — again the calling
+  /// thread, in submission order — records metrics and counters, commits
+  /// final bases to the pool and inserts the results into the cache.
+  /// Returns one pinned relaxation per input pricing; duplicates share a
+  /// solve and count as cache hits.
+  [[nodiscard]] std::vector<Resolved> resolve_relaxations(
+      std::span<const std::span<const double>> pricings);
+  /// Force-tripped relaxation of the injected evaluation. Its degradation
+  /// is ordinal-dependent, so it bypasses the cache and the pool.
+  [[nodiscard]] cover::Relaxation injected_relaxation(
+      EvalContext& ctx, std::span<const double> pricing) const;
+  /// construct(relax) for a resolved relaxation, or a skipped evaluation
+  /// (Trip::kWatchdog) when the watchdog expired on its miss. The caller
+  /// charges per submitted job, so memo hits still pay.
   template <typename Construct>
-  Evaluation evaluate_job(EvalContext& ctx, std::span<const double> pricing,
-                          EvalPurpose purpose, bool injected,
-                          const Construct& construct);
-  /// Scalar entry point body: relaxation stage (staged through the pool in
-  /// pool mode) + construct(ctx, relax) on a leased context, then the guard
-  /// outcome is counted. The caller has already charged.
+  Evaluation construct_resolved(const Resolved& resolved,
+                                std::span<const double> pricing,
+                                EvalPurpose purpose,
+                                const Construct& construct) const;
+  /// Scalar entry point body: relaxation (injected or resolved) +
+  /// construct(ctx, relax) on the caller's context, then the guard outcome
+  /// is counted. The caller has already charged.
   template <typename Construct>
   Evaluation evaluate_scalar(std::span<const double> pricing,
                              EvalPurpose purpose, bool injected,
@@ -310,16 +309,6 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// Construction (repair) for a genome job.
   Evaluation finish_selection(EvalContext& ctx, const cover::Relaxation& relax,
                               const SelectionJob& job);
-  /// Pool-mode staged relaxation resolution: stage A probes the cache and
-  /// selects (copying) pooled start bases on the calling thread in
-  /// submission order; stage B fans the misses out through
-  /// solve_relaxation_pooled (a rejected pooled basis is re-solved from the
-  /// fixed baseline); stage C — again the calling thread, in submission
-  /// order — records metrics and pool counters, commits final bases to the
-  /// pool and inserts results into the cache. Returns one pinned relaxation
-  /// per input pricing (duplicates share a solve).
-  [[nodiscard]] std::vector<RelaxationPtr> resolve_pooled(
-      std::span<const std::span<const double>> pricings);
   /// Inserts into the cross-generation cache, counting evictions.
   void memoize(std::span<const gp::Node> key, std::span<const double> pricing,
                EvalPurpose purpose, const Evaluation& result);
@@ -335,26 +324,22 @@ class ParallelEvaluator final : public EvaluatorInterface {
   std::size_t threads_;
   LpWarm lp_warm_;
   common::TaskScheduler scheduler_;
-  ShardedRelaxationCache cache_;
+  RelaxationCache cache_;
   ScoreCache xgen_;
   bool memo_xgen_;
-  // One context per participant: every worker plus the caller thread.
+  /// contexts_[p] belongs to scheduler participant p (0 = the caller).
   std::vector<std::unique_ptr<EvalContext>> contexts_;
-  std::vector<EvalContext*> free_contexts_;
-  std::mutex free_mutex_;
-  std::condition_variable free_cv_;
-  std::atomic<long long> ul_evals_{0};
-  std::atomic<long long> ll_evals_{0};
-  std::atomic<long long> dedup_hits_{0};
-  std::atomic<long long> guard_trips_{0};
-  std::atomic<long long> guard_degraded_{0};
-  std::atomic<long long> guard_exhausted_{0};
-  /// Warm-start bases the solver rejected (any mode; workers count their
-  /// own baseline-mode solves, hence atomic).
-  std::atomic<long long> warm_rejects_{0};
-  // Pool-mode state. The pool and these counters are only ever touched on
-  // the batch-submitting thread (stage A/C of resolve_pooled), in
-  // submission order — which is the determinism argument for plain fields.
+  // Everything below is only ever touched on the submitting thread, in
+  // submission order (charges, guard counts, stages A/C of
+  // resolve_relaxations) — the determinism argument for plain fields.
+  long long ul_evals_ = 0;
+  long long ll_evals_ = 0;
+  long long dedup_hits_ = 0;
+  long long guard_trips_ = 0;
+  long long guard_degraded_ = 0;
+  long long guard_exhausted_ = 0;
+  /// Warm-start bases the solver rejected (pooled and baseline alike).
+  long long warm_rejects_ = 0;
   BasisPool basis_pool_;
   long long pool_hits_ = 0;
   long long pool_rejects_ = 0;

@@ -4,7 +4,7 @@
 // duplicate (tree × pricing × purpose) jobs WITHIN one batch, but GP
 // reproduction/elitism and archive re-evaluation repeat the same pairs
 // ACROSS generations — and each repeat re-pays the full relaxation-miss +
-// greedy cost. ScoreCache closes that gap: a bounded, sharded LRU from the
+// greedy cost. ScoreCache closes that gap: a bounded LRU from the
 // evaluation's exact inputs to its finished Evaluation.
 //
 // Keying: (scoring-tree nodes × pricing × purpose), hashed FNV-1a over the
@@ -23,18 +23,15 @@
 // so a cached run walks the exact generation/injection schedule of an
 // uncached one (docs/ALGORITHMS.md §14).
 //
-// Unlike ShardedRelaxationCache there are no in-flight placeholders: the
-// batch path probes and inserts from the calling thread only (outside the
-// fan-out), so once-semantics adds nothing, and the scalar paths tolerate a
-// rare duplicated solve (both compute identical bits).
+// Single-threaded, like RelaxationCache: the evaluator probes and inserts
+// on its submitting thread only, in submission order, outside the fan-out —
+// so the LRU order, and every counter, is a pure function of the job
+// sequence for any thread count.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -46,11 +43,8 @@ namespace carbon::bcpop {
 
 class ScoreCache {
  public:
-  /// `capacity` bounds the total cached evaluations, split evenly across
-  /// `num_shards` (each shard keeps at least one). One shard degenerates to
-  /// a classic mutex-protected LRU with exact eviction order — what a
-  /// single-participant or pool-mode evaluator uses.
-  explicit ScoreCache(std::size_t capacity, std::size_t num_shards = 16);
+  /// `capacity` bounds the cached evaluations (at least one).
+  explicit ScoreCache(std::size_t capacity);
 
   ScoreCache(const ScoreCache&) = delete;
   ScoreCache& operator=(const ScoreCache&) = delete;
@@ -61,7 +55,7 @@ class ScoreCache {
               EvalPurpose purpose, Evaluation* out);
 
   /// Inserts (or refreshes) the evaluation for this key, evicting
-  /// least-recently-used entries beyond the shard capacity. Callers must
+  /// least-recently-used entries beyond the capacity. Callers must
   /// only insert results that are pure functions of the key — injected
   /// (ordinal-dependent) and watchdog-skipped (wall-clock-dependent)
   /// evaluations never belong here.
@@ -69,29 +63,17 @@ class ScoreCache {
               EvalPurpose purpose, const Evaluation& result);
 
   /// Lookups answered from the cache.
-  [[nodiscard]] long long hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] long long hits() const noexcept { return hits_; }
   /// Lookups that found nothing.
-  [[nodiscard]] long long misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// Entries dropped by the per-shard capacity bound (clear() not included).
-  [[nodiscard]] long long evictions() const noexcept {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  /// Currently cached entries, summed over shards.
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return shards_.size();
-  }
-  [[nodiscard]] std::size_t shard_capacity() const noexcept {
-    return shard_capacity_;
-  }
+  [[nodiscard]] long long misses() const noexcept { return misses_; }
+  /// Entries dropped by the capacity bound (clear() not included).
+  [[nodiscard]] long long evictions() const noexcept { return evictions_; }
+  /// Currently cached entries.
+  [[nodiscard]] std::size_t size() const noexcept { return lru_.size(); }
 
   /// Drops every entry (counters are kept: they are lifetime totals that
   /// checkpoint/resume offsets rely on).
-  void clear();
+  void clear() noexcept;
 
  private:
   struct Entry {
@@ -101,20 +83,15 @@ class ScoreCache {
     Evaluation value;
   };
 
-  struct Shard {
-    std::mutex mutex;
-    /// front = most recently used; iterators are stable across splices.
-    std::list<Entry> lru;
-    /// FNV hash -> entries with that hash (collisions verified bitwise).
-    std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
-        chains;
-  };
-
-  std::size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
+  std::size_t capacity_;
+  /// front = most recently used; iterators are stable across splices.
+  std::list<Entry> lru_;
+  /// FNV hash -> entries with that hash (collisions verified bitwise).
+  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
+      chains_;
+  long long hits_ = 0;
+  long long misses_ = 0;
+  long long evictions_ = 0;
 };
 
 }  // namespace carbon::bcpop

@@ -67,7 +67,7 @@ struct CobraConfig {
   /// CarbonConfig::memo_xgen (only the heuristic path consults it).
   bool memo_xgen = true;
 
-  /// Warm-start policy for the LL relaxation LPs; same semantics as
+  /// Start basis of the LL relaxation LPs; same semantics as
   /// CarbonConfig::lp_warm.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 

@@ -86,10 +86,12 @@ struct CarbonConfig {
   /// bit-identical with it on or off (docs/ALGORITHMS.md §14).
   bool memo_xgen = true;
 
-  /// Warm-start policy for the LL relaxation LPs (docs/ALGORITHMS.md §15).
-  /// kBaseline (default): every solve starts from the fixed base-cost basis
-  /// — existing golden trajectories hold bit for bit. kPool: solves start
-  /// from the nearest pooled basis (deterministic for any eval_threads ×
+  /// Start basis of the LL relaxation LPs (docs/ALGORITHMS.md §15). Every
+  /// evaluation resolves its relaxation through the same staged path; this
+  /// only picks where a cache miss's simplex starts. kBaseline (default):
+  /// the fixed base-cost basis — existing golden trajectories hold bit for
+  /// bit. kPool: the nearest pooled basis, and final bases are committed
+  /// back to the pool (deterministic for any eval_threads ×
   /// compiled_scoring, but a DIFFERENT golden axis: degenerate LPs can
   /// surface alternate optimal duals/x̄ under a different start basis).
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;

@@ -49,7 +49,7 @@ class MetricsRegistry {
     std::map<std::string, TimerStat> timers;
   };
 
-  explicit MetricsRegistry(std::size_t num_shards = 16);
+  explicit MetricsRegistry(std::size_t shards = 16);
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -70,7 +70,7 @@ class MetricsRegistry {
   /// Drops every metric in every shard.
   void reset();
 
-  [[nodiscard]] std::size_t num_shards() const noexcept {
+  [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
 

@@ -130,7 +130,8 @@ class RunJournal {
   /// Emits the "run_start" record and resets the per-run state (timing
   /// baseline, wall clock). Solvers call this at run() entry.
   void begin_run(std::string_view algo, std::uint64_t seed,
-                 std::size_t eval_threads, bool compiled_scoring);
+                 std::size_t eval_threads, bool compiled_scoring,
+                 std::string_view lp_warm);
 
   /// Emits one "resume" record (call after begin_run when restoring a
   /// checkpoint).

@@ -166,77 +166,34 @@ cover::Relaxation lagrangian_relaxation(EvalContext& ctx, guard::Trip trip,
 
 }  // namespace
 
-cover::Relaxation solve_relaxation_guarded(EvalContext& ctx,
-                                           std::span<const double> pricing,
-                                           guard::Trip force_trip,
-                                           guard::Rung force_rung) {
-  const guard::Limits& lim = ctx.guard;
-  if (force_trip == guard::Trip::kNone && lim.lp_iteration_cap == 0 &&
-      lim.ll_node_cap == 0) {
-    // No rung-0 cap in play: the unguarded kernel, bit for bit.
-    return solve_relaxation(ctx, pricing);
-  }
-
-  if (force_trip != guard::Trip::kNone) {
-    // Forced (injected) trip: skip rung 0 entirely and land on the
-    // requested rung. The Lagrangian prices the current market, so load it.
-    load_pricing(ctx, pricing);
-    return force_rung == guard::Rung::kGreedyOnly
-               ? greedy_only_relaxation(force_trip, 0)
-               : lagrangian_relaxation(ctx, force_trip, 0);
-  }
-
-  const long long cap =
-      guard::combine_caps(lim.lp_iteration_cap, lim.ll_node_cap);
-  ctx.ll_family.rebind(pricing);
-  ctx.basis_scratch = ctx.baseline_basis;
-  lp::SimplexOptions opts;
-  opts.max_iterations = static_cast<int>(
-      std::min<long long>(cap, std::numeric_limits<int>::max()));
-  cover::Relaxation relax = cover::solve_relaxation_lp_capped(
-      ctx.ll_family, opts,
-      ctx.basis_scratch.empty() ? nullptr : &ctx.basis_scratch,
-      &ctx.lp_scratch);
-  if (relax.guard_trip == guard::Trip::kNone) return relax;
-
-  // The cap that bound first names the trip: the LP cap if it is the
-  // tighter (or only) one, the node budget otherwise.
-  const guard::Trip trip =
-      lim.lp_iteration_cap > 0 && cap == lim.lp_iteration_cap
-          ? guard::Trip::kLpIterationCap
-          : guard::Trip::kNodeBudget;
-  const long long spent = relax.guard_nodes;
-  load_pricing(ctx, pricing);
-  return lagrangian_relaxation(ctx, trip, spent);
-}
-
-cover::Relaxation solve_relaxation_pooled(EvalContext& ctx,
-                                          std::span<const double> pricing,
-                                          const lp::Basis& warm,
-                                          lp::Basis* final_basis) {
+cover::Relaxation solve_relaxation_from(EvalContext& ctx,
+                                        std::span<const double> pricing,
+                                        const lp::Basis& start,
+                                        lp::Basis* final_basis) {
   const guard::Limits& lim = ctx.guard;
   ctx.ll_family.rebind(pricing);
-  // The start basis is copied into the context scratch; on an optimal clean
-  // exit the solver overwrites it with the FINAL basis (stats.basis_saved).
-  ctx.basis_scratch = warm;
-  lp::Basis* warm_ptr = &ctx.basis_scratch;
-
+  // The start basis is COPIED into the context scratch (whose vectors keep
+  // their capacity across calls), so `start` never drifts with evaluation
+  // order; on an optimal clean exit the solver overwrites the scratch with
+  // the FINAL basis (stats.basis_saved).
+  ctx.basis_scratch = start;
   cover::Relaxation relax;
   if (lim.lp_iteration_cap == 0 && lim.ll_node_cap == 0) {
-    relax = cover::solve_relaxation_lp(ctx.ll_family, {}, warm_ptr,
+    // No rung-0 cap in play: the unguarded solve, bit for bit.
+    relax = cover::solve_relaxation_lp(ctx.ll_family, {}, &ctx.basis_scratch,
                                        &ctx.lp_scratch);
   } else {
-    // Rung-0 cap discipline mirrors solve_relaxation_guarded; a tripped
-    // solve degrades to the Lagrangian/greedy rungs, which never produce a
-    // basis to commit.
     const long long cap =
         guard::combine_caps(lim.lp_iteration_cap, lim.ll_node_cap);
     lp::SimplexOptions opts;
     opts.max_iterations = static_cast<int>(
         std::min<long long>(cap, std::numeric_limits<int>::max()));
-    relax = cover::solve_relaxation_lp_capped(ctx.ll_family, opts, warm_ptr,
-                                              &ctx.lp_scratch);
+    relax = cover::solve_relaxation_lp_capped(
+        ctx.ll_family, opts, &ctx.basis_scratch, &ctx.lp_scratch);
     if (relax.guard_trip != guard::Trip::kNone) {
+      // The cap that bound first names the trip: the LP cap if it is the
+      // tighter (or only) one, the node budget otherwise. Degraded rungs
+      // never export a basis.
       const guard::Trip trip =
           lim.lp_iteration_cap > 0 && cap == lim.lp_iteration_cap
               ? guard::Trip::kLpIterationCap
@@ -250,6 +207,21 @@ cover::Relaxation solve_relaxation_pooled(EvalContext& ctx,
     *final_basis = ctx.basis_scratch;
   }
   return relax;
+}
+
+cover::Relaxation solve_relaxation_guarded(EvalContext& ctx,
+                                           std::span<const double> pricing,
+                                           guard::Trip force_trip,
+                                           guard::Rung force_rung) {
+  if (force_trip == guard::Trip::kNone) {
+    return solve_relaxation_from(ctx, pricing, ctx.baseline_basis);
+  }
+  // Forced (injected) trip: skip rung 0 entirely and land on the requested
+  // rung. The Lagrangian prices the current market, so load it.
+  load_pricing(ctx, pricing);
+  return force_rung == guard::Rung::kGreedyOnly
+             ? greedy_only_relaxation(force_trip, 0)
+             : lagrangian_relaxation(ctx, force_trip, 0);
 }
 
 ConstructionBudget plan_construction(const guard::Limits& limits,

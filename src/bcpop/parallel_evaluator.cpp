@@ -11,84 +11,12 @@
 
 namespace carbon::bcpop {
 
-EvalContext* ParallelEvaluator::acquire_context() {
-  std::unique_lock lock(free_mutex_);
-  free_cv_.wait(lock, [&] { return !free_contexts_.empty(); });
-  EvalContext* ctx = free_contexts_.back();
-  free_contexts_.pop_back();
-  return ctx;
-}
-
-void ParallelEvaluator::release_context(EvalContext* ctx) noexcept {
-  {
-    std::lock_guard lock(free_mutex_);
-    free_contexts_.push_back(ctx);
-  }
-  free_cv_.notify_one();
-}
-
-/// Pops a context off the free list (waiting if every context is in use —
-/// only possible under caller-side oversubscription) and returns it on
-/// destruction, exception-safe.
-class ParallelEvaluator::ContextLease {
- public:
-  explicit ContextLease(ParallelEvaluator& owner)
-      : owner_(owner), ctx_(owner.acquire_context()) {}
-  ~ContextLease() { owner_.release_context(ctx_); }
-  ContextLease(const ContextLease&) = delete;
-  ContextLease& operator=(const ContextLease&) = delete;
-
-  [[nodiscard]] EvalContext& get() noexcept { return *ctx_; }
-
- private:
-  ParallelEvaluator& owner_;
-  EvalContext* ctx_ = nullptr;
-};
-
-/// Per-participant context leases for one scheduler batch. Slot p is only
-/// ever touched by participant p (the scheduler guarantees a participant id
-/// is never observed by two jobs concurrently), so acquisition is lazy and
-/// lock-free on the slot itself; all acquired contexts return to the free
-/// list at the batch barrier.
-class ParallelEvaluator::BatchLeases {
- public:
-  BatchLeases(ParallelEvaluator& owner, std::size_t participants)
-      : owner_(owner), slots_(participants, nullptr) {}
-  ~BatchLeases() {
-    for (EvalContext* ctx : slots_) {
-      if (ctx != nullptr) owner_.release_context(ctx);
-    }
-  }
-  BatchLeases(const BatchLeases&) = delete;
-  BatchLeases& operator=(const BatchLeases&) = delete;
-
-  [[nodiscard]] EvalContext& get(std::size_t participant) {
-    EvalContext*& slot = slots_[participant];
-    if (slot == nullptr) slot = owner_.acquire_context();
-    return *slot;
-  }
-
- private:
-  ParallelEvaluator& owner_;
-  std::vector<EvalContext*> slots_;
-};
-
 namespace {
 
 /// Worker threads for a resolved thread count: one thread means the caller
 /// alone; N > 1 means N workers next to the caller.
 std::size_t workers_for(std::size_t threads) {
   return threads == 1 ? 0 : threads;
-}
-
-/// Cache shards: ONE when every lookup and insert happens on the calling
-/// thread in job order — a single participant, or pool mode, which stages
-/// them there for any thread count — so a single global LRU evicts as a
-/// pure function of the job sequence.
-std::size_t shards_for(std::size_t requested, std::size_t threads,
-                       LpWarm lp_warm) {
-  if (threads == 1 || lp_warm == LpWarm::kPool) return 1;
-  return std::max<std::size_t>(requested, 1);
 }
 
 }  // namespace
@@ -101,10 +29,8 @@ ParallelEvaluator::ParallelEvaluator(const Instance& instance, Options options)
                          1, std::thread::hardware_concurrency())),
       lp_warm_(options.lp_warm),
       scheduler_(workers_for(threads_)),
-      cache_(std::max<std::size_t>(options.relaxation_cache_capacity, 1),
-             shards_for(options.cache_shards, threads_, lp_warm_)),
-      xgen_(std::max<std::size_t>(options.score_cache_capacity, 1),
-            shards_for(options.score_cache_shards, threads_, lp_warm_)),
+      cache_(options.relaxation_cache_capacity),
+      xgen_(options.score_cache_capacity),
       memo_xgen_(options.memo_xgen),
       basis_pool_(std::max<std::size_t>(options.basis_pool_capacity, 1)) {
   // Build + validate the relaxation structure and solve the base-cost LP
@@ -112,22 +38,17 @@ ParallelEvaluator::ParallelEvaluator(const Instance& instance, Options options)
   const cover::RelaxationFamily shared(inst_.market());
   const std::size_t n = scheduler_.participants();
   contexts_.reserve(n);
-  free_contexts_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t p = 0; p < n; ++p) {
     contexts_.push_back(std::make_unique<EvalContext>(inst_, shared));
-    free_contexts_.push_back(contexts_.back().get());
   }
 }
 
 void ParallelEvaluator::for_each(
     std::size_t n, const std::function<void(EvalContext&, std::size_t)>& body) {
   const common::TaskScheduler::Stats before = scheduler_.stats();
-  {
-    BatchLeases leases(*this, scheduler_.participants());
-    scheduler_.parallel_for(n, [&](std::size_t participant, std::size_t i) {
-      body(leases.get(participant), i);
-    });
-  }
+  scheduler_.parallel_for(n, [&](std::size_t participant, std::size_t i) {
+    body(*contexts_[participant], i);
+  });
   if (metrics_ != nullptr) {
     const common::TaskScheduler::Stats after = scheduler_.stats();
     obs::count(metrics_, "sched/tasks", after.tasks - before.tasks);
@@ -141,25 +62,23 @@ void ParallelEvaluator::for_each(
 }
 
 bool ParallelEvaluator::charge(EvalPurpose purpose) noexcept {
-  const long long ordinal = ll_evals_.fetch_add(1, std::memory_order_relaxed);
-  if (purpose == EvalPurpose::kBoth) {
-    ul_evals_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const long long ordinal = ll_evals_++;
+  if (purpose == EvalPurpose::kBoth) ++ul_evals_;
   return inject_now(ordinal);
 }
 
 void ParallelEvaluator::count_guard(const Evaluation& evaluation) noexcept {
   const guard::Outcome& g = evaluation.guard;
   if (g.tripped()) {
-    guard_trips_.fetch_add(1, std::memory_order_relaxed);
+    ++guard_trips_;
     obs::count(metrics_, "guard/trips");
   }
   if (g.degraded()) {
-    guard_degraded_.fetch_add(1, std::memory_order_relaxed);
+    ++guard_degraded_;
     obs::count(metrics_, "guard/degraded_evals");
   }
   if (g.budget_exhausted) {
-    guard_exhausted_.fetch_add(1, std::memory_order_relaxed);
+    ++guard_exhausted_;
     obs::count(metrics_, "guard/budget_exhausted");
   }
 }
@@ -196,28 +115,10 @@ void ParallelEvaluator::clear_caches() noexcept {
   base_iter_count_ = 0;
 }
 
-ParallelEvaluator::RelaxationPtr ParallelEvaluator::cached_relaxation(
-    EvalContext& ctx, std::span<const double> pricing) {
-  return cache_.get_or_compute(pricing, [&](std::span<const double> p) {
-    obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
-    cover::Relaxation relax = solve_relaxation_guarded(ctx, p);
-    timer.stop();
-    record_lp_metrics(metrics_, relax);
-    if (relax.stats.warm_start_rejected) {
-      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return relax;
-  });
-}
-
 ParallelEvaluator::RelaxationPtr ParallelEvaluator::relaxation(
     std::span<const double> pricing) {
-  if (lp_warm_ == LpWarm::kPool) {
-    const std::span<const double> one[] = {pricing};
-    return resolve_pooled(one).front();
-  }
-  ContextLease lease(*this);
-  return cached_relaxation(lease.get(), pricing);
+  const std::span<const double> one[] = {pricing};
+  return resolve_relaxations(one).front().relax;
 }
 
 template <typename Solve>
@@ -259,32 +160,23 @@ Evaluation ParallelEvaluator::finish_selection(EvalContext& ctx,
                         });
 }
 
+cover::Relaxation ParallelEvaluator::injected_relaxation(
+    EvalContext& ctx, std::span<const double> pricing) const {
+  return solve_relaxation_guarded(ctx, pricing, guard::Trip::kInjected,
+                                  guard_.inject.degrade_to);
+}
+
 template <typename Construct>
-Evaluation ParallelEvaluator::evaluate_job(EvalContext& ctx,
-                                           std::span<const double> pricing,
-                                           EvalPurpose purpose, bool injected,
-                                           const Construct& construct) {
-  if (injected) {
-    // Forced trip: the degradation is ordinal-dependent, so it must never
-    // land in — or come from — the pricing-keyed shared cache (nor touch
-    // the basis pool in pool mode).
-    const cover::Relaxation relax = solve_relaxation_guarded(
-        ctx, pricing, guard::Trip::kInjected, guard_.inject.degrade_to);
-    if (relax.stats.warm_start_rejected) {
-      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return construct(relax);
-  }
-  common::Stopwatch watchdog;
-  const RelaxationPtr relax = cached_relaxation(ctx, pricing);
-  if (guard_.limits.watchdog_seconds > 0.0 &&
-      watchdog.seconds() > guard_.limits.watchdog_seconds) {
+Evaluation ParallelEvaluator::construct_resolved(
+    const Resolved& resolved, std::span<const double> pricing,
+    EvalPurpose purpose, const Construct& construct) const {
+  if (resolved.watchdog_expired) {
     // Only this evaluation's construction stage is skipped; the cached
     // relaxation stays full-fidelity. Opt-in, explicitly non-deterministic.
-    return skipped_evaluation(inst_, pricing, *relax, guard::Trip::kWatchdog,
-                              purpose);
+    return skipped_evaluation(inst_, pricing, *resolved.relax,
+                              guard::Trip::kWatchdog, purpose);
   }
-  return construct(*relax);
+  return construct(*resolved.relax);
 }
 
 template <typename Construct>
@@ -292,21 +184,19 @@ Evaluation ParallelEvaluator::evaluate_scalar(std::span<const double> pricing,
                                               EvalPurpose purpose,
                                               bool injected,
                                               const Construct& construct) {
+  // The caller's own context: a one-pricing resolve runs its stage B
+  // inline on participant 0 too, strictly before construction.
+  EvalContext& ctx = *contexts_[0];
+  const auto finish = [&](const cover::Relaxation& relax) {
+    return construct(ctx, relax);
+  };
   Evaluation result;
-  if (lp_warm_ == LpWarm::kPool && !injected) {
-    // Inline staging (single-element batch). NOT safe to call concurrently
-    // in pool mode — the pool is single-threaded by contract. The context
-    // is leased only after staging, which leases contexts of its own.
-    const RelaxationPtr relax = relaxation(pricing);
-    ContextLease lease(*this);
-    result = construct(lease.get(), *relax);
+  if (injected) {
+    result = finish(injected_relaxation(ctx, pricing));
   } else {
-    ContextLease lease(*this);
-    EvalContext& ctx = lease.get();
-    result = evaluate_job(ctx, pricing, purpose, injected,
-                          [&](const cover::Relaxation& relax) {
-                            return construct(ctx, relax);
-                          });
+    const std::span<const double> one[] = {pricing};
+    result = construct_resolved(resolve_relaxations(one).front(), pricing,
+                                purpose, finish);
   }
   count_guard(result);
   return result;
@@ -322,16 +212,17 @@ void ParallelEvaluator::memoize(std::span<const gp::Node> key,
   if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
 }
 
-std::vector<ParallelEvaluator::RelaxationPtr>
-ParallelEvaluator::resolve_pooled(
+std::vector<ParallelEvaluator::Resolved>
+ParallelEvaluator::resolve_relaxations(
     std::span<const std::span<const double>> pricings) {
-  std::vector<RelaxationPtr> out(pricings.size());
+  std::vector<Resolved> out(pricings.size());
   struct Pending {
     std::size_t out_index = 0;
     std::span<const double> pricing;
     lp::Basis warm;          ///< copied pooled start basis (from_pool only)
     bool from_pool = false;
     bool rejected = false;   ///< pooled basis rejected, re-solved baseline
+    bool watchdog_expired = false;
     cover::Relaxation relax;
     lp::Basis final_basis;   ///< valid iff relax.stats.basis_saved
     RelaxationPtr result;
@@ -341,9 +232,9 @@ ParallelEvaluator::resolve_pooled(
   std::vector<std::pair<std::size_t, std::size_t>> aliases;
   std::unordered_map<std::vector<double>, std::size_t, PricingHash> index_of;
 
-  // Stage A — calling thread, submission order: cache probes and pool
-  // selections. The selected basis is COPIED out: the select() pointer dies
-  // at the next insert(), and workers must not touch the pool at all.
+  // Stage A — calling thread, submission order: cache probes and start
+  // bases. A pooled basis is COPIED out: the select() pointer dies at the
+  // next insert(), and workers must not touch the pool at all.
   for (std::size_t i = 0; i < pricings.size(); ++i) {
     std::vector<double> key(pricings[i].begin(), pricings[i].end());
     if (const auto it = index_of.find(key); it != index_of.end()) {
@@ -351,34 +242,41 @@ ParallelEvaluator::resolve_pooled(
       continue;
     }
     if (RelaxationPtr hit = cache_.lookup(pricings[i])) {
-      out[i] = std::move(hit);
+      out[i].relax = std::move(hit);
       continue;
     }
     Pending p;
     p.out_index = i;
     p.pricing = pricings[i];
-    if (const lp::Basis* nearest = basis_pool_.select(pricings[i])) {
-      p.warm = *nearest;
-      p.from_pool = true;
+    if (lp_warm_ == LpWarm::kPool) {
+      if (const lp::Basis* nearest = basis_pool_.select(pricings[i])) {
+        p.warm = *nearest;
+        p.from_pool = true;
+      }
     }
     index_of.emplace(std::move(key), pending.size());
     pending.push_back(std::move(p));
   }
 
-  // Stage B — fan-out: each miss solves from its pre-selected start basis.
-  // A rejected pooled basis re-solves from the fixed baseline, so the
-  // resulting relaxation is bit-identical to what a pool miss produces.
+  // Stage B — fan-out: each miss solves from its chosen start basis. A
+  // rejected pooled basis re-solves from the fixed baseline, so the result
+  // is bit-identical to what a pool miss produces. The watchdog (opt-in)
+  // times each solve for the job that owns the miss.
+  const double watchdog_seconds = guard_.limits.watchdog_seconds;
   for_each(pending.size(), [&](EvalContext& ctx, std::size_t k) {
     Pending& p = pending[k];
+    const common::Stopwatch clock;
     obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
     const lp::Basis& start = p.from_pool ? p.warm : ctx.baseline_basis;
-    p.relax = solve_relaxation_pooled(ctx, p.pricing, start, &p.final_basis);
+    p.relax = solve_relaxation_from(ctx, p.pricing, start, &p.final_basis);
     if (p.from_pool && p.relax.stats.warm_start_rejected) {
       p.rejected = true;
       p.final_basis = lp::Basis{};
-      p.relax = solve_relaxation_pooled(ctx, p.pricing, ctx.baseline_basis,
-                                        &p.final_basis);
+      p.relax = solve_relaxation_from(ctx, p.pricing, ctx.baseline_basis,
+                                      &p.final_basis);
     }
+    p.watchdog_expired =
+        watchdog_seconds > 0.0 && clock.seconds() > watchdog_seconds;
   });
 
   // Stage C — calling thread, pending order: metrics, counters, pool
@@ -388,11 +286,9 @@ ParallelEvaluator::resolve_pooled(
     record_lp_metrics(metrics_, p.relax);
     if (p.rejected) {
       ++pool_rejects_;
-      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
+      ++warm_rejects_;
     }
-    if (p.relax.stats.warm_start_rejected) {
-      warm_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (p.relax.stats.warm_start_rejected) ++warm_rejects_;
     const bool full_rung = p.relax.guard_trip == guard::Trip::kNone &&
                            p.relax.guard_rung == guard::Rung::kFullLp;
     if (p.from_pool && !p.rejected) {
@@ -408,19 +304,24 @@ ParallelEvaluator::resolve_pooled(
       base_iter_sum_ += p.relax.stats.iterations;
       ++base_iter_count_;
     }
-    if (p.relax.stats.basis_saved) {
+    if (lp_warm_ == LpWarm::kPool && p.relax.stats.basis_saved) {
       basis_pool_.insert(p.pricing, p.final_basis);
     }
     p.result = std::make_shared<const cover::Relaxation>(std::move(p.relax));
     cache_.insert(p.pricing, p.result);
-    out[p.out_index] = p.result;
+    out[p.out_index] = {p.result, p.watchdog_expired};
   }
   // In-batch duplicates read back through the cache so the hit counters
-  // match the serial call sequence; the direct pointer covers the (tiny
-  // cache) case where a later insert already evicted the entry.
+  // and the LRU walk match a scalar call sequence; the pinned pointer
+  // covers the (tiny cache) case where a later insert already evicted the
+  // entry, and still counts as the hit it is.
   for (const auto& [i, k] : aliases) {
     RelaxationPtr hit = cache_.lookup(pricings[i]);
-    out[i] = hit != nullptr ? std::move(hit) : pending[k].result;
+    if (hit == nullptr) {
+      cache_.count_pinned_hit();
+      hit = pending[k].result;
+    }
+    out[i].relax = std::move(hit);
   }
   return out;
 }
@@ -430,17 +331,16 @@ BackendStats ParallelEvaluator::backend_stats() const {
   s.relaxation_cache_hits = cache_.hits();
   s.relaxation_cache_misses = cache_.solves();
   s.relaxation_cache_evictions = cache_.evictions();
-  s.heuristic_dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
+  s.heuristic_dedup_hits = dedup_hits_;
   s.score_cache_hits = xgen_.hits();
   s.score_cache_evictions = xgen_.evictions();
-  s.guard_trips = guard_trips_.load(std::memory_order_relaxed);
-  s.guard_degraded_evals = guard_degraded_.load(std::memory_order_relaxed);
-  s.guard_budget_exhausted =
-      guard_exhausted_.load(std::memory_order_relaxed);
+  s.guard_trips = guard_trips_;
+  s.guard_degraded_evals = guard_degraded_;
+  s.guard_budget_exhausted = guard_exhausted_;
   long long rebinds = 0;
   for (const auto& ctx : contexts_) rebinds += ctx->ll_family.rebinds();
   s.lp_family_rebinds = rebinds;
-  s.lp_warm_start_rejects = warm_rejects_.load(std::memory_order_relaxed);
+  s.lp_warm_start_rejects = warm_rejects_;
   s.lp_pool_hits = pool_hits_;
   s.lp_pool_rejects = pool_rejects_;
   s.lp_pivots_saved = pivots_saved_;
@@ -463,7 +363,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   // Jobs are charged in submission order below, so job i's ll ordinal is
   // base + i — the same ordinal a scalar call sequence would assign. The
   // injection target is therefore identical for any batching.
-  const long long base = ll_evals_.load(std::memory_order_relaxed);
+  const long long base = ll_evals_;
   std::vector<Evaluation> unique_results(plan.uniques.size());
   const auto job_of = [&](std::size_t u) -> const HeuristicJob& {
     return jobs[plan.uniques[u].job_index];
@@ -493,27 +393,20 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   }
   if (xgen_hits > 0) obs::count(metrics_, "memo/xgen_hits", xgen_hits);
 
-  // Pool mode resolves the misses' relaxations through the staged basis
-  // pool first (submission-order pool/cache traffic on this thread), so
-  // only the construction stage fans out.
-  std::vector<RelaxationPtr> pooled;
-  if (lp_warm_ == LpWarm::kPool) {
-    std::vector<std::span<const double>> pricings;
-    pricings.reserve(misses.size());
-    for (const std::size_t u : misses) pricings.push_back(job_of(u).pricing);
-    pooled = resolve_pooled(pricings);
-  }
+  // Relaxations first (staged on this thread), then only the construction
+  // stage fans out.
+  std::vector<std::span<const double>> pricings;
+  pricings.reserve(misses.size());
+  for (const std::size_t u : misses) pricings.push_back(job_of(u).pricing);
+  const std::vector<Resolved> resolved = resolve_relaxations(pricings);
   for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
     const std::size_t u = misses[m];
     const gp::CompiledProgram* program = plan.uniques[u].program.get();
-    const auto finish = [&](const cover::Relaxation& relax) {
-      return finish_heuristic(ctx, relax, job_of(u), program);
-    };
-    unique_results[u] =
-        pooled.empty() ? evaluate_job(ctx, job_of(u).pricing,
-                                      job_of(u).purpose, /*injected=*/false,
-                                      finish)
-                       : finish(*pooled[m]);
+    unique_results[u] = construct_resolved(
+        resolved[m], job_of(u).pricing, job_of(u).purpose,
+        [&](const cover::Relaxation& relax) {
+          return finish_heuristic(ctx, relax, job_of(u), program);
+        });
   });
 
   if (use_xgen) {
@@ -529,23 +422,17 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
       // The injected job gets its own forced-trip evaluation on the calling
       // thread; its memo siblings keep the full-fidelity result, exactly as
       // a scalar call sequence would produce.
-      ContextLease lease(*this);
-      EvalContext& ctx = lease.get();
-      results[i] = evaluate_job(
-          ctx, jobs[i].pricing, jobs[i].purpose, /*injected=*/true,
-          [&](const cover::Relaxation& relax) {
-            return finish_heuristic(
-                ctx, relax, jobs[i],
-                plan.uniques[plan.result_of[i]].program.get());
-          });
+      EvalContext& ctx = *contexts_[0];
+      results[i] = finish_heuristic(
+          ctx, injected_relaxation(ctx, jobs[i].pricing), jobs[i],
+          plan.uniques[plan.result_of[i]].program.get());
     } else {
       results[i] = unique_results[plan.result_of[i]];
     }
     charge(jobs[i].purpose);
     count_guard(results[i]);
   }
-  dedup_hits_.fetch_add(static_cast<long long>(plan.duplicates()),
-                        std::memory_order_relaxed);
+  dedup_hits_ += static_cast<long long>(plan.duplicates());
   return results;
 }
 
@@ -556,28 +443,21 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
   // Injection ordinals are assigned by submission index BEFORE fan-out
   // (job i gets base + i — the ordinal a scalar call sequence would charge
   // it with), so the tripped job is the same for any thread count.
-  const long long base = ll_evals_.load(std::memory_order_relaxed);
+  const long long base = ll_evals_;
   const auto injected = [&](std::size_t i) {
     return inject_now(base + static_cast<long long>(i));
   };
-  // Pool mode: relaxations first (pool/cache traffic on this thread, in
-  // submission order), then only the construction stage fans out. Injected
-  // jobs bypass the pool like they bypass the cache.
-  std::vector<RelaxationPtr> pooled(jobs.size());
-  if (lp_warm_ == LpWarm::kPool) {
-    std::vector<std::size_t> staged;
-    std::vector<std::span<const double>> pricings;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!injected(i)) {
-        staged.push_back(i);
-        pricings.push_back(jobs[i].pricing);
-      }
-    }
-    const std::vector<RelaxationPtr> relaxes = resolve_pooled(pricings);
-    for (std::size_t k = 0; k < staged.size(); ++k) {
-      pooled[staged[k]] = relaxes[k];
+  // Relaxations first (staged on this thread), then only the construction
+  // stage fans out. Injected jobs bypass the cache and the pool.
+  std::vector<std::span<const double>> pricings;
+  std::vector<std::size_t> staged_at(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!injected(i)) {
+      staged_at[i] = pricings.size();
+      pricings.push_back(jobs[i].pricing);
     }
   }
+  const std::vector<Resolved> resolved = resolve_relaxations(pricings);
   // Tasks write disjoint slots of `results`; the scheduler drains every
   // task before returning (even on exceptions), so the by-reference
   // captures cannot dangle.
@@ -585,10 +465,11 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
     const auto finish = [&](const cover::Relaxation& relax) {
       return finish_selection(ctx, relax, jobs[i]);
     };
-    results[i] = pooled[i] != nullptr
-                     ? finish(*pooled[i])
-                     : evaluate_job(ctx, jobs[i].pricing, jobs[i].purpose,
-                                    injected(i), finish);
+    results[i] = injected(i)
+                     ? finish(injected_relaxation(ctx, jobs[i].pricing))
+                     : construct_resolved(resolved[staged_at[i]],
+                                          jobs[i].pricing, jobs[i].purpose,
+                                          finish);
   });
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     charge(jobs[i].purpose);
@@ -612,8 +493,7 @@ Evaluation ParallelEvaluator::evaluate_with_heuristic(
   // Cross-generation memo, keyed by the canonical program (compiled
   // scoring) or the raw tree (interpreter); skipped for injected jobs —
   // their degradation is ordinal-dependent. A hit still charges the full
-  // budget. Concurrent scalar callers race benignly: both compute
-  // identical bits, insert() keeps one.
+  // budget.
   const bool use_xgen = xgen_active() && !injected;
   const std::span<const gp::Node> key_nodes =
       program != nullptr ? program->canonical_nodes() : heuristic.nodes();

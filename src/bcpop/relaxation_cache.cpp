@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 namespace carbon::bcpop {
 
@@ -17,134 +18,43 @@ std::size_t PricingHash::operator()(
   return h;
 }
 
-ShardedRelaxationCache::ShardedRelaxationCache(std::size_t capacity,
-                                               std::size_t num_shards) {
-  num_shards = std::max<std::size_t>(num_shards, 1);
-  shard_capacity_ = std::max<std::size_t>(capacity / num_shards, 1);
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+RelaxationCache::RelaxationCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-ShardedRelaxationCache::Shard& ShardedRelaxationCache::shard_for(
-    std::span<const double> pricing) noexcept {
-  if (shards_.size() == 1) return *shards_.front();
-  // Finalize the FNV hash with a multiply-shift so shard selection uses the
-  // high bits, decorrelated from the map's bucket selection (low bits).
-  std::size_t h = 14695981039346656037ULL;
-  for (double d : pricing) {
-    h ^= std::bit_cast<std::uint64_t>(d);
-    h *= 1099511628211ULL;
-  }
-  h *= 0x9E3779B97F4A7C15ULL;
-  return *shards_[(h >> 32) % shards_.size()];
-}
-
-ShardedRelaxationCache::RelaxationPtr ShardedRelaxationCache::get_or_compute(
-    std::span<const double> pricing, const SolveFn& solve) {
-  Shard& s = shard_for(pricing);
-  Key key(pricing.begin(), pricing.end());
-
-  std::unique_lock lock(s.mutex);
-  for (;;) {
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) break;  // miss: this call becomes the solver
-    Entry& e = it->second;
-    if (e.value != nullptr) {
-      s.lru.splice(s.lru.begin(), s.lru, e.lru_pos);  // touch
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return e.value;
-    }
-    // Another call is solving this pricing right now: wait for it, then
-    // re-check (the entry is erased again if that solve threw).
-    s.ready_cv.wait(lock);
-  }
-
-  const auto [it, inserted] = s.map.try_emplace(std::move(key));
-  lock.unlock();
-
-  RelaxationPtr value;
-  try {
-    value = std::make_shared<const cover::Relaxation>(solve(pricing));
-  } catch (...) {
-    lock.lock();
-    s.map.erase(it);
-    s.ready_cv.notify_all();
-    throw;
-  }
-
-  lock.lock();
-  Entry& e = it->second;
-  e.value = value;
-  s.lru.push_front(it->first);
-  e.lru_pos = s.lru.begin();
-  solves_.fetch_add(1, std::memory_order_relaxed);
-  // Evict beyond capacity, oldest first — but never the entry this call is
-  // about to hand out. Previously handed-out entries survive eviction via
-  // their shared_ptr; eviction only drops the cache's own reference.
-  while (s.lru.size() > shard_capacity_ && s.lru.back() != it->first) {
-    s.map.erase(s.lru.back());
-    s.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  s.ready_cv.notify_all();
-  return value;
-}
-
-ShardedRelaxationCache::RelaxationPtr ShardedRelaxationCache::lookup(
+RelaxationCache::RelaxationPtr RelaxationCache::lookup(
     std::span<const double> pricing) {
-  Shard& s = shard_for(pricing);
-  Key key(pricing.begin(), pricing.end());
-  std::lock_guard lock(s.mutex);
-  const auto it = s.map.find(key);
-  if (it == s.map.end() || it->second.value == nullptr) return nullptr;
-  s.lru.splice(s.lru.begin(), s.lru, it->second.lru_pos);  // touch
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  const auto it = map_.find(Key(pricing.begin(), pricing.end()));
+  if (it == map_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // touch
+  ++hits_;
   return it->second.value;
 }
 
-void ShardedRelaxationCache::insert(std::span<const double> pricing,
-                                    RelaxationPtr value) {
-  Shard& s = shard_for(pricing);
-  Key key(pricing.begin(), pricing.end());
-  std::lock_guard lock(s.mutex);
-  const auto [it, inserted] = s.map.try_emplace(std::move(key));
+void RelaxationCache::insert(std::span<const double> pricing,
+                             RelaxationPtr value) {
+  const auto [it, inserted] =
+      map_.try_emplace(Key(pricing.begin(), pricing.end()));
   Entry& e = it->second;
-  if (!inserted && e.value != nullptr) {
-    // Existing ready entry: replace the value in place and touch.
-    e.value = std::move(value);
-    s.lru.splice(s.lru.begin(), s.lru, e.lru_pos);
+  e.value = std::move(value);
+  if (!inserted) {
+    lru_.splice(lru_.begin(), lru_, e.lru_pos);
     return;
   }
-  e.value = std::move(value);
-  s.lru.push_front(it->first);
-  e.lru_pos = s.lru.begin();
-  solves_.fetch_add(1, std::memory_order_relaxed);
-  while (s.lru.size() > shard_capacity_ && s.lru.back() != it->first) {
-    s.map.erase(s.lru.back());
-    s.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  lru_.push_front(it->first);
+  e.lru_pos = lru_.begin();
+  ++solves_;
+  // Oldest first. Previously handed-out entries survive eviction via their
+  // shared_ptr; eviction only drops the cache's own reference.
+  while (lru_.size() > capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
-std::size_t ShardedRelaxationCache::size() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard lock(s->mutex);
-    total += s->lru.size();
-  }
-  return total;
-}
-
-void ShardedRelaxationCache::clear() {
-  for (const auto& s : shards_) {
-    std::lock_guard lock(s->mutex);
-    // Keep in-flight placeholders (value == nullptr): their solver will
-    // complete the entry; dropping them would strand its waiters.
-    for (const Key& k : s->lru) s->map.erase(k);
-    s->lru.clear();
-  }
+void RelaxationCache::clear() noexcept {
+  map_.clear();
+  lru_.clear();
 }
 
 }  // namespace carbon::bcpop

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 namespace carbon::bcpop {
 
@@ -57,89 +58,61 @@ bool same_doubles(std::span<const double> a,
 
 }  // namespace
 
-ScoreCache::ScoreCache(std::size_t capacity, std::size_t num_shards) {
-  num_shards = std::max<std::size_t>(num_shards, 1);
-  capacity = std::max<std::size_t>(capacity, 1);
-  shard_capacity_ = std::max<std::size_t>(1, capacity / num_shards);
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ScoreCache::ScoreCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 bool ScoreCache::lookup(std::span<const gp::Node> nodes,
                         std::span<const double> pricing, EvalPurpose purpose,
                         Evaluation* out) {
-  const std::uint64_t h = hash_key(nodes, pricing, purpose);
-  Shard& shard = *shards_[h % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto chain = shard.chains.find(h);
-    if (chain != shard.chains.end()) {
-      for (const auto it : chain->second) {
-        if (it->purpose == purpose && same_nodes(it->nodes, nodes) &&
-            same_doubles(it->pricing, pricing)) {
-          shard.lru.splice(shard.lru.begin(), shard.lru, it);
-          *out = it->value;
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
+  const auto chain = chains_.find(hash_key(nodes, pricing, purpose));
+  if (chain != chains_.end()) {
+    for (const auto it : chain->second) {
+      if (it->purpose == purpose && same_nodes(it->nodes, nodes) &&
+          same_doubles(it->pricing, pricing)) {
+        lru_.splice(lru_.begin(), lru_, it);
+        *out = it->value;
+        ++hits_;
+        return true;
       }
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   return false;
 }
 
 void ScoreCache::insert(std::span<const gp::Node> nodes,
                         std::span<const double> pricing, EvalPurpose purpose,
                         const Evaluation& result) {
-  const std::uint64_t h = hash_key(nodes, pricing, purpose);
-  Shard& shard = *shards_[h % shards_.size()];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& chain = shard.chains[h];
+  auto& chain = chains_[hash_key(nodes, pricing, purpose)];
   for (const auto it : chain) {
     if (it->purpose == purpose && same_nodes(it->nodes, nodes) &&
         same_doubles(it->pricing, pricing)) {
-      // Concurrent scalar callers may race a probe-then-insert; both
-      // computed identical bits, so refreshing recency is all that is left.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it);
+      // The key is already cached (the value is a pure function of it), so
+      // refreshing recency is all that is left.
+      lru_.splice(lru_.begin(), lru_, it);
       return;
     }
   }
-  shard.lru.push_front(Entry{{nodes.begin(), nodes.end()},
-                             {pricing.begin(), pricing.end()},
-                             purpose,
-                             result});
-  chain.push_back(shard.lru.begin());
-  while (shard.lru.size() > shard_capacity_) {
-    const auto victim = std::prev(shard.lru.end());
-    const std::uint64_t vh =
-        hash_key(victim->nodes, victim->pricing, victim->purpose);
-    auto vchain = shard.chains.find(vh);
+  lru_.push_front(Entry{{nodes.begin(), nodes.end()},
+                        {pricing.begin(), pricing.end()},
+                        purpose,
+                        result});
+  chain.push_back(lru_.begin());
+  while (lru_.size() > capacity_) {
+    const auto victim = std::prev(lru_.end());
+    const auto vchain =
+        chains_.find(hash_key(victim->nodes, victim->pricing, victim->purpose));
     auto& vec = vchain->second;
     vec.erase(std::find(vec.begin(), vec.end(), victim));
-    if (vec.empty()) shard.chains.erase(vchain);
-    shard.lru.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (vec.empty()) chains_.erase(vchain);
+    lru_.erase(victim);
+    ++evictions_;
   }
 }
 
-std::size_t ScoreCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
-}
-
-void ScoreCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->chains.clear();
-    shard->lru.clear();
-  }
+void ScoreCache::clear() noexcept {
+  chains_.clear();
+  lru_.clear();
 }
 
 }  // namespace carbon::bcpop

@@ -137,7 +137,7 @@ core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {
   bcpop::BackendStats backend_start = eval.backend_stats();
   if (journal != nullptr) {
     journal->begin_run("cobra", cfg_.seed, cfg_.eval_threads,
-                       cfg_.compiled_scoring);
+                       cfg_.compiled_scoring, bcpop::to_string(cfg_.lp_warm));
   }
 
   // --- Initial populations (Algorithm 1 lines 1-3; skipped on resume: the

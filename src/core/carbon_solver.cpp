@@ -141,7 +141,7 @@ CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {
   bcpop::BackendStats backend_start = eval.backend_stats();
   if (journal != nullptr) {
     journal->begin_run("carbon", cfg_.seed, cfg_.eval_threads,
-                       cfg_.compiled_scoring);
+                       cfg_.compiled_scoring, bcpop::to_string(cfg_.lp_warm));
   }
 
   // --- Initial populations (skipped on resume: the checkpoint carries the

@@ -6,10 +6,10 @@
 
 namespace carbon::obs {
 
-MetricsRegistry::MetricsRegistry(std::size_t num_shards) {
-  num_shards = std::max<std::size_t>(num_shards, 1);
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
+MetricsRegistry::MetricsRegistry(std::size_t shards) {
+  shards = std::max<std::size_t>(shards, 1);
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

@@ -68,7 +68,8 @@ void RunJournal::append_timings(JsonObjectWriter& w, bool cumulative) {
 }
 
 void RunJournal::begin_run(std::string_view algo, std::uint64_t seed,
-                           std::size_t eval_threads, bool compiled_scoring) {
+                           std::size_t eval_threads, bool compiled_scoring,
+                           std::string_view lp_warm) {
   algo_ = std::string(algo);
   run_clock_.reset();
   if (metrics_ != nullptr) {
@@ -81,7 +82,8 @@ void RunJournal::begin_run(std::string_view algo, std::uint64_t seed,
       .field("algo", algo)
       .field("seed", static_cast<unsigned long long>(seed))
       .field("eval_threads", eval_threads)
-      .field("compiled_scoring", compiled_scoring);
+      .field("compiled_scoring", compiled_scoring)
+      .field("lp_warm", lp_warm);
   emit(w.finish());
 }
 

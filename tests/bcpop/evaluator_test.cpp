@@ -1,6 +1,6 @@
 // The single-evaluation contract of the BCPOP evaluator (feasibility,
 // objectives, purposes, relaxation memo), exercised on a one-thread
-// ParallelEvaluator: the calling thread alone, one context, one-shard caches.
+// ParallelEvaluator: the calling thread alone, one context.
 #include "carbon/bcpop/parallel_evaluator.hpp"
 
 #include <gtest/gtest.h>

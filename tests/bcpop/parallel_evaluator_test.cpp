@@ -156,8 +156,9 @@ TEST(ParallelEvaluator, CountersMatchSerialAndPurposeRules) {
 
 TEST(ParallelEvaluator, CacheOnceSemantics) {
   // 8 distinct pricings, each submitted 16 times across a 4-thread batch:
-  // once-semantics means exactly 8 solves, and every lookup is accounted for
-  // as either a hit or a solve regardless of scheduling.
+  // the staged resolve solves each distinct pricing once — exactly 8 solves
+  // — and every lookup is accounted for as either a hit or a solve
+  // regardless of scheduling.
   const Instance inst = make_instance();
   const auto pricings = random_pricings(inst, 8, 13);
   const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
@@ -229,29 +230,31 @@ TEST(ParallelEvaluator, OneThreadRunsOnTheCallerWithOneShardCaches) {
   ParallelEvaluator solo(inst, /*threads=*/1);
   EXPECT_EQ(solo.threads(), 1u);
   EXPECT_EQ(solo.workers(), 0u);
-  // One shard per cache keeps the LRU eviction order of a serial loop.
-  EXPECT_EQ(solo.cache().num_shards(), 1u);
-  EXPECT_EQ(solo.score_cache().num_shards(), 1u);
 
-  // Batches still run — inline, so the scheduler never steals.
+  // Batches still run — inline, so the scheduler never steals. The staged
+  // resolve fans out one task per relaxation miss, then one per job.
   const auto pricings = random_pricings(inst, 6, 29);
   const std::vector<std::uint8_t> everything(inst.num_bundles(), 1);
   std::vector<SelectionJob> jobs;
   for (const auto& p : pricings) jobs.push_back({p, everything});
   EXPECT_EQ(solo.evaluate_selection_batch(jobs).size(), jobs.size());
-  EXPECT_EQ(solo.sched_stats().tasks, static_cast<long long>(jobs.size()));
+  EXPECT_EQ(solo.relaxations_solved(), static_cast<long long>(jobs.size()));
+  EXPECT_EQ(solo.sched_stats().tasks,
+            solo.relaxations_solved() + static_cast<long long>(jobs.size()));
   EXPECT_EQ(solo.sched_stats().steals, 0);
   EXPECT_EQ(solo.ll_evaluations(), static_cast<long long>(jobs.size()));
 
-  // More than one thread: N workers next to the caller, requested shards.
-  ParallelEvaluator wide(
-      inst, {.threads = 2, .cache_shards = 8, .score_cache_shards = 8});
+  // More than one thread: N workers next to the caller, and the same
+  // single LRU — cache traffic stays on the caller, in submission order.
+  ParallelEvaluator wide(inst, {.threads = 2});
   EXPECT_EQ(wide.workers(), 2u);
-  EXPECT_EQ(wide.cache().num_shards(), 8u);
-  EXPECT_EQ(wide.score_cache().num_shards(), 8u);
+  (void)wide.evaluate_selection_batch(jobs);
+  EXPECT_EQ(wide.relaxations_solved(), solo.relaxations_solved());
+  EXPECT_EQ(wide.relaxation_cache_hits(), solo.relaxation_cache_hits());
+  EXPECT_EQ(wide.cache().size(), solo.cache().size());
 }
 
-TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
+TEST(RelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   // Exercised under TSan by tools/run_sanitizers.sh: concurrent misses on a
   // capacity-1 cache force an eviction on almost every insert while other
   // threads still hold the evicted entries.
@@ -259,7 +262,6 @@ TEST(ShardedRelaxationCache, CapacityOneChurnKeepsPinnedEntriesValid) {
   ParallelEvaluator::Options opt;
   opt.threads = 4;
   opt.relaxation_cache_capacity = 1;
-  opt.cache_shards = 1;
   ParallelEvaluator par(inst, opt);
 
   const auto pricings = random_pricings(inst, 32, 3);
@@ -570,7 +572,6 @@ TEST(BackendStats, ReportsEvictionsUnderATinyCache) {
   ParallelEvaluator::Options opt;
   opt.threads = 4;
   opt.relaxation_cache_capacity = 1;
-  opt.cache_shards = 1;
   ParallelEvaluator par(inst, opt);
 
   const auto pricings = random_pricings(inst, 16, 67);

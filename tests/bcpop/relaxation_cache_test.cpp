@@ -1,17 +1,13 @@
-// Direct ShardedRelaxationCache coverage: eviction accounting, pinning
-// under churn, and counter invariants under thread contention — the cases
-// the evaluator-level tests only exercise incidentally.
+// Direct RelaxationCache coverage: eviction accounting, LRU order, pinning
+// under churn, and the hit/solve counters — the cases the evaluator-level
+// tests only exercise incidentally.
 
 #include "carbon/bcpop/relaxation_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
+#include <memory>
 #include <vector>
-
-#include "carbon/common/thread_pool.hpp"
 
 namespace carbon::bcpop {
 namespace {
@@ -27,11 +23,20 @@ cover::Relaxation fake_solve(std::span<const double> pricing) {
 
 std::vector<double> key(double k) { return {k, 2.0 * k}; }
 
-TEST(ShardedRelaxationCache, CountsHitsSolvesAndEvictions) {
-  ShardedRelaxationCache cache(/*capacity=*/4, /*num_shards=*/1);
+/// One request the way the evaluator makes it: probe, and on a miss solve
+/// outside the cache and insert the result.
+RelaxationCache::RelaxationPtr request(RelaxationCache& cache, double k) {
+  const std::vector<double> pricing = key(k);
+  if (RelaxationCache::RelaxationPtr hit = cache.lookup(pricing)) return hit;
+  auto solved = std::make_shared<const cover::Relaxation>(fake_solve(pricing));
+  cache.insert(pricing, solved);
+  return solved;
+}
+
+TEST(RelaxationCache, CountsHitsSolvesAndEvictions) {
+  RelaxationCache cache(/*capacity=*/4);
   for (int i = 0; i < 16; ++i) {
-    const auto k = key(i);
-    const auto got = cache.get_or_compute(k, fake_solve);
+    const auto got = request(cache, i);
     EXPECT_DOUBLE_EQ(got->lower_bound, static_cast<double>(i));
   }
   EXPECT_EQ(cache.solves(), 16);
@@ -43,103 +48,66 @@ TEST(ShardedRelaxationCache, CountsHitsSolvesAndEvictions) {
             cache.solves() - cache.evictions());
 
   // The 4 most recent keys are still resident; re-requesting them is free.
-  for (int i = 12; i < 16; ++i) {
-    (void)cache.get_or_compute(key(i), fake_solve);
-  }
+  for (int i = 12; i < 16; ++i) (void)request(cache, i);
   EXPECT_EQ(cache.solves(), 16);
   EXPECT_EQ(cache.hits(), 4);
 }
 
-TEST(ShardedRelaxationCache, LruEvictsTheColdestEntry) {
-  ShardedRelaxationCache cache(/*capacity=*/2, /*num_shards=*/1);
-  (void)cache.get_or_compute(key(1), fake_solve);
-  (void)cache.get_or_compute(key(2), fake_solve);
-  (void)cache.get_or_compute(key(1), fake_solve);  // refresh 1
-  (void)cache.get_or_compute(key(3), fake_solve);  // evicts 2
+TEST(RelaxationCache, LruEvictsTheColdestEntry) {
+  RelaxationCache cache(/*capacity=*/2);
+  (void)request(cache, 1);
+  (void)request(cache, 2);
+  (void)request(cache, 1);  // refresh 1
+  (void)request(cache, 3);  // evicts 2
   EXPECT_EQ(cache.evictions(), 1);
-  (void)cache.get_or_compute(key(1), fake_solve);  // still a hit
+  (void)request(cache, 1);  // still a hit
   EXPECT_EQ(cache.solves(), 3);
   EXPECT_EQ(cache.hits(), 2);
-  (void)cache.get_or_compute(key(2), fake_solve);  // re-solve after eviction
+  (void)request(cache, 2);  // re-solve after eviction
   EXPECT_EQ(cache.solves(), 4);
 }
 
-TEST(ShardedRelaxationCache, PinnedEntriesSurviveEviction) {
-  ShardedRelaxationCache cache(/*capacity=*/1, /*num_shards=*/1);
-  const auto pinned = cache.get_or_compute(key(100), fake_solve);
+TEST(RelaxationCache, PinnedEntriesSurviveEviction) {
+  RelaxationCache cache(/*capacity=*/1);
+  const auto pinned = request(cache, 100);
   // Churn far past capacity; the pinned entry is evicted from the cache but
   // the handle must stay valid and unchanged.
-  for (int i = 0; i < 32; ++i) {
-    (void)cache.get_or_compute(key(i), fake_solve);
-  }
+  for (int i = 0; i < 32; ++i) (void)request(cache, i);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 32);
   EXPECT_DOUBLE_EQ(pinned->lower_bound, 100.0);
   EXPECT_TRUE(pinned->feasible);
 }
 
-TEST(ShardedRelaxationCache, ClearDropsEntriesWithoutCountingEvictions) {
-  ShardedRelaxationCache cache(/*capacity=*/8, /*num_shards=*/2);
-  for (int i = 0; i < 6; ++i) (void)cache.get_or_compute(key(i), fake_solve);
+TEST(RelaxationCache, ClearDropsEntriesWithoutCountingEvictions) {
+  RelaxationCache cache(/*capacity=*/8);
+  for (int i = 0; i < 6; ++i) (void)request(cache, i);
   const long long evictions_before = cache.evictions();
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), evictions_before);
   // Counters persist; a re-request re-solves.
-  (void)cache.get_or_compute(key(0), fake_solve);
+  (void)request(cache, 0);
   EXPECT_EQ(cache.solves(), 7);
 }
 
-TEST(ShardedRelaxationCache, OnceSemanticsUnderConcurrentSameKeyRequests) {
-  ShardedRelaxationCache cache(/*capacity=*/4, /*num_shards=*/1);
-  std::atomic<int> solve_calls{0};
-  const auto slow_solve = [&](std::span<const double> pricing) {
-    solve_calls.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    return fake_solve(pricing);
-  };
-  common::ThreadPool pool(8);
-  pool.parallel_for(16, [&](std::size_t) {
-    const auto got = cache.get_or_compute(key(42), slow_solve);
-    EXPECT_DOUBLE_EQ(got->lower_bound, 42.0);
-  });
-  EXPECT_EQ(solve_calls.load(), 1);
+TEST(RelaxationCache, MissCountsNothingUntilInsertBooksTheSolve) {
+  RelaxationCache cache(/*capacity=*/4);
+  EXPECT_EQ(cache.lookup(key(1)), nullptr);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.solves(), 0);
+  cache.insert(key(1), std::make_shared<const cover::Relaxation>(
+                           fake_solve(key(1))));
   EXPECT_EQ(cache.solves(), 1);
-  EXPECT_EQ(cache.hits(), 15);
-}
-
-TEST(ShardedRelaxationCache, CounterInvariantsHoldUnderEvictionContention) {
-  // Exercised under TSan by tools/run_sanitizers.sh: a capacity-2 cache
-  // hammered by 8 threads over 24 keys forces constant eviction while other
-  // threads pin and verify the evicted values.
-  ShardedRelaxationCache cache(/*capacity=*/2, /*num_shards=*/1);
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  constexpr int kKeys = 24;
-  common::ThreadPool pool(kThreads);
-  pool.parallel_for(kThreads, [&](std::size_t t) {
-    for (int i = 0; i < kIters; ++i) {
-      const int k = static_cast<int>((t * 31 + static_cast<std::size_t>(i) * 7)
-                                     % kKeys);
-      const auto got = cache.get_or_compute(key(k), fake_solve);
-      ASSERT_DOUBLE_EQ(got->lower_bound, static_cast<double>(k));
-    }
-  });
-  EXPECT_EQ(cache.hits() + cache.solves(),
-            static_cast<long long>(kThreads) * kIters);
-  EXPECT_EQ(static_cast<long long>(cache.size()),
-            cache.solves() - cache.evictions());
-  EXPECT_LE(cache.size(), 2u);
-}
-
-TEST(ShardedRelaxationCache, ShardedCapacityIsSplitAcrossShards) {
-  ShardedRelaxationCache cache(/*capacity=*/16, /*num_shards=*/4);
-  EXPECT_EQ(cache.num_shards(), 4u);
-  EXPECT_EQ(cache.shard_capacity(), 4u);
-  for (int i = 0; i < 64; ++i) (void)cache.get_or_compute(key(i), fake_solve);
-  EXPECT_LE(cache.size(), 16u);
-  EXPECT_EQ(static_cast<long long>(cache.size()),
-            cache.solves() - cache.evictions());
+  // Re-inserting a resident key replaces it without booking a solve.
+  cache.insert(key(1), std::make_shared<const cover::Relaxation>(
+                           fake_solve(key(7))));
+  EXPECT_EQ(cache.solves(), 1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_DOUBLE_EQ(cache.lookup(key(1))->lower_bound, 7.0);
+  EXPECT_EQ(cache.hits(), 1);
+  cache.count_pinned_hit();
+  EXPECT_EQ(cache.hits(), 2);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(ScopedTimer, RecordsOneIntervalPerScope) {
 
 TEST(MetricsRegistry, ShardCountIsConfigurable) {
   MetricsRegistry one(1);
-  EXPECT_EQ(one.num_shards(), 1u);
+  EXPECT_EQ(one.shard_count(), 1u);
   one.add_counter("a", 3);
   EXPECT_EQ(one.snapshot().counters.at("a"), 3);
 }

@@ -74,6 +74,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
                       static_cast<std::size_t>(r.generations) + 2)
                 << label;
             EXPECT_EQ(records.front().at("type").as_string(), "run_start");
+            EXPECT_EQ(records.front().at("lp_warm").as_string(), "baseline");
             EXPECT_EQ(records.back().at("type").as_string(), "summary");
             EXPECT_EQ(records.back().at("best_ul").as_number(),
                       r.best_ul_objective);

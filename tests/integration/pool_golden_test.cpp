@@ -127,6 +127,8 @@ TEST(PoolGolden, PoolBackendCountersReportActivity) {
 
   const auto records = parse_journal(sink.str());
   ASSERT_FALSE(records.empty());
+  // The warm-start policy changes trajectories, so run_start records it.
+  EXPECT_EQ(records.front().at("lp_warm").as_string(), "pool");
   const obs::JsonValue& summary = records.back();
   ASSERT_EQ(summary.at("type").as_string(), "summary");
   const obs::JsonValue& backend = summary.at("backend");
@@ -147,9 +149,10 @@ TEST(PoolGolden, PoolBackendCountersReportActivity) {
   expect_same_trajectory(golden::kCobraPool,
                          trajectory_of(cobra::CobraSolver(inst, cc).run()),
                          "cobra pool + journal");
+  const auto cobra_records = parse_journal(cobra_sink.str());
+  EXPECT_EQ(cobra_records.front().at("lp_warm").as_string(), "pool");
   golden::expect_backend_counters(golden::kCobraPoolCounters,
-                                  parse_journal(cobra_sink.str()).back(),
-                                  "cobra pool");
+                                  cobra_records.back(), "cobra pool");
 }
 
 TEST(PoolGolden, PoolResumeIsDeterministicAndSegmentIsolated) {

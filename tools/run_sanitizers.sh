@@ -14,11 +14,12 @@ cd "$(dirname "$0")/.."
 # work-stealing task scheduler (Chase-Lev-style deques probed by the
 # determinism fuzz: 500 seeds of skewed job durations across worker counts
 # 0/1/2/4/8, where TSan sees every owner-pop vs thief-CAS interleaving), the
-# cross-generation score cache (sharded LRU under concurrent mixed
-# lookup/insert traffic at eviction pressure), the
-# sharded relaxation cache (direct eviction/pinning contention), the
-# parallel evaluator (including the capacity-1 eviction churn, the
-# thread-count-invariance runs, and the compiled-scoring batch memo), the
+# relaxation and score caches (single-threaded LRUs: ASan checks the list
+# splices and pinned entries outliving their eviction), the parallel
+# evaluator (its caches are touched only by the submitting thread, so TSan
+# reports any worker that still reaches one — through the capacity-1
+# eviction churn, the thread-count-invariance runs, and the
+# compiled-scoring batch memo), the
 # compiled-program fuzz (per-context register scratch must stay
 # thread-private), the metrics registry (sharded counters/timers
 # hammered from pool workers while a reader snapshots), and the LP
@@ -36,12 +37,12 @@ cd "$(dirname "$0")/.."
 # scratch-reuse runs catch state leaking between solves), and the guard
 # suites (budget degradation and fault injection run whole solvers at
 # eval_threads 4, so TSan sees the injection-ordinal accounting and the
-# cap-degraded relaxations crossing the sharded cache), and the LP
+# cap-degraded relaxations crossing the staged cache path), and the LP
 # warm-start pool suites (basis_pool_test pins the pool's deterministic
 # selection/eviction/clear contract; pool_golden_test runs pool-mode
 # solvers at eval_threads 4 where every select/insert must stay on the
-# batch-submitting thread — TSan sees any stage-B worker touching the
-# pool, and ASan checks the copied-basis lifetime across the fan-out).
+# submitting thread — TSan sees any stage-B worker touching the pool, and
+# ASan checks the copied-basis lifetime across the fan-out).
 # This is the same set labeled `sanitizer-critical` in
 # tests/CMakeLists.txt.
 TESTS=(thread_pool_test task_scheduler_test metrics_test
