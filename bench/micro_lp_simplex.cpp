@@ -1,13 +1,17 @@
-// Microbenchmark of the sparse revised-simplex kernels vs the dense
+// Microbenchmark of the production revised-simplex kernels vs the dense
 // reference kernels (SimplexOptions::use_dense_kernels).
 //
 // Part 1 — kernel grid: for relaxation-shaped problems (n = 4m covering
 // columns, >= rows) across an m x density grid, times the two inner loops
-// the solver spends its life in — the pricing sweep (column_dot over every
+// the solver spends its life in — the pricing sweep (A_j^T y for every
 // column) and FTRAN column formation (B^-1 A_j) — against dense columns
-// materialized exactly as the pre-sparse lp::Problem stored them. The loops
-// here mirror SimplexSolver's kernels over the same storage; both variants
-// compute bit-identical results (asserted).
+// materialized exactly as the pre-sparse lp::Problem stored them. Pricing
+// has three rows: the dense per-column dot, the per-column dot over stored
+// nonzeros that the solver priced with before column panels ("csc", kept
+// here only as a comparison point), and the library's own panel pass,
+// lp::ColumnPanels::multiply_transposed, which is what SimplexSolver runs.
+// The FTRAN loops mirror SimplexSolver's over the same storage. Every
+// variant must compute bit-identical results (asserted).
 //
 // Part 2 — end-to-end: replays eval_core's hot path (warm-started
 // cover::solve_relaxation_lp with per-pricing objective swaps) on generated
@@ -40,6 +44,7 @@
 #include "carbon/common/rng.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/relaxation.hpp"
+#include "carbon/lp/column_panels.hpp"
 #include "carbon/lp/simplex.hpp"
 
 namespace {
@@ -92,8 +97,10 @@ struct KernelCase {
   double density;
   double nnz_frac;  ///< measured nonzero fraction of the matrix
   double pricing_dense_ns;   ///< full pricing sweep, per column
-  double pricing_sparse_ns;
-  double pricing_speedup;
+  double pricing_csc_ns;     ///< per-column dot over stored nonzeros
+  double pricing_panel_ns;   ///< lp::ColumnPanels pass (the solver's kernel)
+  double pricing_speedup;    ///< dense / panel
+  double pricing_panel_vs_csc;  ///< csc / panel
   double ftran_dense_ns;     ///< one B^-1 A_j, per column
   double ftran_sparse_ns;
   double ftran_speedup;
@@ -103,6 +110,7 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
                            double density, bool smoke) {
   const lp::Problem p = make_relaxation_shaped(rng, m, n, density);
   const auto dense_cols = densify(p);
+  const lp::ColumnPanels panels(p);
 
   std::vector<double> y(m);
   for (auto& v : y) v = rng.uniform(-1.0, 1.0);
@@ -117,19 +125,22 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
   double sink = 0.0;
 
   // Pricing sweep, dense: every column is an m-length dot product.
+  std::vector<double> dense_aty(n);
   const auto t0 = Clock::now();
   for (std::size_t r = 0; r < sweep_reps; ++r) {
     for (std::size_t j = 0; j < n; ++j) {
       const auto& col = dense_cols[j];
       double acc = 0.0;
       for (std::size_t i = 0; i < m; ++i) acc += col[i] * y[i];
-      sink += acc;
+      dense_aty[j] = acc;
     }
+    sink += dense_aty[r % n];
   }
   const double dense_sweep_s = seconds_since(t0);
 
-  // Pricing sweep, sparse: only stored nonzeros. Bit-identical accumulation.
-  double check = 0.0;
+  // Pricing sweep, csc: one dependent-add chain over each column's stored
+  // nonzeros. Bit-identical accumulation.
+  std::vector<double> csc_aty(n);
   const auto t1 = Clock::now();
   for (std::size_t r = 0; r < sweep_reps; ++r) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -138,11 +149,29 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
       for (std::size_t k = 0; k < col.nnz(); ++k) {
         acc += col.values[k] * y[static_cast<std::size_t>(col.rows[k])];
       }
-      check += acc;
+      csc_aty[j] = acc;
+    }
+    sink += csc_aty[r % n];
+  }
+  const double csc_sweep_s = seconds_since(t1);
+
+  // Pricing sweep, panels: the library pass the solver prices with.
+  std::vector<double> panel_aty(n);
+  const auto t4 = Clock::now();
+  for (std::size_t r = 0; r < sweep_reps; ++r) {
+    panels.multiply_transposed(y, panel_aty);
+    sink += panel_aty[r % n];
+  }
+  const double panel_sweep_s = seconds_since(t4);
+
+  for (std::size_t j = 0; j < n; ++j) {
+    if (csc_aty[j] != dense_aty[j] || panel_aty[j] != dense_aty[j]) {
+      std::fprintf(stderr,
+                   "pricing mismatch at m=%zu density=%.2f column %zu\n", m,
+                   density, j);
+      std::abort();
     }
   }
-  const double sparse_sweep_s = seconds_since(t1);
-  sink += check;
 
   // FTRAN: alpha = B^-1 A_j for a rotating set of columns.
   const std::size_t ftran_reps = std::max<std::size_t>(
@@ -200,8 +229,10 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
   const double sweep_cols =
       static_cast<double>(sweep_reps) * static_cast<double>(n);
   c.pricing_dense_ns = dense_sweep_s * 1e9 / sweep_cols;
-  c.pricing_sparse_ns = sparse_sweep_s * 1e9 / sweep_cols;
-  c.pricing_speedup = c.pricing_dense_ns / c.pricing_sparse_ns;
+  c.pricing_csc_ns = csc_sweep_s * 1e9 / sweep_cols;
+  c.pricing_panel_ns = panel_sweep_s * 1e9 / sweep_cols;
+  c.pricing_speedup = c.pricing_dense_ns / c.pricing_panel_ns;
+  c.pricing_panel_vs_csc = c.pricing_csc_ns / c.pricing_panel_ns;
   const double ftran_cols = static_cast<double>(ftran_reps) * 8.0;
   c.ftran_dense_ns = dense_ftran_s * 1e9 / ftran_cols;
   c.ftran_sparse_ns = sparse_ftran_s * 1e9 / ftran_cols;
@@ -478,16 +509,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf("kernel grid (pricing sweep + FTRAN, per column)\n");
-  std::printf("%5s %6s %8s %8s | %11s %11s %8s | %11s %11s %8s\n", "m", "n",
-              "density", "nnz", "price dn/ns", "price sp/ns", "speedup",
-              "ftran dn/ns", "ftran sp/ns", "speedup");
+  std::printf("%5s %6s %8s %8s | %11s %11s %11s %8s %8s | %11s %11s %8s\n",
+              "m", "n", "density", "nnz", "price dn/ns", "price csc/ns",
+              "price pnl/ns", "dn/pnl", "csc/pnl", "ftran dn/ns",
+              "ftran sp/ns", "speedup");
   for (const KernelCase& c : kernels) {
     std::printf(
-        "%5zu %6zu %8.2f %8.3f | %11.1f %11.1f %7.2fx | %11.1f %11.1f "
-        "%7.2fx\n",
-        c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns,
-        c.pricing_sparse_ns, c.pricing_speedup, c.ftran_dense_ns,
-        c.ftran_sparse_ns, c.ftran_speedup);
+        "%5zu %6zu %8.2f %8.3f | %11.1f %11.1f %11.1f %7.2fx %7.2fx | %11.1f "
+        "%11.1f %7.2fx\n",
+        c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns, c.pricing_csc_ns,
+        c.pricing_panel_ns, c.pricing_speedup, c.pricing_panel_vs_csc,
+        c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup);
   }
 
   // End-to-end: eval_core's warm-started relaxation path on generated
@@ -557,12 +589,14 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"m\": %zu, \"n\": %zu, \"density\": %.3f, \"nnz_frac\": %.4f, "
-        "\"pricing_dense_ns_per_col\": %.2f, \"pricing_sparse_ns_per_col\": "
-        "%.2f, \"pricing_speedup\": %.3f, \"ftran_dense_ns_per_col\": %.2f, "
-        "\"ftran_sparse_ns_per_col\": %.2f, \"ftran_speedup\": %.3f}%s\n",
-        c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns,
-        c.pricing_sparse_ns, c.pricing_speedup, c.ftran_dense_ns,
-        c.ftran_sparse_ns, c.ftran_speedup,
+        "\"pricing_dense_ns_per_col\": %.2f, \"pricing_csc_ns_per_col\": "
+        "%.2f, \"pricing_panel_ns_per_col\": %.2f, \"pricing_speedup\": "
+        "%.3f, \"pricing_panel_vs_csc\": %.3f, \"ftran_dense_ns_per_col\": "
+        "%.2f, \"ftran_sparse_ns_per_col\": %.2f, \"ftran_speedup\": "
+        "%.3f}%s\n",
+        c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns, c.pricing_csc_ns,
+        c.pricing_panel_ns, c.pricing_speedup, c.pricing_panel_vs_csc,
+        c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup,
         i + 1 < kernels.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"end_to_end\": [\n");

@@ -1,10 +1,10 @@
 // Dense row-major matrix with just the operations the simplex solver needs.
 // Constraint counts in this project reach m = 400 in the benchmark grid
-// (BENCH_lp_simplex.json sweeps m in {50, 200, 400}), and the dense kernels
-// only beat the sparse CSC kernels once column density reaches ~0.75 — below
-// that crossover the sparse path wins at every measured size. The solver
-// therefore prices/FTRANs sparsely and keeps dense storage only where it is
-// structurally dense: the basis inverse and its O(m^3) refactorization.
+// (BENCH_lp_simplex.json sweeps m in {50, 200, 400}). The constraint matrix
+// is never stored densely: the solver prices over column panels that keep
+// only the rows each 8-column panel touches (ColumnPanels) and FTRANs over
+// sparse CSC columns. Dense storage is kept only where it is structurally
+// dense: the basis inverse and its O(m^3) refactorization.
 #pragma once
 
 #include <cassert>

@@ -5,10 +5,14 @@
 // re-allocating the whole lp::Problem on every evaluation is pure waste.
 // ProblemFamily validates once at construction and exposes a cost-only
 // rebind(); lp::solve(family, ...) then skips per-solve validation entirely.
+// Because the constraint data is frozen, the family also builds the column
+// panels the simplex prices with once, and every copy shares them read-only.
 #pragma once
 
+#include <memory>
 #include <span>
 
+#include "carbon/lp/column_panels.hpp"
 #include "carbon/lp/problem.hpp"
 
 namespace carbon::lp {
@@ -20,11 +24,14 @@ class ProblemFamily {
   /// Copying a family does NOT re-validate (the invariant is preserved).
   explicit ProblemFamily(Problem problem);
 
-  /// Copies share the validated problem but start their own rebind count —
-  /// each EvalContext clones the shared prototype and counts locally.
-  ProblemFamily(const ProblemFamily& other) : p_(other.p_) {}
+  /// Copies share the validated problem and its column panels but start
+  /// their own rebind count — each EvalContext clones the shared prototype
+  /// and counts locally.
+  ProblemFamily(const ProblemFamily& other)
+      : p_(other.p_), panels_(other.panels_) {}
   ProblemFamily& operator=(const ProblemFamily& other) {
     p_ = other.p_;
+    panels_ = other.panels_;
     rebinds_ = 0;
     return *this;
   }
@@ -41,12 +48,19 @@ class ProblemFamily {
 
   [[nodiscard]] const Problem& problem() const noexcept { return p_; }
 
+  /// Column panels of the constraint matrix, built at construction and
+  /// shared by every copy (rebind() never touches them).
+  [[nodiscard]] const ColumnPanels& panels() const noexcept {
+    return *panels_;
+  }
+
   /// Number of rebind() calls since this object was constructed or copied
   /// (feeds the lp/family_rebinds backend counter).
   [[nodiscard]] long long rebinds() const noexcept { return rebinds_; }
 
  private:
   Problem p_;
+  std::shared_ptr<const ColumnPanels> panels_;
   long long rebinds_ = 0;
 };
 

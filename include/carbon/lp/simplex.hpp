@@ -7,21 +7,25 @@
 // per-evaluation LP bounds affordable inside an evolutionary loop.
 //
 // The inverse basis is maintained densely with product-form pivot updates and
-// periodic refactorization (Gauss-Jordan with partial pivoting), but every
-// kernel that touches constraint columns — pricing (column_dot), FTRAN
-// column formation, crash/residual accumulation, basis assembly — iterates
-// only the stored nonzeros. Skipping a `+= 0.0` term (and transposing a loop
-// whose skipped terms are exact zeros) is IEEE-exact, so the pivot sequence,
-// duals and primal values are bit-for-bit identical to the dense reference
-// kernels; SimplexOptions::use_dense_kernels keeps that reference path alive
-// for differential tests and benchmarks. Pricing is Dantzig's rule with an
-// automatic switch to Bland's rule after a stall threshold, which guarantees
-// termination.
+// periodic refactorization (Gauss-Jordan with partial pivoting). Pricing
+// computes A_j^T y for every structural column in one pass over the
+// ColumnPanels of the constraint matrix (8 columns per panel, independent
+// accumulators; see column_panels.hpp), then picks the entering column from
+// those values. FTRAN column formation, crash/residual accumulation and
+// basis assembly iterate only each column's stored nonzeros. Every kernel
+// adds each output's terms in ascending row order, and a skipped or padded
+// term adds an exact +-0.0 to a sum that starts at +0.0, so the pivot
+// sequence, duals and primal values are bit-for-bit identical to the dense
+// reference kernels; SimplexOptions::use_dense_kernels keeps that reference
+// path (per-column dense pricing) alive for differential tests and
+// benchmarks. Pricing is Dantzig's rule with an automatic switch to Bland's
+// rule after a stall threshold, which guarantees termination.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "carbon/lp/column_panels.hpp"
 #include "carbon/lp/dense_matrix.hpp"
 #include "carbon/lp/problem.hpp"
 #include "carbon/lp/problem_family.hpp"
@@ -29,7 +33,9 @@
 namespace carbon::lp {
 
 struct SimplexOptions {
-  /// Hard cap on pivots across both phases; 0 means `50 * (rows + vars)`.
+  /// Hard cap on pivots across both phases; 0 means
+  /// `50 * (m + n + 2m) + 200` for m rows and n structural variables (the
+  /// solver's columns are the n structurals, m slacks and m artificials).
   int max_iterations = 0;
   /// Switch from Dantzig to Bland pricing after this many pivots in a phase.
   int bland_threshold = 2000;
@@ -39,9 +45,10 @@ struct SimplexOptions {
   double optimality_tol = 1e-7;
   double pivot_tol = 1e-9;
   /// Route pricing/FTRAN/accumulation through dense reference kernels that
-  /// materialize every column (the pre-sparse implementation). Produces
-  /// bit-identical solutions to the sparse kernels; exists for differential
-  /// tests and the dense-vs-sparse microbenchmark.
+  /// materialize every column and price one column at a time (the
+  /// pre-sparse implementation). Produces bit-identical solutions to the
+  /// panel/sparse kernels; exists for differential tests and the LP
+  /// microbenchmark.
   bool use_dense_kernels = false;
 };
 
@@ -72,20 +79,22 @@ struct SolveScratch {
   std::vector<detail::VarStatus> status, status_cand;
   std::vector<unsigned char> mark;
   std::vector<std::size_t> basis;
-  std::vector<double> xb, y, alpha, work, work2, col;
+  std::vector<double> xb, y, alpha, work, work2, col, aty;
   DenseMatrix binv, refactor;
 };
 
-/// Solves `problem` (minimization). The problem must pass validate().
+/// Solves `problem` (minimization). The problem must pass validate(); the
+/// column panels are built per call.
 /// When `warm` is non-null and holds a compatible basis, the solve starts
 /// from it (skipping Phase 1); on optimal exit the basis is written back.
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {},
                              Basis* warm = nullptr);
 
-/// Family fast path: skips validation (done once by ProblemFamily) and, when
-/// `scratch` is non-null, reuses its buffers instead of allocating. Results
-/// are bit-identical to solve(family.problem(), options, warm).
+/// Family fast path: skips validation and the panel build (both done once
+/// by ProblemFamily) and, when `scratch` is non-null, reuses its buffers
+/// instead of allocating. Results are bit-identical to
+/// solve(family.problem(), options, warm).
 [[nodiscard]] Solution solve(const ProblemFamily& family,
                              const SimplexOptions& options = {},
                              Basis* warm = nullptr,
@@ -96,14 +105,22 @@ namespace detail {
 /// Internal solver exposed for white-box testing.
 class SimplexSolver {
  public:
-  SimplexSolver(const Problem& problem, const SimplexOptions& options,
-                SolveScratch* scratch = nullptr);
+  /// `panels` must be built from `problem` (unused, and may be empty, under
+  /// use_dense_kernels).
+  SimplexSolver(const Problem& problem, const ColumnPanels& panels,
+                const SimplexOptions& options, SolveScratch* scratch = nullptr);
   Solution run(Basis* warm = nullptr);
 
  private:
   // Column j of the full (structural + slack + artificial) matrix, densely.
   void full_column(std::size_t j, std::vector<double>& out) const;
+  /// A_j^T y for a slack or artificial column, or (dense reference path
+  /// only) a structural column.
   double column_dot(std::size_t j, const std::vector<double>& y) const;
+  /// aty[j] = A_j^T y for every column: one panel pass over the structural
+  /// columns (one dense dot per column under use_dense_kernels), then the
+  /// single +-1 entry of each slack and artificial.
+  void price(const std::vector<double>& y, std::vector<double>& aty) const;
   /// out[i] += scale * A(i, j) over the stored nonzeros of column j.
   void axpy_column(std::size_t j, double scale, std::vector<double>& out) const;
   /// alpha = B^-1 A_j (the simplex FTRAN); tracks skipped MACs.
@@ -134,6 +151,7 @@ class SimplexSolver {
   void export_stats(Solution& sol) const;
 
   const Problem& p_;
+  const ColumnPanels& panels_;
   SimplexOptions opt_;
 
   std::size_t n_struct_ = 0;  // structural variables
@@ -169,6 +187,7 @@ class SimplexSolver {
   std::vector<unsigned char>& mark_;
   DenseMatrix& refactor_;
   std::vector<double>& y_;
+  std::vector<double>& aty_;  // A_j^T y of every column
   std::vector<double>& alpha_;
   std::vector<double>& work_;
   std::vector<double>& work2_;

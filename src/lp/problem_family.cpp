@@ -13,6 +13,7 @@ ProblemFamily::ProblemFamily(Problem problem) : p_(std::move(problem)) {
     throw std::invalid_argument("lp::ProblemFamily: malformed problem: " +
                                 err);
   }
+  panels_ = std::make_shared<const ColumnPanels>(p_);
 }
 
 void ProblemFamily::rebind(std::span<const double> c) {

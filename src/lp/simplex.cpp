@@ -15,23 +15,27 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
   if (!err.empty()) {
     throw std::invalid_argument("lp::solve: malformed problem: " + err);
   }
-  detail::SimplexSolver solver(problem, options);
+  const ColumnPanels panels =
+      options.use_dense_kernels ? ColumnPanels{} : ColumnPanels(problem);
+  detail::SimplexSolver solver(problem, panels, options);
   return solver.run(warm);
 }
 
 Solution solve(const ProblemFamily& family, const SimplexOptions& options,
                Basis* warm, SolveScratch* scratch) {
-  // ProblemFamily validated at construction; no per-solve validation.
-  detail::SimplexSolver solver(family.problem(), options, scratch);
+  // ProblemFamily validated and built its panels at construction.
+  detail::SimplexSolver solver(family.problem(), family.panels(), options,
+                               scratch);
   return solver.run(warm);
 }
 
 namespace detail {
 
-SimplexSolver::SimplexSolver(const Problem& problem,
+SimplexSolver::SimplexSolver(const Problem& problem, const ColumnPanels& panels,
                              const SimplexOptions& options,
                              SolveScratch* scratch)
     : p_(problem),
+      panels_(panels),
       opt_(options),
       cost_(scratch ? scratch->cost : own_.cost),
       lower_(scratch ? scratch->lower : own_.lower),
@@ -47,6 +51,7 @@ SimplexSolver::SimplexSolver(const Problem& problem,
       mark_(scratch ? scratch->mark : own_.mark),
       refactor_(scratch ? scratch->refactor : own_.refactor),
       y_(scratch ? scratch->y : own_.y),
+      aty_(scratch ? scratch->aty : own_.aty),
       alpha_(scratch ? scratch->alpha : own_.alpha),
       work_(scratch ? scratch->work : own_.work),
       work2_(scratch ? scratch->work2 : own_.work2) {
@@ -122,27 +127,28 @@ void SimplexSolver::full_column(std::size_t j, std::vector<double>& out) const {
 double SimplexSolver::column_dot(std::size_t j,
                                  const std::vector<double>& y) const {
   if (j < n_struct_) {
-    if (opt_.use_dense_kernels) {
-      const auto& col = dense_cols_[j];
-      double acc = 0.0;
-      for (std::size_t i = 0; i < m_; ++i) acc += col[i] * y[i];
-      return acc;
-    }
-    // Skipped terms are exact zeros (0.0 * y_i adds +-0.0, which never
-    // changes a sum that starts at +0.0), so this is bit-identical to the
-    // dense loop.
-    const SparseColumn& col = p_.columns[j];
-    const std::size_t nnz = col.nnz();
+    assert(opt_.use_dense_kernels);
+    const auto& col = dense_cols_[j];
     double acc = 0.0;
-    for (std::size_t k = 0; k < nnz; ++k) {
-      acc += col.values[k] * y[static_cast<std::size_t>(col.rows[k])];
-    }
+    for (std::size_t i = 0; i < m_; ++i) acc += col[i] * y[i];
     return acc;
   }
   if (j < n_struct_ + m_) {
     return slack_sign_[j - n_struct_] * y[j - n_struct_];
   }
   return art_sign_[j - n_struct_ - m_] * y[j - n_struct_ - m_];
+}
+
+void SimplexSolver::price(const std::vector<double>& y,
+                          std::vector<double>& aty) const {
+  if (opt_.use_dense_kernels) {
+    for (std::size_t j = 0; j < n_struct_; ++j) aty[j] = column_dot(j, y);
+  } else {
+    // Same terms in the same ascending row order per column, padded
+    // entries adding exact zeros: bit-identical to the dense loop above.
+    panels_.multiply_transposed(y, aty);
+  }
+  for (std::size_t j = n_struct_; j < n_total_; ++j) aty[j] = column_dot(j, y);
 }
 
 void SimplexSolver::axpy_column(std::size_t j, double scale,
@@ -464,6 +470,8 @@ void SimplexSolver::recompute_basic_values() {
 SolveStatus SimplexSolver::iterate(bool phase1) {
   std::vector<double>& y = y_;
   y.assign(m_, 0.0);
+  std::vector<double>& aty = aty_;
+  aty.assign(n_total_, 0.0);
   std::vector<double>& alpha = alpha_;
   alpha.assign(m_, 0.0);
   int phase_iterations = 0;
@@ -480,42 +488,33 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
     // Duals: y^T = cB^T B^-1.
     compute_duals(y);
 
-    // Pricing. Entering direction sigma: +1 when increasing from lower,
-    // -1 when decreasing from upper.
+    // Pricing: reduced cost d_j = c_j - A_j^T y. A nonbasic, non-fixed
+    // column at its lower bound scores -d_j, one at its upper bound d_j; it
+    // is eligible when the score exceeds optimality_tol. Dantzig takes the
+    // first maximum score (strict >), Bland the first eligible index.
+    price(y, aty);
     const bool bland = phase_iterations >= opt_.bland_threshold;
     std::size_t entering = n_total_;
-    double entering_sigma = 0.0;
     double best_score = opt_.optimality_tol;
     for (std::size_t j = 0; j < n_total_; ++j) {
-      if (status_[j] == VarStatus::kBasic) continue;
-      if (lower_[j] == upper_[j]) continue;  // fixed variable
-      const double d = cost_[j] - column_dot(j, y);
-      double score = 0.0;
-      double sigma = 0.0;
-      if (status_[j] == VarStatus::kAtLower && d < -opt_.optimality_tol) {
-        score = -d;
-        sigma = 1.0;
-      } else if (status_[j] == VarStatus::kAtUpper &&
-                 d > opt_.optimality_tol) {
-        score = d;
-        sigma = -1.0;
-      } else {
-        continue;
-      }
-      if (bland) {  // first eligible index
+      const VarStatus st = status_[j];
+      const double d = cost_[j] - aty[j];
+      const double score = st == VarStatus::kAtLower ? -d : d;
+      // `&` instead of `&&`: one rarely taken branch per column.
+      if ((st != VarStatus::kBasic) & (lower_[j] != upper_[j]) &
+          (score > best_score)) {
         entering = j;
-        entering_sigma = sigma;
-        break;
-      }
-      if (score > best_score) {
+        if (bland) break;
         best_score = score;
-        entering = j;
-        entering_sigma = sigma;
       }
     }
     if (entering == n_total_) {
       return SolveStatus::kOptimal;  // no improving direction
     }
+    // Entering direction: +1 when increasing from lower, -1 when
+    // decreasing from upper.
+    const double entering_sigma =
+        status_[entering] == VarStatus::kAtLower ? 1.0 : -1.0;
 
     // FTRAN: alpha = B^-1 A_entering.
     ftran(entering, alpha);
@@ -718,8 +717,10 @@ Solution SimplexSolver::run(Basis* warm) {
   sol.duals.assign(m_, 0.0);
   compute_duals(sol.duals);
   sol.reduced_costs.assign(n_struct_, 0.0);
+  aty_.assign(n_total_, 0.0);
+  price(sol.duals, aty_);
   for (std::size_t j = 0; j < n_struct_; ++j) {
-    sol.reduced_costs[j] = p_.objective[j] - column_dot(j, sol.duals);
+    sol.reduced_costs[j] = p_.objective[j] - aty_[j];
   }
   // Basis contains no artificials here unless a redundant row pinned one;
   // such a basis still warm-starts correctly (the artificial is fixed at 0),

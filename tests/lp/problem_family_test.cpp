@@ -87,6 +87,34 @@ TEST(ProblemFamily, RebindCopiesPrefixAndCountsCalls) {
   EXPECT_EQ(assigned.rebinds(), 0);
 }
 
+TEST(ProblemFamily, CopiesShareColumnPanelsAndRebindLeavesThemUntouched) {
+  ProblemFamily fam(covering_problem({10, 20, 30, 40, 50, 60}));
+  const ColumnPanels* panels = &fam.panels();
+  EXPECT_EQ(panels->num_cols(), 6u);
+  const std::size_t stored = panels->stored_rows();
+
+  const std::vector<double> y = {0.5, -1.25, 2.0, 3.5};
+  std::vector<double> before(6);
+  panels->multiply_transposed(y, before);
+
+  // Copies (EvalContext clones) share the one read-only build.
+  const ProblemFamily copy(fam);
+  EXPECT_EQ(&copy.panels(), panels);
+  ProblemFamily assigned(covering_problem({1, 1, 1, 1, 1, 1}));
+  EXPECT_NE(&assigned.panels(), panels);
+  assigned = fam;
+  EXPECT_EQ(&assigned.panels(), panels);
+
+  // Costs are not part of the panels: a rebind keeps the same object with
+  // the same contents.
+  fam.rebind(std::vector<double>{9.0, 8.0, 7.0});
+  EXPECT_EQ(&fam.panels(), panels);
+  EXPECT_EQ(fam.panels().stored_rows(), stored);
+  std::vector<double> after(6);
+  fam.panels().multiply_transposed(y, after);
+  EXPECT_EQ(before, after);
+}
+
 TEST(ProblemFamily, FamilySolveMatchesPlainSolveAcrossRebinds) {
   // A reused family + scratch + carried basis must produce the SAME bits as
   // building and solving a fresh validated Problem with the same warm basis
