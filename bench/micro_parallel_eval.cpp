@@ -2,27 +2,26 @@
 //
 // Two sections, both written to BENCH_parallel_eval.json:
 //
-//   grid — the scheduler-vs-parallel_for engine grid: batches of
-//   spin-calibrated jobs with three cost profiles (uniform, skewed,
-//   heavy_tail — the skewed shapes mimic a CARBON generation, where most
-//   jobs are relaxation-cache hits and a few pay the full solve) dispatched
-//   through common::TaskScheduler and common::ThreadPool::parallel_for at
-//   1/2/4/8 workers. Every cell asserts the two engines produce bit-equal
-//   result checksums before timing, so a speedup can never come from a
-//   semantic divergence. The scheduler's win is per-task overhead: blocks
-//   are pre-dealt to lock-free deques instead of a packaged_task + future +
-//   global-mutex round trip per job — visible even on a single hardware
-//   thread, and the skewed profiles add the steal-vs-barrier gap on many.
+//   grid — batches of spin-calibrated jobs with three cost profiles
+//   (uniform, skewed, heavy_tail — the skewed shapes mimic a CARBON
+//   generation, where most jobs are relaxation-cache hits and a few pay the
+//   full solve) run as a plain serial loop on the calling thread and
+//   through common::TaskScheduler with 1/2/4/8 workers next to the caller.
+//   Every cell asserts both produce bit-equal result checksums before
+//   timing, so a speedup can never come from a semantic divergence. The
+//   ratio is the scheduler's parallel speedup net of its coordination
+//   overhead (pre-dealt blocks on lock-free deques, stealing once a block
+//   drains).
 //
 //   evaluator — a CARBON-shaped workload (generations of pricing x
 //   heuristic batches, the pricing pool reused across generations) replayed
-//   through ParallelEvaluator under memo_xgen {off, on}, reporting
-//   evaluations/second, the cross-generation memo hit rate, and the
-//   scheduler's task/steal counters.
+//   through ParallelEvaluator, reporting evaluations/second, the
+//   cross-generation memo hit rate, and the scheduler's task/steal
+//   counters.
 //
-// Note the wall-clock numbers are bounded by the machine: on a single
-// hardware thread the parallel paths can only show their coordination
-// overhead (which is exactly what the grid isolates).
+// Note the wall-clock numbers are bounded by the machine: with fewer
+// hardware threads than participants the scheduler can only show its
+// coordination overhead; hardware_threads is recorded next to the grid.
 //
 // Usage: micro_parallel_eval [--smoke] [output.json]
 //   --smoke shrinks repetitions and the grid to a sub-second run for the
@@ -40,7 +39,6 @@
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/rng.hpp"
 #include "carbon/common/task_scheduler.hpp"
-#include "carbon/common/thread_pool.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/generate.hpp"
@@ -63,7 +61,7 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 /// Spins for `rounds` mixer iterations and returns the running hash (the
-/// job's "result" — checksummed to pin engine bit-equality).
+/// job's "result" — checksummed to pin serial/scheduler bit-equality).
 std::uint64_t spin(std::uint64_t seed, std::uint64_t rounds) {
   std::uint64_t h = seed;
   for (std::uint64_t r = 0; r < rounds; ++r) h = mix(h + r);
@@ -112,14 +110,14 @@ double cost_heavy_tail(std::size_t i) { return i == 7 ? 500.0 : 1.0; }
 
 struct GridCell {
   const char* profile;
-  std::size_t threads;
+  std::size_t workers;  ///< TaskScheduler workers (plus the caller)
   std::size_t jobs;
-  double pool_ms;   ///< ThreadPool::parallel_for, best-of-reps
-  double sched_ms;  ///< TaskScheduler::parallel_for, best-of-reps
-  double speedup;   ///< pool_ms / sched_ms
+  double serial_ms;  ///< plain loop on the calling thread, best-of-reps
+  double sched_ms;   ///< TaskScheduler::parallel_for, best-of-reps
+  double speedup;    ///< serial_ms / sched_ms
 };
 
-GridCell run_grid_cell(const CostProfile& profile, std::size_t threads,
+GridCell run_grid_cell(const CostProfile& profile, std::size_t workers,
                        std::size_t jobs, double rounds_per_us, int reps) {
   std::vector<std::uint64_t> rounds(jobs);
   for (std::size_t i = 0; i < jobs; ++i) {
@@ -133,26 +131,28 @@ GridCell run_grid_cell(const CostProfile& profile, std::size_t threads,
     return h;
   };
 
-  common::ThreadPool pool(threads);
-  common::TaskScheduler sched(threads);
+  const auto serial = [&] {
+    for (std::size_t i = 0; i < jobs; ++i) job(i);
+  };
+  common::TaskScheduler sched(workers);
 
   // Bit-equality guard (and warm-up) before any timing.
-  pool.parallel_for(jobs, job);
+  serial();
   const std::uint64_t want = checksum();
   sched.parallel_for(jobs, [&](std::size_t, std::size_t i) { job(i); });
   if (checksum() != want) {
-    std::fprintf(stderr, "engine checksum mismatch\n");
+    std::fprintf(stderr, "scheduler checksum mismatch\n");
     std::abort();
   }
 
-  GridCell cell{profile.name, threads, jobs, 1e300, 1e300, 0.0};
+  GridCell cell{profile.name, workers, jobs, 1e300, 1e300, 0.0};
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    pool.parallel_for(jobs, job);
+    serial();
     auto t1 = Clock::now();
-    const double pool_ms =
+    const double serial_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (pool_ms < cell.pool_ms) cell.pool_ms = pool_ms;
+    if (serial_ms < cell.serial_ms) cell.serial_ms = serial_ms;
 
     t0 = Clock::now();
     sched.parallel_for(jobs, [&](std::size_t, std::size_t i) { job(i); });
@@ -161,7 +161,7 @@ GridCell run_grid_cell(const CostProfile& profile, std::size_t threads,
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (sched_ms < cell.sched_ms) cell.sched_ms = sched_ms;
   }
-  cell.speedup = cell.pool_ms / cell.sched_ms;
+  cell.speedup = cell.serial_ms / cell.sched_ms;
   return cell;
 }
 
@@ -212,7 +212,6 @@ Workload make_workload(bool smoke) {
 
 struct EvalRow {
   std::size_t threads;
-  bool memo_xgen;
   double seconds = 0.0;
   long long evals = 0;
   double evals_per_s = 0.0;
@@ -223,11 +222,8 @@ struct EvalRow {
   long long sched_steals = 0;
 };
 
-EvalRow run_eval_row(const Workload& w, std::size_t threads, bool memo) {
-  bcpop::ParallelEvaluator::Options opt;
-  opt.threads = threads;
-  opt.memo_xgen = memo;
-  bcpop::ParallelEvaluator eval(w.instance, opt);
+EvalRow run_eval_row(const Workload& w, std::size_t threads) {
+  bcpop::ParallelEvaluator eval(w.instance, threads);
 
   const auto t0 = Clock::now();
   for (int g = 0; g < w.generations; ++g) {
@@ -238,7 +234,6 @@ EvalRow run_eval_row(const Workload& w, std::size_t threads, bool memo) {
 
   EvalRow row;
   row.threads = threads;
-  row.memo_xgen = memo;
   row.seconds = std::chrono::duration<double>(t1 - t0).count();
   row.evals = static_cast<long long>(w.batch.size()) * w.generations;
   row.evals_per_s = static_cast<double>(row.evals) / row.seconds;
@@ -285,11 +280,11 @@ int main(int argc, char** argv) {
       grid.push_back(run_grid_cell(profile, t, jobs, rounds_per_us, reps));
     }
   }
-  std::printf("%-11s %8s %6s %12s %12s %9s\n", "profile", "threads", "jobs",
-              "pool ms", "sched ms", "speedup");
+  std::printf("%-11s %8s %6s %12s %12s %9s\n", "profile", "workers", "jobs",
+              "serial ms", "sched ms", "speedup");
   for (const GridCell& c : grid) {
     std::printf("%-11s %8zu %6zu %12.3f %12.3f %8.2fx\n", c.profile,
-                c.threads, c.jobs, c.pool_ms, c.sched_ms, c.speedup);
+                c.workers, c.jobs, c.serial_ms, c.sched_ms, c.speedup);
   }
 
   // --- Section 2: evaluator replay ---
@@ -298,16 +293,14 @@ int main(int argc, char** argv) {
               w.batch.size(), w.generations);
   std::vector<EvalRow> rows;
   for (const std::size_t t : thread_counts) {
-    for (const bool memo : {false, true}) {
-      rows.push_back(run_eval_row(w, t, memo));
-    }
+    rows.push_back(run_eval_row(w, t));
   }
-  std::printf("%8s %5s %9s %12s %11s %10s %8s\n", "threads", "memo", "sec",
-              "evals/s", "relax-hits", "xgen-hits", "steals");
+  std::printf("%8s %9s %12s %11s %10s %8s\n", "threads", "sec", "evals/s",
+              "relax-hits", "xgen-hits", "steals");
   for (const EvalRow& r : rows) {
-    std::printf("%8zu %5d %9.3f %12.0f %11lld %10lld %8lld\n", r.threads,
-                r.memo_xgen ? 1 : 0, r.seconds, r.evals_per_s, r.relax_hits,
-                r.xgen_hits, r.sched_steals);
+    std::printf("%8zu %9.3f %12.0f %11lld %10lld %8lld\n", r.threads,
+                r.seconds, r.evals_per_s, r.relax_hits, r.xgen_hits,
+                r.sched_steals);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -321,10 +314,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const GridCell& c = grid[i];
     std::fprintf(f,
-                 "    {\"profile\": \"%s\", \"threads\": %zu, \"jobs\": %zu, "
-                 "\"parallel_for_ms\": %.3f, \"stealing_ms\": %.3f, "
+                 "    {\"profile\": \"%s\", \"workers\": %zu, \"jobs\": %zu, "
+                 "\"serial_ms\": %.3f, \"sched_ms\": %.3f, "
                  "\"speedup\": %.3f}%s\n",
-                 c.profile, c.threads, c.jobs, c.pool_ms, c.sched_ms,
+                 c.profile, c.workers, c.jobs, c.serial_ms, c.sched_ms,
                  c.speedup, i + 1 < grid.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"evaluator\": [\n");
@@ -332,13 +325,12 @@ int main(int argc, char** argv) {
     const EvalRow& r = rows[i];
     std::fprintf(
         f,
-        "    {\"threads\": %zu, \"memo_xgen\": %s, "
-        "\"seconds\": %.4f, \"evals_per_s\": %.0f, \"relax_solves\": %lld, "
-        "\"relax_hits\": %lld, \"xgen_hits\": %lld, \"sched_tasks\": %lld, "
-        "\"sched_steals\": %lld}%s\n",
-        r.threads, r.memo_xgen ? "true" : "false", r.seconds,
-        r.evals_per_s, r.relax_solves, r.relax_hits, r.xgen_hits,
-        r.sched_tasks, r.sched_steals, i + 1 < rows.size() ? "," : "");
+        "    {\"threads\": %zu, \"seconds\": %.4f, \"evals_per_s\": %.0f, "
+        "\"relax_solves\": %lld, \"relax_hits\": %lld, \"xgen_hits\": %lld, "
+        "\"sched_tasks\": %lld, \"sched_steals\": %lld}%s\n",
+        r.threads, r.seconds, r.evals_per_s, r.relax_solves, r.relax_hits,
+        r.xgen_hits, r.sched_tasks, r.sched_steals,
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

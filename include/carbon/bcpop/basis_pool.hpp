@@ -38,7 +38,7 @@ enum class LpWarm : unsigned char {
   /// baseline on miss/rejection). A new golden axis: degenerate LPs with
   /// alternate optima can surface different — equally optimal — duals/x̄
   /// depending on the start basis, so trajectories differ from baseline
-  /// while remaining deterministic across threads/compiled_scoring.
+  /// while remaining deterministic across thread counts and SIMD paths.
   kPool
 };
 

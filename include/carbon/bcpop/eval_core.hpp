@@ -61,11 +61,10 @@ struct EvalContext {
   /// path stops paying two heap allocations per evaluation.
   lp::Basis basis_scratch;
   // Evaluation scratch, reused across solves so the hot path never
-  // allocates: the interpreter's operand stack (trees > 64 nodes), the
-  // compiled program's register file (num_registers x bundles doubles),
-  // the batched greedy's working memory (residuals, feature columns, score
-  // buffer, dirty set), and the static fast path's score column.
-  std::vector<double> op_scratch;
+  // allocates: the compiled program's register file (num_registers x
+  // bundles doubles), the batched greedy's working memory (residuals,
+  // feature columns, score buffer, dirty set), and the static fast path's
+  // score column.
   std::vector<double> reg_scratch;
   cover::GreedyScratch greedy_scratch;
   std::vector<double> static_scores;
@@ -137,16 +136,6 @@ struct ConstructionBudget {
 void record_lp_metrics(obs::MetricsRegistry* metrics,
                        const cover::Relaxation& relax);
 
-/// Greedy driven by a GP scoring tree; takes the sort-based static fast path
-/// when the tree ignores residual-dependent terminals. When `polish` is set,
-/// feasible covers are improved with cover::local_search (memetic variant).
-/// `greedy` carries the construction-stage budget (from plan_construction);
-/// the default is unlimited and reproduces the historical behavior exactly.
-[[nodiscard]] cover::SolveResult solve_with_heuristic(
-    EvalContext& ctx, const cover::Relaxation& relax,
-    std::span<const double> pricing, const gp::Tree& heuristic, bool polish,
-    const cover::GreedyOptions& greedy = {});
-
 /// Greedy driven by a compiled GP program, batch-scored in SoA layout
 /// through the incremental cover::greedy_solve_batched: round 1 scores
 /// every bundle, later rounds rescore only the dirty set the last selection
@@ -154,9 +143,9 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
 /// bundle when it reads BRES). Programs that are static *after*
 /// simplification (CompiledProgram::is_static — catches trees like
 /// (sub QCOV QCOV) that the syntactic check misses) take the sort-based
-/// fast path. Produces bit-identical covers to solve_with_heuristic on the
-/// same tree (the CompiledProgram equivalence contract; finite features
-/// only, which the solve path guarantees). When `metrics` is non-null the
+/// fast path. Produces bit-identical covers to the tree interpreter driving
+/// cover::greedy_solve on the same tree (the CompiledProgram equivalence
+/// contract; finite features only, which the solve path guarantees). When `metrics` is non-null the
 /// rescoring effort is recorded as greedy/rounds, greedy/bundles_rescored,
 /// greedy/rescore_slots counters and a greedy/rescored_frac gauge.
 [[nodiscard]] cover::SolveResult solve_with_program(
@@ -167,17 +156,16 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
 
 /// Per-batch score memo: jobs whose (scoring tree, pricing, purpose) key
 /// repeats within one heuristic batch are evaluated once and the result is
-/// scattered to every duplicate. With compiled scoring on, trees are keyed
-/// by their CANONICAL form, so genomes that differ syntactically but
-/// simplify to the same program (common after a few GP generations) also
-/// collapse; each unique tree is compiled exactly once per batch. The plan
+/// scattered to every duplicate. Trees are keyed by their CANONICAL form,
+/// so genomes that differ syntactically but simplify to the same program
+/// (common after a few GP generations) also collapse; each distinct tree is
+/// compiled exactly once per batch. The plan
 /// is computed before any fan-out, so deduplication is lock-free and
 /// thread-count independent.
 struct HeuristicBatchPlan {
   struct Unique {
     std::size_t job_index;  ///< Representative job for this key.
-    /// Program compiled from the representative's tree; null when compiled
-    /// scoring is off (the interpreter path is used instead).
+    /// Program compiled from the representative's tree (never null).
     std::shared_ptr<const gp::CompiledProgram> program;
   };
   std::vector<Unique> uniques;
@@ -190,7 +178,7 @@ struct HeuristicBatchPlan {
 };
 
 [[nodiscard]] HeuristicBatchPlan plan_heuristic_batch(
-    std::span<const HeuristicJob> jobs, bool compiled_scoring);
+    std::span<const HeuristicJob> jobs);
 
 /// Greedy driven by an arbitrary scoring function (baselines, tests).
 [[nodiscard]] cover::SolveResult solve_with_score(

@@ -80,8 +80,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
     /// 0 = hardware concurrency.
     std::size_t threads = 0;
     std::size_t relaxation_cache_capacity = 4096;
-    /// Cross-generation score memoization (docs/ALGORITHMS.md §14).
-    bool memo_xgen = true;
+    /// Bound on the cross-generation score memo (docs/ALGORITHMS.md §14).
     std::size_t score_cache_capacity = 4096;
     /// Start basis of the relaxation solves: the fixed base-cost basis
     /// (kBaseline, default) or the nearest pooled one (kPool, which also
@@ -108,8 +107,9 @@ class ParallelEvaluator final : public EvaluatorInterface {
 
   /// Scalar entry points run on the calling thread's context (participant
   /// 0) through the same staged resolve as a one-job batch, sharing the
-  /// caches and counters. Scoring trees without residual-dependent
-  /// terminals take the sort-based cover::greedy_solve_static fast path.
+  /// caches and counters. Scoring trees are compiled (gp::CompiledProgram);
+  /// programs without residual-dependent terminals take the sort-based
+  /// cover::greedy_solve_static fast path.
   Evaluation evaluate_with_heuristic(std::span<const double> pricing,
                                      const gp::Tree& heuristic,
                                      EvalPurpose purpose) override;
@@ -142,21 +142,6 @@ class ParallelEvaluator final : public EvaluatorInterface {
     polish_ = enabled;
   }
   [[nodiscard]] bool polish() const noexcept { return polish_; }
-
-  /// When enabled (the default), scoring trees are compiled into batched
-  /// SoA bytecode (one compile per distinct genome per batch) instead of
-  /// being re-interpreted per bundle — bit-identical results, see
-  /// gp::CompiledProgram. Configure before submitting work; not
-  /// synchronized against in-flight batches. Toggling drops the
-  /// cross-generation score cache (the backends key by different node
-  /// forms: canonical vs raw).
-  void set_compiled_scoring(bool enabled) noexcept {
-    if (enabled != compiled_scoring_) xgen_.clear();
-    compiled_scoring_ = enabled;
-  }
-  [[nodiscard]] bool compiled_scoring() const noexcept {
-    return compiled_scoring_;
-  }
 
   [[nodiscard]] std::span<const ea::Bounds> price_bounds() const override {
     return inst_.price_bounds();
@@ -206,15 +191,10 @@ class ParallelEvaluator final : public EvaluatorInterface {
   }
 
   /// Cross-generation score memoization (docs/ALGORITHMS.md §14): finished
-  /// heuristic Evaluations are cached across batches and generations. Hits
-  /// still charge the Table II budgets, so trajectories are bit-identical
-  /// either way. Suspended automatically while the wall-clock watchdog is
-  /// armed. Configure between batches.
-  void set_memo_xgen(bool enabled) noexcept {
-    if (!enabled) xgen_.clear();
-    memo_xgen_ = enabled;
-  }
-  [[nodiscard]] bool memo_xgen() const noexcept { return memo_xgen_; }
+  /// heuristic Evaluations are cached across batches and generations, keyed
+  /// by the canonical program. Hits still charge the Table II budgets, so
+  /// trajectories are bit-identical to fresh solves. Suspended while the
+  /// wall-clock watchdog is armed.
   [[nodiscard]] const ScoreCache& score_cache() const noexcept {
     return xgen_;
   }
@@ -262,7 +242,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// True when the cross-generation cache may serve/absorb results right
   /// now (armed watchdog makes evaluations wall-clock-dependent).
   [[nodiscard]] bool xgen_active() const noexcept {
-    return memo_xgen_ && guard_.limits.watchdog_seconds <= 0.0;
+    return guard_.limits.watchdog_seconds <= 0.0;
   }
 
   /// The staged relaxation resolve behind every evaluation (see the header
@@ -302,10 +282,11 @@ class ParallelEvaluator final : public EvaluatorInterface {
   Evaluation construct_with(EvalContext& ctx, const cover::Relaxation& relax,
                             std::span<const double> pricing,
                             EvalPurpose purpose, const Solve& solve);
-  /// Construction for a heuristic job. Null `program` = interpreter.
+  /// Construction for a heuristic job scored by `program` (compiled from
+  /// job.heuristic).
   Evaluation finish_heuristic(EvalContext& ctx, const cover::Relaxation& relax,
                               const HeuristicJob& job,
-                              const gp::CompiledProgram* program);
+                              const gp::CompiledProgram& program);
   /// Construction (repair) for a genome job.
   Evaluation finish_selection(EvalContext& ctx, const cover::Relaxation& relax,
                               const SelectionJob& job);
@@ -326,7 +307,6 @@ class ParallelEvaluator final : public EvaluatorInterface {
   common::TaskScheduler scheduler_;
   RelaxationCache cache_;
   ScoreCache xgen_;
-  bool memo_xgen_;
   /// contexts_[p] belongs to scheduler participant p (0 = the caller).
   std::vector<std::unique_ptr<EvalContext>> contexts_;
   // Everything below is only ever touched on the submitting thread, in
@@ -351,7 +331,6 @@ class ParallelEvaluator final : public EvaluatorInterface {
   long long base_iter_sum_ = 0;
   long long base_iter_count_ = 0;
   bool polish_ = false;
-  bool compiled_scoring_ = true;
   obs::MetricsRegistry* metrics_ = nullptr;
   guard::GuardConfig guard_{};
   long long inject_at_ = -1;  ///< Absolute ll ordinal to trip; -1 = never.

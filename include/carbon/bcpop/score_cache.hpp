@@ -9,12 +9,11 @@
 //
 // Keying: (scoring-tree nodes × pricing × purpose), hashed FNV-1a over the
 // raw bit patterns and always re-verified bitwise on lookup — a hash
-// collision costs a comparison, never a wrong result. With compiled scoring
-// the caller keys by the CANONICAL program nodes, so syntactically different
-// genomes that simplify to the same program share one entry (the same merge
-// rule the per-batch plan applies); with the interpreter it keys by the raw
-// tree. Everything else an Evaluation depends on (guard limits, the polish
-// toggle, the scoring backend) is held fixed by the owning evaluator, which
+// collision costs a comparison, never a wrong result. The caller keys by the
+// CANONICAL program nodes, so syntactically different genomes that simplify
+// to the same program share one entry (the same merge rule the per-batch
+// plan applies). Everything else an Evaluation depends on (guard limits,
+// the polish toggle) is held fixed by the owning evaluator, which
 // clears the cache whenever one of them changes — see
 // ParallelEvaluator::set_guard.
 //

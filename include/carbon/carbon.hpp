@@ -7,7 +7,7 @@
 // examples and downstream prototyping.
 //
 // Subsystem map (see README.md and docs/ALGORITHMS.md):
-//   common/    RNG, statistics, thread pool, CSV, CLI parsing
+//   common/    RNG, statistics, task scheduler, CSV, CLI parsing
 //   lp/        bounded-variable revised simplex
 //   cover/     multicover instances, bounds, greedy/exact/local search
 //   gp/        GP hyper-heuristic engine (trees over Table I primitives)
@@ -39,7 +39,6 @@
 #include "carbon/common/statistics.hpp"
 #include "carbon/common/stopwatch.hpp"
 #include "carbon/common/task_scheduler.hpp"
-#include "carbon/common/thread_pool.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/core/checkpoint.hpp"
 #include "carbon/core/config.hpp"

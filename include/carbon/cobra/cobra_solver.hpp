@@ -63,18 +63,9 @@ struct CobraConfig {
   /// semantics as CarbonConfig::eval_threads.
   std::size_t eval_threads = 1;
 
-  /// Cross-generation score memoization; same semantics as
-  /// CarbonConfig::memo_xgen (only the heuristic path consults it).
-  bool memo_xgen = true;
-
   /// Start basis of the LL relaxation LPs; same semantics as
   /// CarbonConfig::lp_warm.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
-
-  /// Compile GP scoring trees to batched bytecode (relevant only when a
-  /// heuristic-driven path is exercised through this solver's evaluator);
-  /// same semantics as CarbonConfig::compiled_scoring.
-  bool compiled_scoring = true;
 
   std::uint64_t seed = 1;
   bool record_convergence = true;

@@ -1,12 +1,12 @@
-// Deterministic work-stealing task scheduler for index-space batches.
+// Deterministic work-stealing task scheduler for index-space batches — the
+// one thread engine of the library: the evaluator's batch fan-out and the
+// experiment runner's replications both run on it.
 //
-// ThreadPool::parallel_for pushes one heap-allocated packaged_task per index
-// through a single mutex-guarded queue and joins a future per task — fine
-// for a handful of experiment replications, but measurable overhead when a
-// CARBON generation fans out hundreds of sub-millisecond evaluation jobs,
-// and a single slow job (an LP-relaxation cache miss) parks every worker on
-// the final barrier while the queue sits empty. TaskScheduler replaces that
-// with the classic work-stealing design:
+// A CARBON generation fans out hundreds of sub-millisecond evaluation jobs,
+// and a single slow job (an LP-relaxation cache miss) must not park every
+// other thread on the final barrier. A per-index task queue would pay a
+// heap allocation, a future and a global-mutex round trip per job;
+// TaskScheduler instead uses the classic work-stealing design:
 //
 //   * each PARTICIPANT (the calling thread plus `workers()` persistent
 //     threads) owns a Chase-Lev-style deque of job indices. A batch
@@ -25,15 +25,14 @@
 // by some participant, and commits its result into slot i of a
 // caller-provided array. Jobs that are pure functions of their inputs (the
 // eval_core contract) therefore produce an identical result array for any
-// thread count and any steal schedule — the same argument ThreadPool's
-// parallel_for relies on, minus the per-task queue/future traffic. The
-// scheduler-level counters (tasks, steals, idle time) are timing-dependent
-// and surface only through observability, never through results.
+// thread count and any steal schedule. The scheduler-level counters
+// (tasks, steals, idle time) are timing-dependent and surface only through
+// observability, never through results.
 //
-// Exceptions: every job runs even if an earlier one threw (results must not
-// dangle, same rationale as ThreadPool::parallel_for); afterwards the
-// lowest-index exception is rethrown on the calling thread, which makes the
-// failure choice deterministic too.
+// Exceptions: every job runs even if an earlier one threw (jobs capture the
+// caller's locals by reference, so returning early would let them dangle);
+// afterwards the lowest-index exception is rethrown on the calling thread,
+// which makes the failure choice deterministic too.
 #pragma once
 
 #include <atomic>

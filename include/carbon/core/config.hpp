@@ -80,28 +80,15 @@ struct CarbonConfig {
   /// (per-thread contexts + ordered reduction; see docs/ALGORITHMS.md §7).
   std::size_t eval_threads = 1;
 
-  /// Cross-generation score memoization: finished heuristic Evaluations are
-  /// cached across generations, keyed by (canonical program × pricing ×
-  /// purpose). Hits still charge the Table II budgets, so trajectories are
-  /// bit-identical with it on or off (docs/ALGORITHMS.md §14).
-  bool memo_xgen = true;
-
   /// Start basis of the LL relaxation LPs (docs/ALGORITHMS.md §15). Every
   /// evaluation resolves its relaxation through the same staged path; this
   /// only picks where a cache miss's simplex starts. kBaseline (default):
   /// the fixed base-cost basis — existing golden trajectories hold bit for
   /// bit. kPool: the nearest pooled basis, and final bases are committed
-  /// back to the pool (deterministic for any eval_threads ×
-  /// compiled_scoring, but a DIFFERENT golden axis: degenerate LPs can
-  /// surface alternate optimal duals/x̄ under a different start basis).
+  /// back to the pool (deterministic for any eval_threads and SIMD path,
+  /// but a DIFFERENT golden axis: degenerate LPs can surface alternate
+  /// optimal duals/x̄ under a different start basis).
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
-
-  /// Compile GP scoring trees to batched SoA bytecode (gp::CompiledProgram)
-  /// instead of interpreting them per bundle, and deduplicate repeated
-  /// (tree, pricing) jobs within a batch. Bit-identical trajectories either
-  /// way at a fixed seed (see docs/ALGORITHMS.md §8); off = the reference
-  /// interpreter, kept for differential testing.
-  bool compiled_scoring = true;
 
   std::uint64_t seed = 1;
   bool record_convergence = true;
@@ -121,7 +108,7 @@ struct CarbonConfig {
   /// Deterministic per-evaluation resource budgets + degradation ladder
   /// (docs/ALGORITHMS.md §13). Defaults are unlimited: the guarded path is
   /// then bitwise-identical to the historical unguarded one, for any
-  /// eval_threads × compiled_scoring × SIMD combination.
+  /// eval_threads × SIMD combination.
   guard::GuardConfig guard{};
 };
 

@@ -3,7 +3,7 @@
 // The paper's protocol: every (instance class, algorithm) cell is measured
 // over 30 independent runs; tables report the best %-gap and best UL
 // objective per run, aggregated. This harness runs R seeded replications
-// (in parallel when a thread pool is available), aggregates summaries and a
+// (in parallel on a common::TaskScheduler), aggregates summaries and a
 // Wilcoxon rank-sum comparison, and averages convergence traces for the
 // figure benches.
 #pragma once
@@ -47,7 +47,8 @@ struct ExperimentConfig {
   std::size_t heuristic_sample_size = 4;  ///< CARBON competition size
   std::uint64_t base_seed = 20180521;     ///< per-run seed = base + run
   bool record_convergence = false;
-  std::size_t threads = 0;                ///< 0 = hardware concurrency
+  /// Replication runs executed at once (at most); 0 = hardware concurrency.
+  std::size_t threads = 0;
 
   /// Crash-safe replication runs: when > 0, every checkpoint-capable run
   /// (CARBON, COBRA) writes its state to

@@ -3,7 +3,7 @@
 //
 // A production deployment cannot let one pathological instance stall a whole
 // experiment, but the repo's core guarantee — bit-identical trajectories for
-// any eval_threads × compiled_scoring × SIMD path — rules out wall-clock
+// any eval_threads × SIMD path — rules out wall-clock
 // limits as the default mechanism. Budgets are therefore counted in
 // deterministic work units (simplex iterations, subgradient iterations,
 // greedy selection rounds), and tripping a budget degrades the evaluation

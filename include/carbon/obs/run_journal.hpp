@@ -128,10 +128,12 @@ class RunJournal {
   RunJournal& operator=(const RunJournal&) = delete;
 
   /// Emits the "run_start" record and resets the per-run state (timing
-  /// baseline, wall clock). Solvers call this at run() entry.
+  /// baseline, wall clock). Solvers call this at run() entry. `simd` names
+  /// the GP kernel path (gp::simd::path_name()); it arrives as a string so
+  /// obs does not depend on gp.
   void begin_run(std::string_view algo, std::uint64_t seed,
-                 std::size_t eval_threads, bool compiled_scoring,
-                 std::string_view lp_warm);
+                 std::size_t eval_threads, std::string_view lp_warm,
+                 std::string_view simd);
 
   /// Emits one "resume" record (call after begin_run when restoring a
   /// checkpoint).

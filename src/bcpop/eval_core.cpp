@@ -274,58 +274,6 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
   metrics->add_counter("lp/ftran_nnz_skipped", relax.stats.ftran_nnz_skipped);
 }
 
-cover::SolveResult solve_with_heuristic(EvalContext& ctx,
-                                        const cover::Relaxation& relax,
-                                        std::span<const double> pricing,
-                                        const gp::Tree& heuristic, bool polish,
-                                        const cover::GreedyOptions& greedy) {
-  load_pricing(ctx, pricing);
-
-  if (gp::is_static_heuristic(heuristic)) {
-    // The score ignores the residual-dependent terminals, so it is constant
-    // per bundle: one evaluation per bundle plus a sorted sweep replaces the
-    // per-round argmax (identical semantics, see greedy_solve_static docs).
-    const std::size_t m = ctx.ll.num_bundles();
-    const std::size_t n = ctx.ll.num_services();
-    std::vector<double>& scores = ctx.static_scores;
-    scores.assign(m, 0.0);
-    for (std::size_t j = 0; j < m; ++j) {
-      cover::BundleFeatures f;
-      f.cost = ctx.ll.cost(j);
-      const auto row = ctx.ll.bundle(j);
-      for (std::size_t k = 0; k < n; ++k) {
-        f.qsum += row[k];
-        if (k < relax.duals.size()) f.dual += relax.duals[k] * row[k];
-      }
-      f.xbar = j < relax.relaxed_x.size() ? relax.relaxed_x[j] : 0.0;
-      const auto arr = gp::features_to_array(f);
-      scores[j] = heuristic.evaluate(
-          std::span<const double, gp::kNumTerminals>(arr), ctx.op_scratch);
-    }
-    cover::SolveResult solved =
-        cover::greedy_solve_static(ctx.ll, scores, greedy);
-    if (polish && solved.feasible) {
-      solved.value = cover::local_search(ctx.ll, solved.selection).value;
-    }
-    return solved;
-  }
-
-  // Hot path: the tree evaluation inlines into the greedy's scoring loop
-  // (no std::function indirection — this runs ~10^5 times per solver run).
-  cover::SolveResult solved = cover::greedy_solve_with(
-      ctx.ll,
-      [&heuristic, &ctx](const cover::BundleFeatures& f) {
-        const auto arr = gp::features_to_array(f);
-        return heuristic.evaluate(
-            std::span<const double, gp::kNumTerminals>(arr), ctx.op_scratch);
-      },
-      relax.duals, relax.relaxed_x, greedy);
-  if (polish && solved.feasible) {
-    solved.value = cover::local_search(ctx.ll, solved.selection).value;
-  }
-  return solved;
-}
-
 cover::SolveResult solve_with_program(EvalContext& ctx,
                                       const cover::Relaxation& relax,
                                       std::span<const double> pricing,
@@ -349,8 +297,8 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
     for (std::size_t j = 0; j < m && j < relax.relaxed_x.size(); ++j) {
       gs.xbar[j] = relax.relaxed_x[j];
     }
-    // The interpreter's static path leaves qcov/bres at their zero
-    // defaults; broadcast the same zeros (the program ignores them anyway).
+    // qcov/bres are round-dependent; broadcast zeros (the program ignores
+    // them anyway).
     const double zero = 0.0;
     gp::CompiledProgram::TerminalBatch batch;
     batch.columns[static_cast<std::size_t>(gp::Terminal::kCost)] =
@@ -386,8 +334,7 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
   return solved;
 }
 
-HeuristicBatchPlan plan_heuristic_batch(std::span<const HeuristicJob> jobs,
-                                        bool compiled_scoring) {
+HeuristicBatchPlan plan_heuristic_batch(std::span<const HeuristicJob> jobs) {
   HeuristicBatchPlan plan;
   plan.result_of.resize(jobs.size());
   if (jobs.empty()) return plan;
@@ -417,33 +364,27 @@ HeuristicBatchPlan plan_heuristic_batch(std::span<const HeuristicJob> jobs,
 
   // 2. Compile one program per content group, then merge groups whose
   //    CANONICAL forms coincide — syntactically different genomes that
-  //    simplify to the same program share one evaluation. With compiled
-  //    scoring off, merged groups are the content groups themselves.
+  //    simplify to the same program share one evaluation.
   std::vector<std::size_t> merged_of(content_rep.size());
   std::vector<std::shared_ptr<const gp::CompiledProgram>> merged_program;
-  if (compiled_scoring) {
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> canon_chains;
-    for (std::size_t g = 0; g < content_rep.size(); ++g) {
-      auto program = std::make_shared<const gp::CompiledProgram>(
-          gp::CompiledProgram::compile(*jobs[content_rep[g]].heuristic));
-      auto& chain = canon_chains[program->canonical_hash()];
-      std::size_t mid = merged_program.size();
-      for (std::size_t c : chain) {
-        if (std::ranges::equal(program->canonical_nodes(),
-                               merged_program[c]->canonical_nodes())) {
-          mid = c;
-          break;
-        }
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> canon_chains;
+  for (std::size_t g = 0; g < content_rep.size(); ++g) {
+    auto program = std::make_shared<const gp::CompiledProgram>(
+        gp::CompiledProgram::compile(*jobs[content_rep[g]].heuristic));
+    auto& chain = canon_chains[program->canonical_hash()];
+    std::size_t mid = merged_program.size();
+    for (std::size_t c : chain) {
+      if (std::ranges::equal(program->canonical_nodes(),
+                             merged_program[c]->canonical_nodes())) {
+        mid = c;
+        break;
       }
-      if (mid == merged_program.size()) {
-        merged_program.push_back(std::move(program));
-        chain.push_back(mid);
-      }
-      merged_of[g] = mid;
     }
-  } else {
-    merged_program.assign(content_rep.size(), nullptr);
-    for (std::size_t g = 0; g < content_rep.size(); ++g) merged_of[g] = g;
+    if (mid == merged_program.size()) {
+      merged_program.push_back(std::move(program));
+      chain.push_back(mid);
+    }
+    merged_of[g] = mid;
   }
 
   // 3. Key each job by (merged tree group, pricing content, purpose);

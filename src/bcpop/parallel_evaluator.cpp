@@ -31,7 +31,6 @@ ParallelEvaluator::ParallelEvaluator(const Instance& instance, Options options)
       scheduler_(workers_for(threads_)),
       cache_(options.relaxation_cache_capacity),
       xgen_(options.score_cache_capacity),
-      memo_xgen_(options.memo_xgen),
       basis_pool_(std::max<std::size_t>(options.basis_pool_capacity, 1)) {
   // Build + validate the relaxation structure and solve the base-cost LP
   // once, then stamp every per-participant context from the shared family.
@@ -138,16 +137,13 @@ Evaluation ParallelEvaluator::construct_with(
 
 Evaluation ParallelEvaluator::finish_heuristic(
     EvalContext& ctx, const cover::Relaxation& relax, const HeuristicJob& job,
-    const gp::CompiledProgram* program) {
-  return construct_with(
-      ctx, relax, job.pricing, job.purpose,
-      [&](const cover::GreedyOptions& options) {
-        return program != nullptr
-                   ? solve_with_program(ctx, relax, job.pricing, *program,
-                                        polish_, metrics_, options)
-                   : solve_with_heuristic(ctx, relax, job.pricing,
-                                          *job.heuristic, polish_, options);
-      });
+    const gp::CompiledProgram& program) {
+  return construct_with(ctx, relax, job.pricing, job.purpose,
+                        [&](const cover::GreedyOptions& options) {
+                          return solve_with_program(ctx, relax, job.pricing,
+                                                    program, polish_, metrics_,
+                                                    options);
+                        });
 }
 
 Evaluation ParallelEvaluator::finish_selection(EvalContext& ctx,
@@ -358,8 +354,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   // Plan the score memo on the calling thread BEFORE fan-out: the plan is a
   // pure function of the submitted jobs, so deduplication needs no locks
   // and the set of real solves is identical for any thread count.
-  const HeuristicBatchPlan plan =
-      plan_heuristic_batch(jobs, compiled_scoring_);
+  const HeuristicBatchPlan plan = plan_heuristic_batch(jobs);
   // Jobs are charged in submission order below, so job i's ll ordinal is
   // base + i — the same ordinal a scalar call sequence would assign. The
   // injection target is therefore identical for any batching.
@@ -369,9 +364,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
     return jobs[plan.uniques[u].job_index];
   };
   const auto key_nodes_of = [&](std::size_t u) -> std::span<const gp::Node> {
-    const HeuristicBatchPlan::Unique& uq = plan.uniques[u];
-    return uq.program != nullptr ? uq.program->canonical_nodes()
-                                 : job_of(u).heuristic->nodes();
+    return plan.uniques[u].program->canonical_nodes();
   };
 
   // Cross-generation memo: probe on the calling thread in unique order (so
@@ -401,11 +394,11 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   const std::vector<Resolved> resolved = resolve_relaxations(pricings);
   for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
     const std::size_t u = misses[m];
-    const gp::CompiledProgram* program = plan.uniques[u].program.get();
     unique_results[u] = construct_resolved(
         resolved[m], job_of(u).pricing, job_of(u).purpose,
         [&](const cover::Relaxation& relax) {
-          return finish_heuristic(ctx, relax, job_of(u), program);
+          return finish_heuristic(ctx, relax, job_of(u),
+                                  *plan.uniques[u].program);
         });
   });
 
@@ -425,7 +418,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
       EvalContext& ctx = *contexts_[0];
       results[i] = finish_heuristic(
           ctx, injected_relaxation(ctx, jobs[i].pricing), jobs[i],
-          plan.uniques[plan.result_of[i]].program.get());
+          *plan.uniques[plan.result_of[i]].program);
     } else {
       results[i] = unique_results[plan.result_of[i]];
     }
@@ -484,19 +477,12 @@ Evaluation ParallelEvaluator::evaluate_with_heuristic(
   const HeuristicJob job{pricing, &heuristic, purpose};
   const bool injected = charge(purpose);
 
-  const gp::CompiledProgram* program = nullptr;
-  gp::CompiledProgram compiled;
-  if (compiled_scoring_) {
-    compiled = gp::CompiledProgram::compile(heuristic);
-    program = &compiled;
-  }
-  // Cross-generation memo, keyed by the canonical program (compiled
-  // scoring) or the raw tree (interpreter); skipped for injected jobs —
-  // their degradation is ordinal-dependent. A hit still charges the full
-  // budget.
+  const gp::CompiledProgram program = gp::CompiledProgram::compile(heuristic);
+  // Cross-generation memo, keyed by the canonical program; skipped for
+  // injected jobs — their degradation is ordinal-dependent. A hit still
+  // charges the full budget.
   const bool use_xgen = xgen_active() && !injected;
-  const std::span<const gp::Node> key_nodes =
-      program != nullptr ? program->canonical_nodes() : heuristic.nodes();
+  const std::span<const gp::Node> key_nodes = program.canonical_nodes();
   if (use_xgen) {
     Evaluation cached;
     if (xgen_.lookup(key_nodes, pricing, purpose, &cached)) {

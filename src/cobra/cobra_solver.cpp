@@ -9,6 +9,7 @@
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/statistics.hpp"
 #include "carbon/ea/archive.hpp"
+#include "carbon/gp/simd.hpp"
 
 namespace carbon::cobra {
 
@@ -97,10 +98,8 @@ core::RunResult CobraSolver::run() {
   bcpop::ParallelEvaluator eval(
       *inst_,
       bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
-                                        .memo_xgen = cfg_.memo_xgen,
                                         .lp_warm = cfg_.lp_warm,
                                         .basis_pool_capacity = pool_cap});
-  eval.set_compiled_scoring(cfg_.compiled_scoring);
   return run_with(eval);
 }
 
@@ -137,7 +136,7 @@ core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {
   bcpop::BackendStats backend_start = eval.backend_stats();
   if (journal != nullptr) {
     journal->begin_run("cobra", cfg_.seed, cfg_.eval_threads,
-                       cfg_.compiled_scoring, bcpop::to_string(cfg_.lp_warm));
+                       bcpop::to_string(cfg_.lp_warm), gp::simd::path_name());
   }
 
   // --- Initial populations (Algorithm 1 lines 1-3; skipped on resume: the

@@ -12,6 +12,7 @@
 #include "carbon/ea/archive.hpp"
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/population_stats.hpp"
+#include "carbon/gp/simd.hpp"
 
 namespace carbon::core {
 
@@ -101,11 +102,9 @@ CarbonResult CarbonSolver::run() {
   bcpop::ParallelEvaluator eval(
       *inst_,
       bcpop::ParallelEvaluator::Options{.threads = cfg_.eval_threads,
-                                        .memo_xgen = cfg_.memo_xgen,
                                         .lp_warm = cfg_.lp_warm,
                                         .basis_pool_capacity = pool_cap});
   eval.set_polish(cfg_.memetic_polish);
-  eval.set_compiled_scoring(cfg_.compiled_scoring);
   return run_with(eval);
 }
 
@@ -141,7 +140,7 @@ CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {
   bcpop::BackendStats backend_start = eval.backend_stats();
   if (journal != nullptr) {
     journal->begin_run("carbon", cfg_.seed, cfg_.eval_threads,
-                       cfg_.compiled_scoring, bcpop::to_string(cfg_.lp_warm));
+                       bcpop::to_string(cfg_.lp_warm), gp::simd::path_name());
   }
 
   // --- Initial populations (skipped on resume: the checkpoint carries the

@@ -1,16 +1,17 @@
 #include "carbon/core/experiment.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "carbon/baselines/biga.hpp"
 #include "carbon/baselines/codba.hpp"
 #include "carbon/baselines/nested_ga.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/common/stopwatch.hpp"
-#include "carbon/common/thread_pool.hpp"
+#include "carbon/common/task_scheduler.hpp"
 #include "carbon/core/carbon_solver.hpp"
 
 namespace carbon::core {
@@ -168,16 +169,17 @@ CellResult run_cell(const bcpop::Instance& instance, Algorithm algorithm,
   cell.algorithm = algorithm;
   cell.runs.resize(config.runs);
 
-  const auto one_run = [&](std::size_t r) {
+  // At most `threads` runs at once: the calling thread plus threads - 1
+  // workers (none at all for one thread or one run — every run then
+  // executes inline, in order).
+  const std::size_t threads =
+      config.threads != 0
+          ? config.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  common::TaskScheduler scheduler(std::min(threads, config.runs) - 1);
+  scheduler.parallel_for(config.runs, [&](std::size_t, std::size_t r) {
     cell.runs[r] = dispatch(instance, algorithm, config, r);
-  };
-
-  if (config.runs == 1 || config.threads == 1) {
-    for (std::size_t r = 0; r < config.runs; ++r) one_run(r);
-  } else {
-    common::ThreadPool pool(config.threads);
-    pool.parallel_for(config.runs, one_run);
-  }
+  });
 
   std::vector<double> gaps;
   std::vector<double> uls;

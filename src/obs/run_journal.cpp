@@ -68,8 +68,8 @@ void RunJournal::append_timings(JsonObjectWriter& w, bool cumulative) {
 }
 
 void RunJournal::begin_run(std::string_view algo, std::uint64_t seed,
-                           std::size_t eval_threads, bool compiled_scoring,
-                           std::string_view lp_warm) {
+                           std::size_t eval_threads,
+                           std::string_view lp_warm, std::string_view simd) {
   algo_ = std::string(algo);
   run_clock_.reset();
   if (metrics_ != nullptr) {
@@ -82,8 +82,8 @@ void RunJournal::begin_run(std::string_view algo, std::uint64_t seed,
       .field("algo", algo)
       .field("seed", static_cast<unsigned long long>(seed))
       .field("eval_threads", eval_threads)
-      .field("compiled_scoring", compiled_scoring)
-      .field("lp_warm", lp_warm);
+      .field("lp_warm", lp_warm)
+      .field("simd", simd);
   emit(w.finish());
 }
 

@@ -11,6 +11,7 @@
 #include "carbon/ea/binary_ops.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/generate.hpp"
+#include "carbon/gp/scoring.hpp"
 
 namespace carbon::bcpop {
 namespace {
@@ -180,14 +181,8 @@ TEST(ParallelEvaluator, CacheOnceSemantics) {
 
 TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
   const Instance inst = make_instance();
-  // Cross-generation memoization off: this test pins the RELAXATION cache
-  // (the score memo would answer the repeat before the relaxation lookup).
-  ParallelEvaluator::Options opt;
-  opt.threads = 2;
-  opt.memo_xgen = false;
-  ParallelEvaluator par(inst, opt);
+  ParallelEvaluator par(inst, /*threads=*/2);
   ParallelEvaluator serial(inst, /*threads=*/1);
-  serial.set_memo_xgen(false);
   const auto pricings = random_pricings(inst, 4, 77);
   common::Rng rng(19);
   const gp::Tree tree = gp::generate_ramped(rng);
@@ -196,8 +191,11 @@ TEST(ParallelEvaluator, ScalarCallsWorkAndShareTheCache) {
                 par.evaluate_with_heuristic(p, tree));
   }
   EXPECT_EQ(par.relaxations_solved(), 4);
-  // A repeat is served from the cache.
-  (void)par.evaluate_with_heuristic(pricings[0], tree);
+  // A repeat pricing under a DIFFERENT tree misses the score memo (keyed by
+  // the program) and is served from the relaxation cache.
+  const gp::Tree other = gp::parse("(div (mul QCOV BRES) COST)");
+  (void)par.evaluate_with_heuristic(pricings[0], other);
+  EXPECT_EQ(par.score_cache().hits(), 0);
   EXPECT_EQ(par.relaxations_solved(), 4);
   EXPECT_GE(par.relaxation_cache_hits(), 1);
 }
@@ -377,6 +375,8 @@ TEST(ParallelEvaluator, CobraRunIsThreadCountInvariant) {
 // --- Compiled scoring: same bits as the interpreter, fewer solves ---------
 
 TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
+  // The tree interpreter, driven through the type-erased score function,
+  // is the oracle for the compiled scoring path (polish off).
   const Instance inst = make_instance();
   common::Rng rng(61);
   gp::GenerateConfig gen;
@@ -384,59 +384,26 @@ TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
   gen.max_depth = 7;
   const auto pricings = random_pricings(inst, 6, 21);
 
-  ParallelEvaluator compiled(inst, /*threads=*/1);
-  ParallelEvaluator interpreted(inst, /*threads=*/1);
-  interpreted.set_compiled_scoring(false);
-  ASSERT_TRUE(compiled.compiled_scoring());
-
+  // Hand-written trees guarantee the residual-dependent terminals (QCOV,
+  // BRES) are covered next to the generated ones.
+  std::vector<gp::Tree> trees = {
+      gp::parse("(div (mul QCOV BRES) COST)"),
+      gp::parse("(sub (div QCOV COST) (mul BRES XBAR))"),
+      gp::parse("(add (div DUAL COST) (mul QCOV 0.5))")};
   for (int t = 0; t < 10; ++t) {
     gen.use_constants = (t % 2 == 0);
-    const gp::Tree tree = gp::generate_ramped(rng, gen);
+    trees.push_back(gp::generate_ramped(rng, gen));
+  }
+
+  ParallelEvaluator compiled(inst, /*threads=*/1);
+  ParallelEvaluator interpreted(inst, /*threads=*/1);
+  for (const gp::Tree& tree : trees) {
     for (const auto& p : pricings) {
-      expect_same(interpreted.evaluate_with_heuristic(p, tree),
+      expect_same(interpreted.evaluate_with_score(
+                      p, gp::make_score_function(tree)),
                   compiled.evaluate_with_heuristic(p, tree));
     }
   }
-}
-
-TEST(CompiledScoring, CarbonRunIsToggleInvariant) {
-  // The acceptance bar of the compiled path: fixed-seed CARBON trajectories
-  // are bit-identical with compiled scoring on vs off, serial and parallel.
-  const Instance inst = make_instance();
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    core::CarbonConfig on = small_carbon_config();
-    on.eval_threads = threads;
-    on.compiled_scoring = true;
-    core::CarbonConfig off = on;
-    off.compiled_scoring = false;
-    const core::CarbonResult want = core::CarbonSolver(inst, off).run();
-    const core::CarbonResult got = core::CarbonSolver(inst, on).run();
-    expect_same_run(want, got);
-    EXPECT_EQ(want.best_heuristic, got.best_heuristic);
-    EXPECT_EQ(want.best_heuristic_gap, got.best_heuristic_gap);
-  }
-}
-
-TEST(CompiledScoring, CobraRunIsToggleInvariant) {
-  const Instance inst = make_instance();
-  cobra::CobraConfig cfg;
-  cfg.ul_population_size = 8;
-  cfg.ll_population_size = 8;
-  cfg.ul_archive_size = 8;
-  cfg.ll_archive_size = 8;
-  cfg.upper_phase_generations = 2;
-  cfg.lower_phase_generations = 2;
-  cfg.coevolution_pairs = 4;
-  cfg.archive_reinjection = 2;
-  cfg.ul_eval_budget = 80;
-  cfg.ll_eval_budget = 800;
-  cfg.seed = 4;
-
-  cfg.compiled_scoring = false;
-  const core::RunResult want = cobra::CobraSolver(inst, cfg).run();
-  cfg.compiled_scoring = true;
-  const core::RunResult got = cobra::CobraSolver(inst, cfg).run();
-  expect_same_run(want, got);
 }
 
 TEST(CompiledScoring, BatchMemoDeduplicatesButStillCharges) {
@@ -484,16 +451,10 @@ TEST(CompiledScoring, MemoMergesCanonicallyEqualTrees) {
     jobs.push_back({p, &b, EvalPurpose::kLowerOnly});
   }
 
-  // Compiled on: the canonical forms coincide, so each pricing costs one
-  // solve. Off: content differs, no merge.
+  // The canonical forms coincide, so each pricing costs one solve.
   ParallelEvaluator compiled(inst, /*threads=*/1);
   (void)compiled.evaluate_heuristic_batch(jobs);
   EXPECT_EQ(compiled.heuristic_dedup_hits(), 2);
-
-  ParallelEvaluator interpreted(inst, /*threads=*/1);
-  interpreted.set_compiled_scoring(false);
-  (void)interpreted.evaluate_heuristic_batch(jobs);
-  EXPECT_EQ(interpreted.heuristic_dedup_hits(), 0);
 }
 
 TEST(CompiledScoring, MixedDuplicateAndUniqueJobsAccountExactly) {

@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "carbon/common/thread_pool.hpp"
+#include "carbon/common/task_scheduler.hpp"
 
 namespace carbon::obs {
 namespace {
@@ -54,16 +54,17 @@ TEST(MetricsRegistry, ResetDropsEverything) {
 }
 
 TEST(MetricsRegistry, ConcurrentCounterHammeringLosesNothing) {
-  // Exercised under TSan by tools/run_sanitizers.sh: many pool workers write
-  // the same counter names while a reader snapshots concurrently.
+  // Exercised under TSan by tools/run_sanitizers.sh: 8 scheduler
+  // participants write the same counter names while a reader snapshots
+  // concurrently.
   MetricsRegistry m;
-  common::ThreadPool pool(8);
+  common::TaskScheduler scheduler(7);
   constexpr int kTasks = 64;
   constexpr int kPerTask = 250;
   std::thread reader([&] {
     for (int i = 0; i < 50; ++i) (void)m.snapshot();
   });
-  pool.parallel_for(kTasks, [&](std::size_t i) {
+  scheduler.parallel_for(kTasks, [&](std::size_t, std::size_t i) {
     for (int k = 0; k < kPerTask; ++k) {
       m.add_counter("evals");
       m.add_counter(i % 2 == 0 ? "even" : "odd");
@@ -78,12 +79,12 @@ TEST(MetricsRegistry, ConcurrentCounterHammeringLosesNothing) {
 
 TEST(MetricsRegistry, ConcurrentTimerHammeringMergesExactly) {
   MetricsRegistry m;
-  common::ThreadPool pool(8);
+  common::TaskScheduler scheduler(7);  // 8 participants
   constexpr int kTasks = 32;
   constexpr int kPerTask = 100;
   // 0.5 is exactly representable, so the merged total is exact regardless
   // of the shard the writes landed in or the merge order.
-  pool.parallel_for(kTasks, [&](std::size_t) {
+  scheduler.parallel_for(kTasks, [&](std::size_t, std::size_t) {
     for (int k = 0; k < kPerTask; ++k) m.record_timer("t", 0.5);
   });
   const auto t = m.snapshot().timers.at("t");
@@ -94,8 +95,8 @@ TEST(MetricsRegistry, ConcurrentTimerHammeringMergesExactly) {
 
 TEST(MetricsRegistry, ConcurrentGaugeWritersLeaveOneOfTheWrittenValues) {
   MetricsRegistry m;
-  common::ThreadPool pool(4);
-  pool.parallel_for(16, [&](std::size_t i) {
+  common::TaskScheduler scheduler(3);  // 4 participants
+  scheduler.parallel_for(16, [&](std::size_t, std::size_t i) {
     m.set_gauge("g", static_cast<double>(i));
   });
   const double got = m.snapshot().gauges.at("g");

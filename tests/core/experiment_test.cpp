@@ -49,13 +49,18 @@ TEST(Experiment, ParallelMatchesSequential) {
   ExperimentConfig cfg = tiny_config();
   cfg.threads = 1;
   const CellResult seq = run_cell(inst, Algorithm::kCarbon, cfg);
-  cfg.threads = 3;
-  const CellResult par = run_cell(inst, Algorithm::kCarbon, cfg);
-  ASSERT_EQ(seq.runs.size(), par.runs.size());
-  for (std::size_t r = 0; r < seq.runs.size(); ++r) {
-    EXPECT_DOUBLE_EQ(seq.runs[r].best_gap, par.runs[r].best_gap);
-    EXPECT_DOUBLE_EQ(seq.runs[r].best_ul_objective,
-                     par.runs[r].best_ul_objective);
+  // 3 runs at once, then hardware concurrency (threads = 0).
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{0}}) {
+    cfg.threads = threads;
+    const CellResult par = run_cell(inst, Algorithm::kCarbon, cfg);
+    ASSERT_EQ(seq.runs.size(), par.runs.size());
+    for (std::size_t r = 0; r < seq.runs.size(); ++r) {
+      EXPECT_DOUBLE_EQ(seq.runs[r].best_gap, par.runs[r].best_gap)
+          << "threads=" << threads;
+      EXPECT_DOUBLE_EQ(seq.runs[r].best_ul_objective,
+                       par.runs[r].best_ul_objective)
+          << "threads=" << threads;
+    }
   }
 }
 

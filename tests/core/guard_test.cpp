@@ -430,7 +430,7 @@ TEST(GuardEvaluator, ConstructionRoundCapMarksOutcome) {
 
 TEST(GuardEvaluator, BatchInjectionMatchesScalarCallSequence) {
   // The batch path must charge the injected trip to the same job ordinal as
-  // a serial scalar call sequence — for both compiled-scoring settings.
+  // a serial scalar call sequence.
   const bcpop::Instance inst = make_instance();
   const gp::Tree tree_a = gp::parse("(div QCOV COST)");
   const gp::Tree tree_b = gp::parse("(mul DUAL QCOV)");
@@ -445,37 +445,32 @@ TEST(GuardEvaluator, BatchInjectionMatchesScalarCallSequence) {
   jobs.push_back({p1, &tree_a, EvalPurpose::kLowerOnly});  // dup of job 0
   jobs.push_back({p1, &tree_b, EvalPurpose::kLowerOnly});
 
-  for (const bool compiled : {false, true}) {
-    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
-    guard::GuardConfig cfg;
-    cfg.inject.at_eval = 3;  // the duplicate job
-    cfg.inject.degrade_to = guard::Rung::kGreedyOnly;
+  guard::GuardConfig cfg;
+  cfg.inject.at_eval = 3;  // the duplicate job
+  cfg.inject.degrade_to = guard::Rung::kGreedyOnly;
 
-    ParallelEvaluator scalar(inst, /*threads=*/1);
-    scalar.set_compiled_scoring(compiled);
-    scalar.set_guard(cfg, 0);
-    std::vector<Evaluation> want;
-    for (const bcpop::HeuristicJob& job : jobs) {
-      want.push_back(scalar.evaluate_with_heuristic(job.pricing,
-                                                    *job.heuristic,
-                                                    job.purpose));
-    }
-
-    ParallelEvaluator batch(inst, /*threads=*/1);
-    batch.set_compiled_scoring(compiled);
-    batch.set_guard(cfg, 0);
-    const std::vector<Evaluation> got = batch.evaluate_heuristic_batch(jobs);
-
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      SCOPED_TRACE("job " + std::to_string(i));
-      EXPECT_EQ(got[i], want[i]);
-    }
-    EXPECT_EQ(got[3].guard.trip, guard::Trip::kInjected);
-    EXPECT_EQ(got[3].guard.rung, guard::Rung::kGreedyOnly);
-    EXPECT_EQ(batch.backend_stats().guard_trips,
-              scalar.backend_stats().guard_trips);
+  ParallelEvaluator scalar(inst, /*threads=*/1);
+  scalar.set_guard(cfg, 0);
+  std::vector<Evaluation> want;
+  for (const bcpop::HeuristicJob& job : jobs) {
+    want.push_back(scalar.evaluate_with_heuristic(job.pricing,
+                                                  *job.heuristic,
+                                                  job.purpose));
   }
+
+  ParallelEvaluator batch(inst, /*threads=*/1);
+  batch.set_guard(cfg, 0);
+  const std::vector<Evaluation> got = batch.evaluate_heuristic_batch(jobs);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(got[i], want[i]);
+  }
+  EXPECT_EQ(got[3].guard.trip, guard::Trip::kInjected);
+  EXPECT_EQ(got[3].guard.rung, guard::Rung::kGreedyOnly);
+  EXPECT_EQ(batch.backend_stats().guard_trips,
+            scalar.backend_stats().guard_trips);
 }
 
 TEST(GuardEvaluator, SelectionPathHonorsInjectionAndCaps) {

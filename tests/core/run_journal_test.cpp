@@ -49,7 +49,7 @@ GenerationRecord sample_record(int generation) {
 TEST(RunJournal, EmitsStartGenerationsAndSummaryAsParsableJsonl) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("carbon", 42, 4, true, "baseline");
+  journal.begin_run("carbon", 42, 4, "baseline", "avx2");
   journal.write_generation(sample_record(0));
   journal.write_generation(sample_record(1));
   RunSummary summary;
@@ -75,7 +75,7 @@ TEST(RunJournal, EmitsStartGenerationsAndSummaryAsParsableJsonl) {
 TEST(RunJournal, ResumeRecordCarriesTheRestoredState) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("carbon", 7, 1, false, "baseline");
+  journal.begin_run("carbon", 7, 1, "baseline", "scalar");
   ResumeRecord rec;
   rec.generation = 12;
   rec.ul_evals = 960;
@@ -97,7 +97,7 @@ TEST(RunJournal, ResumeRecordCarriesTheRestoredState) {
 TEST(RunJournal, RunStartEchoesTheConfig) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("cobra", 1234567890123ULL, 8, false, "pool");
+  journal.begin_run("cobra", 1234567890123ULL, 8, "pool", "scalar");
   const auto records = parse_lines(sink.str());
   ASSERT_EQ(records.size(), 1u);
   const JsonValue& start = records[0];
@@ -105,14 +105,14 @@ TEST(RunJournal, RunStartEchoesTheConfig) {
   EXPECT_EQ(start.at("algo").as_string(), "cobra");
   EXPECT_EQ(start.at("seed").as_integer(), 1234567890123LL);
   EXPECT_EQ(start.at("eval_threads").as_integer(), 8);
-  EXPECT_FALSE(start.at("compiled_scoring").as_bool());
   EXPECT_EQ(start.at("lp_warm").as_string(), "pool");
+  EXPECT_EQ(start.at("simd").as_string(), "scalar");
 }
 
 TEST(RunJournal, GenerationRecordRoundTripsEveryField) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("carbon", 1, 1, true, "baseline");
+  journal.begin_run("carbon", 1, 1, "baseline", "avx2");
   journal.write_generation(sample_record(3));
   const auto records = parse_lines(sink.str());
   ASSERT_EQ(records.size(), 2u);
@@ -145,7 +145,7 @@ TEST(RunJournal, TimingsCarryPerGenerationDeltasAndCumulativeSummary) {
   MetricsRegistry metrics;
   std::ostringstream sink;
   RunJournal journal(sink, &metrics);
-  journal.begin_run("carbon", 1, 1, true, "baseline");
+  journal.begin_run("carbon", 1, 1, "baseline", "avx2");
 
   metrics.record_timer("time/ll_solve", 1.0);
   journal.write_generation(sample_record(0));
@@ -170,7 +170,7 @@ TEST(RunJournal, TimingsExcludeActivityBeforeBeginRun) {
   metrics.record_timer("time/ll_solve", 100.0);  // previous run's cost
   std::ostringstream sink;
   RunJournal journal(sink, &metrics);
-  journal.begin_run("carbon", 1, 1, true, "baseline");
+  journal.begin_run("carbon", 1, 1, "baseline", "avx2");
   metrics.record_timer("time/ll_solve", 0.25);
   journal.write_generation(sample_record(0));
   RunSummary summary;
@@ -187,7 +187,7 @@ TEST(RunJournal, TimingsExcludeActivityBeforeBeginRun) {
 TEST(RunJournal, NonFiniteValuesBecomeNull) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("carbon", 1, 1, true, "baseline");
+  journal.begin_run("carbon", 1, 1, "baseline", "avx2");
   GenerationRecord rec = sample_record(0);
   rec.best_ul = -std::numeric_limits<double>::infinity();
   rec.mean_gap = std::numeric_limits<double>::quiet_NaN();
@@ -207,7 +207,7 @@ TEST(RunJournal, ThrowsWhenTheFileCannotBeOpened) {
 TEST(RunJournal, DoublesRoundTripAtFullPrecision) {
   std::ostringstream sink;
   RunJournal journal(sink);
-  journal.begin_run("carbon", 1, 1, true, "baseline");
+  journal.begin_run("carbon", 1, 1, "baseline", "avx2");
   GenerationRecord rec = sample_record(0);
   rec.best_ul = 742.32863999633457;  // not exactly representable in decimal
   rec.mean_gap = 1.0 / 3.0;

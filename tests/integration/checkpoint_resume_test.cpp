@@ -2,11 +2,10 @@
 //
 // The contract under test (docs/ALGORITHMS.md §11): killing a run right
 // after a checkpoint at generation k and resuming from the file reproduces
-// the *uninterrupted* run's trajectory bit for bit — across the
-// eval_threads {1, 4} × compiled_scoring {off, on} matrix, across a
-// cross-configuration resume (checkpoint written by a serial interpreted
-// run, resumed by a parallel compiled one), and across chained
-// kill/resume/kill/resume sequences. Also covers the negative paths: a
+// the *uninterrupted* run's trajectory bit for bit — for eval_threads
+// {1, 4}, across a cross-configuration resume (checkpoint written by a
+// serial run, resumed by a parallel one, and vice versa), and across
+// chained kill/resume/kill/resume sequences. Also covers the negative paths: a
 // truncated, corrupted, wrong-algorithm or wrong-seed file must be rejected
 // with CheckpointError before any solver or evaluator state is touched.
 
@@ -46,7 +45,6 @@ std::string temp_path(const std::string& name) {
 Trajectory carbon_golden(const bcpop::Instance& inst) {
   core::CarbonConfig cfg = golden::carbon_config();
   cfg.eval_threads = 1;
-  cfg.compiled_scoring = false;
   return trajectory_of(core::CarbonSolver(inst, cfg).run());
 }
 
@@ -62,53 +60,46 @@ TEST(CheckpointResume, CarbonKillAtKResumesBitIdentically) {
   ASSERT_GT(golden_run.generations, 3);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " compiled=" + std::to_string(compiled);
-      const std::string path =
-          temp_path("carbon-" + std::to_string(threads) +
-                    (compiled ? "-c" : "-i") + ".ckpt");
+    const std::string label = "threads=" + std::to_string(threads);
+    const std::string path =
+        temp_path("carbon-" + std::to_string(threads) + ".ckpt");
 
-      // Phase 1: run with checkpointing every 2 generations; the hook
-      // simulates a kill right after the first write (generation 2).
-      core::CarbonConfig cfg = golden::carbon_config();
-      cfg.eval_threads = threads;
-      cfg.compiled_scoring = compiled;
-      cfg.checkpoint.every = 2;
-      cfg.checkpoint.path = path;
-      int killed_at = 0;
-      cfg.checkpoint.stop_after_checkpoint = [&](int gen) {
-        killed_at = gen;
-        return true;
-      };
-      (void)core::CarbonSolver(inst, cfg).run();
-      ASSERT_EQ(killed_at, 2) << label;
+    // Phase 1: run with checkpointing every 2 generations; the hook
+    // simulates a kill right after the first write (generation 2).
+    core::CarbonConfig cfg = golden::carbon_config();
+    cfg.eval_threads = threads;
+    cfg.checkpoint.every = 2;
+    cfg.checkpoint.path = path;
+    int killed_at = 0;
+    cfg.checkpoint.stop_after_checkpoint = [&](int gen) {
+      killed_at = gen;
+      return true;
+    };
+    (void)core::CarbonSolver(inst, cfg).run();
+    ASSERT_EQ(killed_at, 2) << label;
 
-      // Phase 2: a fresh solver resumes from the file and runs to the end.
-      core::CarbonConfig resume = golden::carbon_config();
-      resume.eval_threads = threads;
-      resume.compiled_scoring = compiled;
-      resume.checkpoint.resume_from = path;
-      const Trajectory resumed =
-          trajectory_of(core::CarbonSolver(inst, resume).run());
-      expect_same_trajectory(golden_run, resumed, "resumed " + label);
-      std::remove(path.c_str());
-    }
+    // Phase 2: a fresh solver resumes from the file and runs to the end.
+    core::CarbonConfig resume = golden::carbon_config();
+    resume.eval_threads = threads;
+    resume.checkpoint.resume_from = path;
+    const Trajectory resumed =
+        trajectory_of(core::CarbonSolver(inst, resume).run());
+    expect_same_trajectory(golden_run, resumed, "resumed " + label);
+    std::remove(path.c_str());
   }
 }
 
 TEST(CheckpointResume, CarbonCrossConfigResumeIsBitIdentical) {
-  // A checkpoint is evaluator-agnostic: written by a serial interpreted
-  // run, it must resume bit-identically under a 4-thread compiled
-  // evaluator (and vice versa) — the same neutrality the golden-trajectory
-  // harness asserts for uninterrupted runs.
+  // A checkpoint is evaluator-agnostic: written by a serial run, it must
+  // resume bit-identically under a 4-thread evaluator (and vice versa) —
+  // the same neutrality the golden-trajectory harness asserts for
+  // uninterrupted runs.
   const bcpop::Instance inst = make_instance();
   const Trajectory golden_run = carbon_golden(inst);
   const std::string path = temp_path("carbon-cross.ckpt");
 
   core::CarbonConfig writer = golden::carbon_config();
   writer.eval_threads = 1;
-  writer.compiled_scoring = false;
   writer.checkpoint.every = 2;
   writer.checkpoint.path = path;
   writer.checkpoint.stop_after_checkpoint = [](int) { return true; };
@@ -116,7 +107,6 @@ TEST(CheckpointResume, CarbonCrossConfigResumeIsBitIdentical) {
 
   core::CarbonConfig reader = golden::carbon_config();
   reader.eval_threads = 4;
-  reader.compiled_scoring = true;
   reader.checkpoint.resume_from = path;
   const Trajectory resumed =
       trajectory_of(core::CarbonSolver(inst, reader).run());
@@ -133,7 +123,6 @@ TEST(CheckpointResume, CarbonChainedKillsResumeBitIdentically) {
 
   core::CarbonConfig first = golden::carbon_config();
   first.eval_threads = 1;
-  first.compiled_scoring = false;
   first.checkpoint.every = 2;
   first.checkpoint.path = path;
   first.checkpoint.stop_after_checkpoint = [](int) { return true; };
@@ -148,7 +137,6 @@ TEST(CheckpointResume, CarbonChainedKillsResumeBitIdentically) {
 
   core::CarbonConfig last = golden::carbon_config();
   last.eval_threads = 1;
-  last.compiled_scoring = false;
   last.checkpoint.resume_from = path;
   const Trajectory resumed =
       trajectory_of(core::CarbonSolver(inst, last).run());
@@ -162,35 +150,29 @@ TEST(CheckpointResume, CobraKillAtRoundBoundaryResumesBitIdentically) {
   ASSERT_GT(golden_run.generations, 5);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " compiled=" + std::to_string(compiled);
-      const std::string path =
-          temp_path("cobra-" + std::to_string(threads) +
-                    (compiled ? "-c" : "-i") + ".ckpt");
+    const std::string label = "threads=" + std::to_string(threads);
+    const std::string path =
+        temp_path("cobra-" + std::to_string(threads) + ".ckpt");
 
-      cobra::CobraConfig cfg = golden::cobra_config();
-      cfg.eval_threads = threads;
-      cfg.compiled_scoring = compiled;
-      cfg.checkpoint.every = 3;  // first round boundary at or past gen 3
-      cfg.checkpoint.path = path;
-      int killed_at = -1;
-      cfg.checkpoint.stop_after_checkpoint = [&](int gen) {
-        killed_at = gen;
-        return true;
-      };
-      (void)cobra::CobraSolver(inst, cfg).run();
-      ASSERT_GE(killed_at, 3) << label;
+    cobra::CobraConfig cfg = golden::cobra_config();
+    cfg.eval_threads = threads;
+    cfg.checkpoint.every = 3;  // first round boundary at or past gen 3
+    cfg.checkpoint.path = path;
+    int killed_at = -1;
+    cfg.checkpoint.stop_after_checkpoint = [&](int gen) {
+      killed_at = gen;
+      return true;
+    };
+    (void)cobra::CobraSolver(inst, cfg).run();
+    ASSERT_GE(killed_at, 3) << label;
 
-      cobra::CobraConfig resume = golden::cobra_config();
-      resume.eval_threads = threads;
-      resume.compiled_scoring = compiled;
-      resume.checkpoint.resume_from = path;
-      const Trajectory resumed =
-          trajectory_of(cobra::CobraSolver(inst, resume).run());
-      expect_same_trajectory(golden_run, resumed, "resumed " + label);
-      std::remove(path.c_str());
-    }
+    cobra::CobraConfig resume = golden::cobra_config();
+    resume.eval_threads = threads;
+    resume.checkpoint.resume_from = path;
+    const Trajectory resumed =
+        trajectory_of(cobra::CobraSolver(inst, resume).run());
+    expect_same_trajectory(golden_run, resumed, "resumed " + label);
+    std::remove(path.c_str());
   }
 }
 

@@ -1,16 +1,14 @@
 // Golden-trajectory regression harness: the per-generation best-objective
 // sequence of a fixed-seed run must be bit-identical to the trajectory
-// frozen in golden_common.hpp, across every implementation toggle that
+// frozen in golden_common.hpp, across every implementation axis that
 // claims trajectory neutrality —
 //   simd in {auto, scalar}  x  eval_threads in {1, 4}
-//   x  compiled_scoring in {on, off}  x  memo_xgen in {on, off}
 //   x  telemetry in {off, metrics+journal}
-// for CARBON, and the analogous matrix (no compiled-scoring axis is
-// exercised by its evaluation path, but the toggle must still be inert)
-// for COBRA. A regression in the parallel reduction order, the compiled
-// scorer, the SIMD kernels' bit-identity contract, or an instrumentation
-// site that consumes RNG shows up here as a diverging trajectory, not as a
-// flaky end-result comparison. The reference is a literal, not a run of
+// for CARBON (whose score memo must serve hits without moving a bit), and
+// eval_threads in {1, 4} for COBRA. A regression in the parallel reduction
+// order, the compiled scorer, the score memo, the SIMD kernels' bit-identity
+// contract, or an instrumentation site that consumes RNG shows up here as a
+// diverging trajectory, not as a flaky end-result comparison. The reference is a literal, not a run of
 // some other code path, so deleting or rewriting an evaluator cannot move
 // the baseline along with it.
 
@@ -45,40 +43,40 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
   for (const char* simd : {"auto", "scalar"}) {
     gp::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool compiled : {false, true}) {
-        for (const bool telemetry : {false, true}) {
-          core::CarbonConfig cfg = carbon_config();
-          cfg.eval_threads = threads;
-          cfg.compiled_scoring = compiled;
+      for (const bool telemetry : {false, true}) {
+        core::CarbonConfig cfg = carbon_config();
+        cfg.eval_threads = threads;
 
-          obs::MetricsRegistry metrics;
-          std::ostringstream sink;
-          obs::RunJournal journal(sink, &metrics);
-          if (telemetry) {
-            cfg.telemetry.metrics = &metrics;
-            cfg.telemetry.journal = &journal;
-          }
+        obs::MetricsRegistry metrics;
+        std::ostringstream sink;
+        obs::RunJournal journal(sink, &metrics);
+        if (telemetry) {
+          cfg.telemetry.metrics = &metrics;
+          cfg.telemetry.journal = &journal;
+        }
 
-          const core::CarbonResult r = core::CarbonSolver(inst, cfg).run();
-          const std::string label =
-              std::string("simd=") + gp::simd::path_name() +
-              " threads=" + std::to_string(threads) +
-              " compiled=" + std::to_string(compiled) +
-              " telemetry=" + std::to_string(telemetry);
-          expect_same_trajectory(golden, trajectory_of(r), label);
+        const core::CarbonResult r = core::CarbonSolver(inst, cfg).run();
+        const std::string label =
+            std::string("simd=") + gp::simd::path_name() +
+            " threads=" + std::to_string(threads) +
+            " telemetry=" + std::to_string(telemetry);
+        expect_same_trajectory(golden, trajectory_of(r), label);
 
-          if (telemetry) {
-            // run_start + one record per generation + summary, all parsable.
-            const auto records = parse_journal(sink.str());
-            ASSERT_EQ(records.size(),
-                      static_cast<std::size_t>(r.generations) + 2)
-                << label;
-            EXPECT_EQ(records.front().at("type").as_string(), "run_start");
-            EXPECT_EQ(records.front().at("lp_warm").as_string(), "baseline");
-            EXPECT_EQ(records.back().at("type").as_string(), "summary");
-            EXPECT_EQ(records.back().at("best_ul").as_number(),
-                      r.best_ul_objective);
-          }
+        if (telemetry) {
+          // run_start + one record per generation + summary, all parsable.
+          const auto records = parse_journal(sink.str());
+          ASSERT_EQ(records.size(),
+                    static_cast<std::size_t>(r.generations) + 2)
+              << label;
+          const obs::JsonValue& start = records.front();
+          EXPECT_EQ(start.at("type").as_string(), "run_start");
+          EXPECT_EQ(start.at("eval_threads").as_integer(),
+                    static_cast<long long>(threads));
+          EXPECT_EQ(start.at("lp_warm").as_string(), "baseline");
+          EXPECT_EQ(start.at("simd").as_string(), gp::simd::path_name());
+          EXPECT_EQ(records.back().at("type").as_string(), "summary");
+          EXPECT_EQ(records.back().at("best_ul").as_number(),
+                    r.best_ul_objective);
         }
       }
     }
@@ -87,33 +85,30 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
 }
 
 TEST(GoldenTrajectory, CarbonIsInvariantAcrossSchedulerAndScoreMemo) {
-  // The cross-generation score memo (vs none) claims a bit-identical
-  // trajectory — memo hits still charge the Table II budgets — and so does
-  // the work-stealing scheduler, which only reorders execution of pure jobs
-  // committed into index-ordered slots (docs/ALGORITHMS.md §14). A
-  // divergence anywhere in memo_xgen x eval_threads x compiled_scoring
-  // lands here.
+  // The cross-generation score memo serves repeated (program, pricing)
+  // evaluations without moving a bit — memo hits still charge the Table II
+  // budgets — and the work-stealing scheduler only reorders execution of
+  // pure jobs committed into index-ordered slots (docs/ALGORITHMS.md §14).
+  // Each cell must match the frozen trajectory WITH the memo answering.
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
     gp::simd::select_path(simd);
-    for (const bool memo : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const bool compiled : {false, true}) {
-          core::CarbonConfig cfg = carbon_config();
-          cfg.memo_xgen = memo;
-          cfg.eval_threads = threads;
-          cfg.compiled_scoring = compiled;
-          const std::string label =
-              std::string("simd=") + gp::simd::path_name() +
-              " memo_xgen=" + std::to_string(memo) +
-              " threads=" + std::to_string(threads) +
-              " compiled=" + std::to_string(compiled);
-          expect_same_trajectory(
-              golden::kCarbonBaseline,
-              trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
-        }
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      core::CarbonConfig cfg = carbon_config();
+      cfg.eval_threads = threads;
+      obs::MetricsRegistry metrics;
+      cfg.telemetry.metrics = &metrics;
+      const std::string label = std::string("simd=") +
+                                gp::simd::path_name() +
+                                " threads=" + std::to_string(threads);
+      expect_same_trajectory(
+          golden::kCarbonBaseline,
+          trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
+      const auto counters = metrics.snapshot().counters;
+      const auto hits = counters.find("memo/xgen_hits");
+      ASSERT_NE(hits, counters.end()) << label;
+      EXPECT_GT(hits->second, 0) << label;
     }
   }
   gp::simd::select_path("auto");
@@ -122,21 +117,13 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSchedulerAndScoreMemo) {
 TEST(GoldenTrajectory, CobraIsInvariantAcrossSchedulerAndScoreMemo) {
   const bcpop::Instance inst = make_instance();
 
-  for (const bool memo : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool compiled : {false, true}) {
-        cobra::CobraConfig cfg = cobra_config();
-        cfg.memo_xgen = memo;
-        cfg.eval_threads = threads;
-        cfg.compiled_scoring = compiled;
-        const std::string label = "memo_xgen=" + std::to_string(memo) +
-                                  " threads=" + std::to_string(threads) +
-                                  " compiled=" + std::to_string(compiled);
-        expect_same_trajectory(
-            golden::kCobraBaseline,
-            trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
-      }
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    cobra::CobraConfig cfg = cobra_config();
+    cfg.eval_threads = threads;
+    expect_same_trajectory(
+        golden::kCobraBaseline,
+        trajectory_of(cobra::CobraSolver(inst, cfg).run()),
+        "threads=" + std::to_string(threads));
   }
 }
 

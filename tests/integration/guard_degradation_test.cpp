@@ -3,7 +3,7 @@
 //
 // The contracts under test:
 //   * An injected degradation at evaluation #k produces a bit-identical
-//     trajectory across eval_threads {1, 4} × compiled_scoring {off, on} —
+//     trajectory across eval_threads {1, 4} —
 //     the injection ordinal counts charged evaluations in submission order,
 //     which no batching or threading may reorder.
 //   * Killing an injected run at a checkpoint and resuming reproduces the
@@ -58,28 +58,24 @@ TEST(GuardDegradation, CarbonInjectionIsThreadAndCompilationInvariant) {
   Trajectory golden_injected;
   bool have_golden = false;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      core::CarbonConfig cfg = golden::carbon_config();
-      cfg.eval_threads = threads;
-      cfg.compiled_scoring = compiled;
-      cfg.guard.inject.at_eval = inject_at;
-      cfg.guard.inject.degrade_to = guard::Rung::kLagrangian;
-      obs::MetricsRegistry metrics;
-      cfg.telemetry.metrics = &metrics;
+    core::CarbonConfig cfg = golden::carbon_config();
+    cfg.eval_threads = threads;
+    cfg.guard.inject.at_eval = inject_at;
+    cfg.guard.inject.degrade_to = guard::Rung::kLagrangian;
+    obs::MetricsRegistry metrics;
+    cfg.telemetry.metrics = &metrics;
 
-      const Trajectory got =
-          trajectory_of(core::CarbonSolver(inst, cfg).run());
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " compiled=" + std::to_string(compiled);
-      const auto snap = metrics.snapshot();
-      EXPECT_EQ(counter_or_zero(snap, "guard/trips"), 1) << label;
-      EXPECT_EQ(counter_or_zero(snap, "guard/degraded_evals"), 1) << label;
-      if (!have_golden) {
-        golden_injected = got;
-        have_golden = true;
-      } else {
-        expect_same_trajectory(golden_injected, got, label);
-      }
+    const Trajectory got =
+        trajectory_of(core::CarbonSolver(inst, cfg).run());
+    const std::string label = "threads=" + std::to_string(threads);
+    const auto snap = metrics.snapshot();
+    EXPECT_EQ(counter_or_zero(snap, "guard/trips"), 1) << label;
+    EXPECT_EQ(counter_or_zero(snap, "guard/degraded_evals"), 1) << label;
+    if (!have_golden) {
+      golden_injected = got;
+      have_golden = true;
+    } else {
+      expect_same_trajectory(golden_injected, got, label);
     }
   }
 }
@@ -95,26 +91,22 @@ TEST(GuardDegradation, CobraInjectionIsThreadAndCompilationInvariant) {
   Trajectory golden_injected;
   bool have_golden = false;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      cobra::CobraConfig cfg = golden::cobra_config();
-      cfg.eval_threads = threads;
-      cfg.compiled_scoring = compiled;
-      cfg.guard.inject.at_eval = inject_at;
-      obs::MetricsRegistry metrics;
-      cfg.telemetry.metrics = &metrics;
+    cobra::CobraConfig cfg = golden::cobra_config();
+    cfg.eval_threads = threads;
+    cfg.guard.inject.at_eval = inject_at;
+    obs::MetricsRegistry metrics;
+    cfg.telemetry.metrics = &metrics;
 
-      const Trajectory got =
-          trajectory_of(cobra::CobraSolver(inst, cfg).run());
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " compiled=" + std::to_string(compiled);
-      EXPECT_EQ(counter_or_zero(metrics.snapshot(), "guard/trips"), 1)
-          << label;
-      if (!have_golden) {
-        golden_injected = got;
-        have_golden = true;
-      } else {
-        expect_same_trajectory(golden_injected, got, label);
-      }
+    const Trajectory got =
+        trajectory_of(cobra::CobraSolver(inst, cfg).run());
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(counter_or_zero(metrics.snapshot(), "guard/trips"), 1)
+        << label;
+    if (!have_golden) {
+      golden_injected = got;
+      have_golden = true;
+    } else {
+      expect_same_trajectory(golden_injected, got, label);
     }
   }
 }
@@ -220,38 +212,34 @@ TEST(GuardDegradation, CobraInjectedKillResumeIsBitIdentical) {
 TEST(GuardDegradation, CarbonTightLpCapDegradesDeterministically) {
   // lp_iteration_cap = 1: nearly every pricing needs more than one pivot
   // from the fixed baseline basis, so most evaluations fall to the
-  // Lagrangian rung. The run must stay deterministic across the thread ×
-  // compilation matrix — cap-induced degradations are pure functions of
-  // (pricing, limits) and ride the relaxation cache.
+  // Lagrangian rung. The run must stay deterministic across thread counts
+  // — cap-induced degradations are pure functions of (pricing, limits) and
+  // ride the relaxation cache.
   const bcpop::Instance inst = make_instance();
 
   Trajectory golden_capped;
   bool have_golden = false;
   long long golden_trips = -1;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      core::CarbonConfig cfg = golden::carbon_config();
-      cfg.eval_threads = threads;
-      cfg.compiled_scoring = compiled;
-      cfg.guard.limits.lp_iteration_cap = 1;
-      obs::MetricsRegistry metrics;
-      cfg.telemetry.metrics = &metrics;
+    core::CarbonConfig cfg = golden::carbon_config();
+    cfg.eval_threads = threads;
+    cfg.guard.limits.lp_iteration_cap = 1;
+    obs::MetricsRegistry metrics;
+    cfg.telemetry.metrics = &metrics;
 
-      const Trajectory got =
-          trajectory_of(core::CarbonSolver(inst, cfg).run());
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " compiled=" + std::to_string(compiled);
-      const long long trips =
-          counter_or_zero(metrics.snapshot(), "guard/trips");
-      EXPECT_GT(trips, 0) << label;
-      if (!have_golden) {
-        golden_capped = got;
-        golden_trips = trips;
-        have_golden = true;
-      } else {
-        expect_same_trajectory(golden_capped, got, label);
-        EXPECT_EQ(trips, golden_trips) << label;
-      }
+    const Trajectory got =
+        trajectory_of(core::CarbonSolver(inst, cfg).run());
+    const std::string label = "threads=" + std::to_string(threads);
+    const long long trips =
+        counter_or_zero(metrics.snapshot(), "guard/trips");
+    EXPECT_GT(trips, 0) << label;
+    if (!have_golden) {
+      golden_capped = got;
+      golden_trips = trips;
+      have_golden = true;
+    } else {
+      expect_same_trajectory(golden_capped, got, label);
+      EXPECT_EQ(trips, golden_trips) << label;
     }
   }
 }

@@ -5,8 +5,7 @@
 //
 //   * one pool trajectory per algorithm, frozen in golden_common.hpp and
 //     reproduced bit for bit across simd {auto, scalar} x eval_threads
-//     {1, 4} x compiled_scoring {off, on} x memo_xgen {off, on} and across
-//     repeated runs (the staged select/insert discipline keeps pool state a
+//     {1, 4} and across repeated runs (the staged select/insert discipline keeps pool state a
 //     pure function of the batch sequence, not of thread scheduling);
 //   * resume determinism: two resumes from one checkpoint agree bit for
 //     bit, and a resumed segment never consumes pooled bases from another
@@ -51,25 +50,17 @@ TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
   for (const char* simd : {"auto", "scalar"}) {
     gp::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool compiled : {false, true}) {
-        for (const bool memo : {false, true}) {
-          for (int repeat = 0; repeat < 2; ++repeat) {
-            core::CarbonConfig cfg = golden::carbon_config();
-            cfg.lp_warm = bcpop::LpWarm::kPool;
-            cfg.eval_threads = threads;
-            cfg.compiled_scoring = compiled;
-            cfg.memo_xgen = memo;
-            const std::string label =
-                std::string("pool simd=") + gp::simd::path_name() +
-                " threads=" + std::to_string(threads) +
-                " compiled=" + std::to_string(compiled) +
-                " memo_xgen=" + std::to_string(memo) +
-                " repeat=" + std::to_string(repeat);
-            expect_same_trajectory(
-                golden::kCarbonPool,
-                trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
-          }
-        }
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        core::CarbonConfig cfg = golden::carbon_config();
+        cfg.lp_warm = bcpop::LpWarm::kPool;
+        cfg.eval_threads = threads;
+        const std::string label =
+            std::string("pool simd=") + gp::simd::path_name() +
+            " threads=" + std::to_string(threads) +
+            " repeat=" + std::to_string(repeat);
+        expect_same_trajectory(
+            golden::kCarbonPool,
+            trajectory_of(core::CarbonSolver(inst, cfg).run()), label);
       }
     }
   }
@@ -82,25 +73,17 @@ TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
   for (const char* simd : {"auto", "scalar"}) {
     gp::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool compiled : {false, true}) {
-        for (const bool memo : {false, true}) {
-          for (int repeat = 0; repeat < 2; ++repeat) {
-            cobra::CobraConfig cfg = golden::cobra_config();
-            cfg.lp_warm = bcpop::LpWarm::kPool;
-            cfg.eval_threads = threads;
-            cfg.compiled_scoring = compiled;
-            cfg.memo_xgen = memo;
-            const std::string label =
-                std::string("pool simd=") + gp::simd::path_name() +
-                " threads=" + std::to_string(threads) +
-                " compiled=" + std::to_string(compiled) +
-                " memo_xgen=" + std::to_string(memo) +
-                " repeat=" + std::to_string(repeat);
-            expect_same_trajectory(
-                golden::kCobraPool,
-                trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
-          }
-        }
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        cobra::CobraConfig cfg = golden::cobra_config();
+        cfg.lp_warm = bcpop::LpWarm::kPool;
+        cfg.eval_threads = threads;
+        const std::string label =
+            std::string("pool simd=") + gp::simd::path_name() +
+            " threads=" + std::to_string(threads) +
+            " repeat=" + std::to_string(repeat);
+        expect_same_trajectory(
+            golden::kCobraPool,
+            trajectory_of(cobra::CobraSolver(inst, cfg).run()), label);
       }
     }
   }

@@ -19,8 +19,7 @@
 //                [--journal OUT.jsonl] [--metrics]
 //                [--checkpoint FILE --checkpoint-every N] [--resume FILE]
 //                [--guard-lp-iters N] [--guard-rounds N] [--guard-nodes N]
-//                [--guard-watchdog SECONDS] [--memo-xgen on|off]
-//                [--lp-warm baseline|pool]
+//                [--guard-watchdog SECONDS] [--lp-warm baseline|pool]
 //       Treats the first L bundles as the leader's and solves the bi-level
 //       pricing problem. Any other flag is rejected as a usage error.
 //       --threads 1 (the default) evaluates on the calling thread alone;
@@ -35,13 +34,10 @@
 //       per-evaluation budgets (simplex iterations, greedy rounds, total LL
 //       nodes) with a fixed degradation ladder, plus an opt-in wall-clock
 //       watchdog (carbon and cobra only; docs/ALGORITHMS.md §13).
-//       --memo-xgen toggles cross-generation score memoization, a
-//       trajectory-neutral knob for benchmarking and differential testing
-//       (carbon and cobra only; docs/ALGORITHMS.md §14). --lp-warm picks
-//       the LL relaxation warm-start policy: baseline (default, the fixed
-//       base-cost basis — historical trajectories bit for bit) or pool
-//       (nearest pooled basis; deterministic for any --threads but a
-//       DIFFERENT golden axis — carbon and cobra only;
+//       --lp-warm picks the LL relaxation warm-start policy: baseline
+//       (default, the fixed base-cost basis — historical trajectories bit
+//       for bit) or pool (nearest pooled basis; deterministic for any
+//       --threads but a DIFFERENT golden axis — carbon and cobra only;
 //       docs/ALGORITHMS.md §15).
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
@@ -187,8 +183,7 @@ int cmd_solve(const common::CliArgs& args) {
           {"in", "owned", "algo", "pop", "ul-budget", "ll-budget", "seed",
            "threads", "convergence", "memetic", "journal", "metrics",
            "checkpoint", "checkpoint-every", "resume", "guard-lp-iters",
-           "guard-rounds", "guard-nodes", "guard-watchdog", "memo-xgen",
-           "lp-warm"})) {
+           "guard-rounds", "guard-nodes", "guard-watchdog", "lp-warm"})) {
     std::fprintf(stderr, "solve: unknown flag --%s\n", flag->c_str());
     return 1;
   }
@@ -246,13 +241,7 @@ int cmd_solve(const common::CliArgs& args) {
     return 1;
   }
 
-  // Evaluator knobs (trajectory-neutral; docs/ALGORITHMS.md §14).
-  const std::string memo_str = args.get("memo-xgen", "on");
-  if (memo_str != "on" && memo_str != "off") {
-    std::fprintf(stderr, "solve: --memo-xgen must be on|off\n");
-    return 1;
-  }
-  const bool memo_xgen = memo_str == "on";
+  // Relaxation warm-start policy (docs/ALGORITHMS.md §15).
   const std::string lp_warm_str = args.get("lp-warm", "baseline");
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
   if (lp_warm_str == "pool") {
@@ -261,10 +250,8 @@ int cmd_solve(const common::CliArgs& args) {
     std::fprintf(stderr, "solve: --lp-warm must be baseline|pool\n");
     return 1;
   }
-  if ((args.has("memo-xgen") || args.has("lp-warm")) && algo != "carbon" &&
-      algo != "cobra") {
-    std::fprintf(stderr,
-                 "solve: --memo-xgen/--lp-warm require --algo carbon|cobra\n");
+  if (args.has("lp-warm") && algo != "carbon" && algo != "cobra") {
+    std::fprintf(stderr, "solve: --lp-warm requires --algo carbon|cobra\n");
     return 1;
   }
 
@@ -299,7 +286,6 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.memetic_polish = args.get_bool("memetic");
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.memo_xgen = memo_xgen;
     cfg.lp_warm = lp_warm;
     cfg.telemetry = telemetry;
     cfg.checkpoint = checkpoint;
@@ -315,7 +301,6 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.ll_eval_budget = ll_budget;
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.memo_xgen = memo_xgen;
     cfg.lp_warm = lp_warm;
     cfg.telemetry = telemetry;
     cfg.checkpoint = checkpoint;

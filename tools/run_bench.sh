@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Builds and runs the microbenchmarks, leaving their results at the
-# repository root: BENCH_gp_eval.json (GP scoring-tree evaluation:
-# interpreter vs compiled-scalar vs compiled-SIMD kernels, plus the
-# incremental-greedy rescoring fractions) and BENCH_lp_simplex.json
-# (dense-vs-sparse simplex kernels + end-to-end warm-started relaxation
-# batch) and BENCH_parallel_eval.json (work-stealing TaskScheduler vs the
-# barriered ThreadPool::parallel_for on skewed job-cost grids, plus the
-# ParallelEvaluator replay across threads x memo_xgen).
+# repository root:
+#   BENCH_gp_eval.json       GP scoring-tree evaluation: interpreter vs
+#                            compiled-scalar vs compiled-SIMD kernels, plus
+#                            the incremental-greedy rescoring fractions;
+#   BENCH_lp_simplex.json    the production simplex kernels (column-panel
+#                            pricing) vs the dense reference kernels, the
+#                            end-to-end warm-started relaxation batch, and
+#                            the baseline-vs-pool evaluator replay;
+#   BENCH_parallel_eval.json the work-stealing TaskScheduler vs a serial
+#                            loop on the calling thread over skewed job-cost
+#                            grids, plus the ParallelEvaluator replay across
+#                            thread counts.
 #
 # After regenerating, each BENCH_*.json is diffed against the committed
 # baseline (warn-only: timing drift across machines is expected; the diff

@@ -10,8 +10,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The tests that exercise shared-state code paths: the thread pool, the
-# work-stealing task scheduler (Chase-Lev-style deques probed by the
+# The tests that exercise shared-state code paths: the work-stealing task
+# scheduler (Chase-Lev-style deques probed by the
 # determinism fuzz: 500 seeds of skewed job durations across worker counts
 # 0/1/2/4/8, where TSan sees every owner-pop vs thief-CAS interleaving), the
 # relaxation and score caches (single-threaded LRUs: ASan checks the list
@@ -20,9 +20,10 @@ cd "$(dirname "$0")/.."
 # reports any worker that still reaches one — through the capacity-1
 # eviction churn, the thread-count-invariance runs, and the
 # compiled-scoring batch memo), the
-# compiled-program fuzz (per-context register scratch must stay
+# experiment runner (replication runs fanned out as TaskScheduler jobs,
+# each with its own solver and evaluator), the compiled-program fuzz (per-context register scratch must stay
 # thread-private), the metrics registry (sharded counters/timers
-# hammered from pool workers while a reader snapshots), and the LP
+# hammered from scheduler participants while a reader snapshots), and the LP
 # dense-vs-sparse differential suite (the sparse kernels index through
 # CSC arrays in every inner loop; ASan/UBSan verify those accesses on
 # randomized degenerate/infeasible/unbounded instances), the
@@ -45,7 +46,7 @@ cd "$(dirname "$0")/.."
 # ASan checks the copied-basis lifetime across the fan-out).
 # This is the same set labeled `sanitizer-critical` in
 # tests/CMakeLists.txt.
-TESTS=(thread_pool_test task_scheduler_test metrics_test
+TESTS=(task_scheduler_test metrics_test experiment_test
        relaxation_cache_test score_cache_test
        bcpop_evaluator_test parallel_evaluator_test gp_compiled_test
        simplex_differential_test checkpoint_resume_test
