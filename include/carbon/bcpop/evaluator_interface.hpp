@@ -16,6 +16,7 @@
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/tree.hpp"
 #include "carbon/guard/guard.hpp"
+#include "carbon/obs/backend_stats.hpp"
 
 namespace carbon::obs {
 class MetricsRegistry;
@@ -65,49 +66,9 @@ struct SelectionJob {
   EvalPurpose purpose = EvalPurpose::kBoth;
 };
 
-/// Uniform backend-statistics surface for telemetry (run journal records,
-/// CLI --metrics). Counters are cumulative over the evaluator's lifetime;
-/// backends without a given mechanism report 0 for it. This replaces the
-/// former pattern of per-backend getters that every observer had to know
-/// about individually.
-struct BackendStats {
-  long long relaxation_cache_hits = 0;
-  /// Lookups that ran the LP solver (== relaxations solved).
-  long long relaxation_cache_misses = 0;
-  /// Entries dropped by the LRU capacity bound (pinned entries held by
-  /// callers survive eviction; this counts cache-side drops only).
-  long long relaxation_cache_evictions = 0;
-  /// Batch heuristic jobs answered by the per-batch score memo.
-  long long heuristic_dedup_hits = 0;
-  /// Heuristic evaluations answered by the cross-generation score cache
-  /// (still charged to the Table II budgets — the cache saves wall-clock,
-  /// never evaluations; see docs/ALGORITHMS.md §14).
-  long long score_cache_hits = 0;
-  /// Cross-generation score-cache entries dropped by the LRU bound.
-  long long score_cache_evictions = 0;
-  /// Charged evaluations whose guard outcome recorded a budget trip.
-  long long guard_trips = 0;
-  /// Charged evaluations that ran degraded (off-rung bound, capped or
-  /// skipped construction) — a superset of guard_trips' effects.
-  long long guard_degraded_evals = 0;
-  /// Charged evaluations whose node budget ran out before construction.
-  long long guard_budget_exhausted = 0;
-  // LP family / warm-start-pool counters (docs/ALGORITHMS.md §15). All zero
-  // for evaluators that do not implement pool mode.
-  /// Cost-only rebind() calls on per-context problem families (== rung-0
-  /// simplex attempts; replaces the per-evaluation problem rebuild).
-  long long lp_family_rebinds = 0;
-  /// Warm-start bases rejected by the solver (fell back to a crash start).
-  long long lp_warm_start_rejects = 0;
-  /// Solves warm-started from a pooled (nearest-pricing) basis.
-  long long lp_pool_hits = 0;
-  /// Pooled bases the solver rejected (re-solved from the fixed baseline).
-  long long lp_pool_rejects = 0;
-  /// Estimated pivots avoided by pooled warm starts: for each accepted
-  /// pooled solve, max(0, round(mean baseline-start iterations) - actual
-  /// iterations), accumulated in submission order (deterministic).
-  long long lp_pivots_saved = 0;
-};
+/// The backend counters every evaluator reports (carbon/obs/backend_stats.hpp
+/// lists them once).
+using BackendStats = obs::BackendStats;
 
 class EvaluatorInterface {
  public:

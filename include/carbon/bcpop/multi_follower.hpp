@@ -88,7 +88,7 @@ class MultiFollowerEvaluator final : public EvaluatorInterface {
     return last_breakdown_;
   }
 
-  /// Sum of the per-follower evaluators' cache/memo statistics.
+  /// Sum of the per-follower evaluators' backend counters.
   [[nodiscard]] BackendStats backend_stats() const override;
 
   /// Forwards the registry to every per-follower evaluator.

@@ -199,7 +199,8 @@ class ParallelEvaluator final : public EvaluatorInterface {
     return xgen_;
   }
 
-  /// Uniform telemetry snapshot (cache + memo counters).
+  /// Uniform telemetry snapshot: cache, memo, guard and LP family / pool
+  /// counters.
   [[nodiscard]] BackendStats backend_stats() const override;
 
   /// Attaches a metrics registry; workers then time LP-relaxation solves
@@ -214,13 +215,15 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// every context. Injection ordinals are assigned in submission order
   /// (batch job i gets ordinal base+i, planned before fan-out), so the trip
   /// lands on the same evaluation for any thread count. Configure between
-  /// batches. Changing the LIMITS drops both caches — entries warmed under
-  /// other limits would serve stale degradation rungs.
+  /// batches. Changing the LIMITS drops both caches, the basis pool and the
+  /// pivots-saved baseline — entries warmed under other limits would serve
+  /// stale degradation rungs.
   void set_guard(const guard::GuardConfig& config,
                  long long eval_base) noexcept override;
 
-  /// Drops the relaxation cache and the cross-generation score cache
-  /// (counters kept). Called by solvers on checkpoint resume.
+  /// Drops the relaxation cache, the cross-generation score cache, the
+  /// basis pool and the pivots-saved baseline (counters kept). Called by
+  /// solvers on checkpoint resume.
   void clear_caches() noexcept override;
 
  private:

@@ -36,8 +36,8 @@
 #include "carbon/common/rng.hpp"
 #include "carbon/core/result.hpp"
 #include "carbon/gp/tree.hpp"
+#include "carbon/obs/backend_stats.hpp"
 #include "carbon/obs/json.hpp"
-#include "carbon/obs/run_journal.hpp"
 
 namespace carbon::core {
 
@@ -112,7 +112,7 @@ struct SolverProgress {
   long long consumed_ll = 0;
   /// Backend telemetry counters consumed so far; restored as an offset so
   /// journal records stay cumulative across the resume.
-  obs::JournalBackendStats backend;
+  obs::BackendStats backend;
   /// Best-so-far result including the convergence trace prefix.
   RunResult result;
 

@@ -37,34 +37,10 @@
 #include <string_view>
 
 #include "carbon/common/stopwatch.hpp"
+#include "carbon/obs/backend_stats.hpp"
 #include "carbon/obs/metrics.hpp"
 
 namespace carbon::obs {
-
-/// Backend (evaluator) statistics carried by generation and summary
-/// records. Values are cumulative since the run's first evaluation.
-struct JournalBackendStats {
-  long long relaxation_cache_hits = 0;
-  long long relaxation_cache_misses = 0;
-  long long relaxation_cache_evictions = 0;
-  long long heuristic_dedup_hits = 0;
-  // Cross-generation score-memo counters (docs/ALGORITHMS.md §14).
-  long long score_cache_hits = 0;
-  long long score_cache_evictions = 0;
-  // Guard-rail counters (docs/ALGORITHMS.md §13): budget trips, evaluations
-  // that left the full-fidelity path, and evaluations skipped outright.
-  long long guard_trips = 0;
-  long long guard_degraded_evals = 0;
-  long long guard_budget_exhausted = 0;
-  // LP family / warm-start-pool counters (docs/ALGORITHMS.md §15).
-  long long lp_family_rebinds = 0;
-  long long lp_warm_start_rejects = 0;
-  long long lp_pool_hits = 0;
-  long long lp_pool_rejects = 0;
-  long long lp_pivots_saved = 0;
-
-  bool operator==(const JournalBackendStats&) const = default;
-};
 
 /// One generation's worth of observable state. Population statistics are
 /// over whatever population the recording solver evaluated that
@@ -92,7 +68,8 @@ struct GenerationRecord {
   long long ul_evals = 0;
   long long ll_evals = 0;
 
-  JournalBackendStats backend;
+  /// Backend counters, cumulative since the run's first evaluation.
+  BackendStats backend;
 };
 
 /// State restored from a checkpoint, for the "resume" record.
@@ -110,7 +87,7 @@ struct RunSummary {
   long long ll_evals = 0;
   double best_ul = 0.0;
   double best_gap = 0.0;
-  JournalBackendStats backend;
+  BackendStats backend;
 };
 
 class RunJournal {

@@ -146,18 +146,7 @@ Evaluation MultiFollowerEvaluator::evaluate_with_selection(
 
 BackendStats MultiFollowerEvaluator::backend_stats() const {
   BackendStats total;
-  for (const auto& eval : per_follower_) {
-    const BackendStats s = eval->backend_stats();
-    total.relaxation_cache_hits += s.relaxation_cache_hits;
-    total.relaxation_cache_misses += s.relaxation_cache_misses;
-    total.relaxation_cache_evictions += s.relaxation_cache_evictions;
-    total.heuristic_dedup_hits += s.heuristic_dedup_hits;
-    total.score_cache_hits += s.score_cache_hits;
-    total.score_cache_evictions += s.score_cache_evictions;
-    total.guard_trips += s.guard_trips;
-    total.guard_degraded_evals += s.guard_degraded_evals;
-    total.guard_budget_exhausted += s.guard_budget_exhausted;
-  }
+  for (const auto& eval : per_follower_) total += eval->backend_stats();
   return total;
 }
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -301,39 +302,30 @@ ConvergencePoint read_point(const obs::JsonValue& v) {
   return p;
 }
 
+/// First checkpoint key of `group`: an optional group is present in a file
+/// iff this key is.
+std::string_view group_key(obs::CheckpointGroup group) {
+  return std::ranges::find(obs::kBackendCounters, group,
+                           &obs::BackendCounter::group)
+      ->checkpoint_key;
+}
+
 obs::JsonObjectWriter write_progress(const SolverProgress& p) {
+  // An optional counter group is omitted when all its counters are zero, so
+  // checkpoints of runs without that mechanism keep their historical bytes.
+  const auto written = [&](obs::CheckpointGroup group) {
+    return group == obs::CheckpointGroup::kAlways ||
+           std::ranges::any_of(obs::kBackendCounters,
+                               [&](const obs::BackendCounter& c) {
+                                 return c.group == group &&
+                                        p.backend.*c.member != 0;
+                               });
+  };
   obs::JsonObjectWriter backend;
-  backend.field("rch", encode_i64(p.backend.relaxation_cache_hits))
-      .field("rcm", encode_i64(p.backend.relaxation_cache_misses))
-      .field("rce", encode_i64(p.backend.relaxation_cache_evictions))
-      .field("ddh", encode_i64(p.backend.heuristic_dedup_hits));
-  // Optional cross-generation score-memo counters; omitted when zero so
-  // memo-less checkpoints keep their historical bytes, and absent keys read
-  // back as zero.
-  if (p.backend.score_cache_hits != 0 ||
-      p.backend.score_cache_evictions != 0) {
-    backend.field("xgh", encode_i64(p.backend.score_cache_hits))
-        .field("xge", encode_i64(p.backend.score_cache_evictions));
-  }
-  // Optional guard counters; omitted when zero so unguarded checkpoints keep
-  // their historical bytes, and absent keys read back as zero.
-  if (p.backend.guard_trips != 0 || p.backend.guard_degraded_evals != 0 ||
-      p.backend.guard_budget_exhausted != 0) {
-    backend.field("gtr", encode_i64(p.backend.guard_trips))
-        .field("gde", encode_i64(p.backend.guard_degraded_evals))
-        .field("gex", encode_i64(p.backend.guard_budget_exhausted));
-  }
-  // Optional LP family / warm-start-pool counters (docs/ALGORITHMS.md §15);
-  // omitted when all zero so pre-pool checkpoints keep their historical
-  // bytes, and absent keys read back as zero.
-  if (p.backend.lp_family_rebinds != 0 ||
-      p.backend.lp_warm_start_rejects != 0 || p.backend.lp_pool_hits != 0 ||
-      p.backend.lp_pool_rejects != 0 || p.backend.lp_pivots_saved != 0) {
-    backend.field("lpf", encode_i64(p.backend.lp_family_rebinds))
-        .field("wsr", encode_i64(p.backend.lp_warm_start_rejects))
-        .field("lph", encode_i64(p.backend.lp_pool_hits))
-        .field("lpr", encode_i64(p.backend.lp_pool_rejects))
-        .field("lps", encode_i64(p.backend.lp_pivots_saved));
+  for (const obs::BackendCounter& c : obs::kBackendCounters) {
+    if (written(c.group)) {
+      backend.field(c.checkpoint_key, encode_i64(p.backend.*c.member));
+    }
   }
 
   obs::JsonObjectWriter result;
@@ -367,26 +359,12 @@ SolverProgress read_progress(const obs::JsonValue& v) {
   p.generation = static_cast<int>(v.at("generation").as_integer());
   p.consumed_ul = decode_i64(v.at("consumed_ul").as_string());
   p.consumed_ll = decode_i64(v.at("consumed_ll").as_string());
+  // Absent optional groups read back as zero.
   const obs::JsonValue& b = v.at("backend");
-  p.backend.relaxation_cache_hits = decode_i64(b.at("rch").as_string());
-  p.backend.relaxation_cache_misses = decode_i64(b.at("rcm").as_string());
-  p.backend.relaxation_cache_evictions = decode_i64(b.at("rce").as_string());
-  p.backend.heuristic_dedup_hits = decode_i64(b.at("ddh").as_string());
-  if (b.has("xgh")) {
-    p.backend.score_cache_hits = decode_i64(b.at("xgh").as_string());
-    p.backend.score_cache_evictions = decode_i64(b.at("xge").as_string());
-  }
-  if (b.has("gtr")) {
-    p.backend.guard_trips = decode_i64(b.at("gtr").as_string());
-    p.backend.guard_degraded_evals = decode_i64(b.at("gde").as_string());
-    p.backend.guard_budget_exhausted = decode_i64(b.at("gex").as_string());
-  }
-  if (b.has("lpf")) {
-    p.backend.lp_family_rebinds = decode_i64(b.at("lpf").as_string());
-    p.backend.lp_warm_start_rejects = decode_i64(b.at("wsr").as_string());
-    p.backend.lp_pool_hits = decode_i64(b.at("lph").as_string());
-    p.backend.lp_pool_rejects = decode_i64(b.at("lpr").as_string());
-    p.backend.lp_pivots_saved = decode_i64(b.at("lps").as_string());
+  for (const obs::BackendCounter& c : obs::kBackendCounters) {
+    if (c.group == obs::CheckpointGroup::kAlways || b.has(group_key(c.group))) {
+      p.backend.*c.member = decode_i64(b.at(c.checkpoint_key).as_string());
+    }
   }
   const obs::JsonValue& r = v.at("result");
   p.result.best_ul_objective = decode_f64(r.at("best_ul").as_string());

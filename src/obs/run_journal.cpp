@@ -29,22 +29,11 @@ void RunJournal::emit(std::string line) {
 
 namespace {
 
-void append_backend(JsonObjectWriter& w, const JournalBackendStats& b) {
+void append_backend(JsonObjectWriter& w, const BackendStats& b) {
   JsonObjectWriter inner;
-  inner.field("relax_cache_hits", b.relaxation_cache_hits)
-      .field("relax_cache_misses", b.relaxation_cache_misses)
-      .field("relax_cache_evictions", b.relaxation_cache_evictions)
-      .field("dedup_hits", b.heuristic_dedup_hits)
-      .field("xgen_hits", b.score_cache_hits)
-      .field("xgen_evictions", b.score_cache_evictions)
-      .field("guard_trips", b.guard_trips)
-      .field("guard_degraded", b.guard_degraded_evals)
-      .field("guard_exhausted", b.guard_budget_exhausted)
-      .field("lp_family_rebinds", b.lp_family_rebinds)
-      .field("lp_warm_rejects", b.lp_warm_start_rejects)
-      .field("lp_pool_hits", b.lp_pool_hits)
-      .field("lp_pool_rejects", b.lp_pool_rejects)
-      .field("lp_pivots_saved", b.lp_pivots_saved);
+  for (const BackendCounter& c : kBackendCounters) {
+    inner.field(c.journal_key, b.*c.member);
+  }
   w.object_field("backend", std::move(inner));
 }
 

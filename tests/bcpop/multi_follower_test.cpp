@@ -58,6 +58,22 @@ TEST(MultiFollower, SingleFollowerMatchesPlainEvaluator) {
   EXPECT_DOUBLE_EQ(a.ll_objective, b.ll_objective);
   EXPECT_DOUBLE_EQ(a.gap_percent, b.gap_percent);
   EXPECT_EQ(a.selection, b.selection);
+
+  // The same evaluations leave every backend counter equal, the LP family
+  // and pool ones included.
+  const auto other = ea::random_real_vector(rng, plain.price_bounds());
+  for (EvaluatorInterface* eval :
+       {static_cast<EvaluatorInterface*>(&multi),
+        static_cast<EvaluatorInterface*>(&single)}) {
+    (void)eval->evaluate_with_selection(pricing, a.selection);  // cached LP
+    (void)eval->evaluate_with_heuristic(other, ce_tree());
+    (void)eval->evaluate_with_heuristic(pricing, ce_tree());  // score memo
+  }
+  const BackendStats plain_stats = single.backend_stats();
+  EXPECT_GT(plain_stats.lp_family_rebinds, 0);
+  EXPECT_GT(plain_stats.relaxation_cache_hits, 0);
+  EXPECT_GT(plain_stats.score_cache_hits, 0);
+  EXPECT_EQ(multi.backend_stats(), plain_stats);
 }
 
 TEST(MultiFollower, AggregatesAreSumsOfBreakdown) {

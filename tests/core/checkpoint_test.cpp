@@ -256,6 +256,21 @@ CobraCheckpoint make_cobra_checkpoint() {
   return ck;
 }
 
+/// Sets the ten counters make_carbon_checkpoint leaves at zero, so all 14
+/// carry distinct non-zero values.
+void set_optional_counters(obs::BackendStats& b) {
+  b.score_cache_hits = 5;
+  b.score_cache_evictions = 6;
+  b.guard_trips = 7;
+  b.guard_degraded_evals = 9;
+  b.guard_budget_exhausted = 2;
+  b.lp_family_rebinds = 11;
+  b.lp_warm_start_rejects = 12;
+  b.lp_pool_hits = 13;
+  b.lp_pool_rejects = 14;
+  b.lp_pivots_saved = 15;
+}
+
 TEST(CheckpointSnapshot, CarbonJsonRoundTripIsExact) {
   const CarbonCheckpoint ck = make_carbon_checkpoint();
   const CarbonCheckpoint back =
@@ -285,9 +300,7 @@ TEST(CheckpointSnapshot, CobraJsonRoundTripIsExact) {
 
 TEST(CheckpointSnapshot, GuardOutcomeAndCountersRoundTripExactly) {
   CarbonCheckpoint ck = make_carbon_checkpoint();
-  ck.progress.backend.guard_trips = 7;
-  ck.progress.backend.guard_degraded_evals = 9;
-  ck.progress.backend.guard_budget_exhausted = 2;
+  set_optional_counters(ck.progress.backend);
   ck.progress.result.best_evaluation.guard.rung = guard::Rung::kLagrangian;
   ck.progress.result.best_evaluation.guard.trip = guard::Trip::kInjected;
   ck.progress.result.best_evaluation.guard.construction_capped = true;
@@ -312,6 +325,27 @@ TEST(CheckpointSnapshot, GuardFieldsAreOptionalForOldFiles) {
       CarbonCheckpoint::from_json(obs::parse_json(body));
   EXPECT_EQ(back.progress.backend.guard_trips, 0);
   EXPECT_EQ(back.progress.result.best_evaluation.guard, guard::Outcome{});
+}
+
+TEST(CheckpointSnapshot, BodyBytesMatchTheRecordedWireFormat) {
+  // Body hashes recorded from the hand-written codec that preceded the
+  // counter list: key names, key order and the omission of all-zero
+  // optional counter groups are pinned byte for byte.
+  CarbonCheckpoint ck = make_carbon_checkpoint();
+  EXPECT_EQ(encode_u64(fnv1a64(ck.to_json())), "5ccd3471550e0eae");
+  set_optional_counters(ck.progress.backend);
+  const std::string body = ck.to_json();
+  EXPECT_EQ(encode_u64(fnv1a64(body)), "ecc6b10d99e7aaec");
+  EXPECT_NE(
+      body.find(
+          R"("backend":{"rch":"000000000000000a","rcm":"0000000000000014",)"
+          R"("rce":"0000000000000003","ddh":"0000000000000028",)"
+          R"("xgh":"0000000000000005","xge":"0000000000000006",)"
+          R"("gtr":"0000000000000007","gde":"0000000000000009",)"
+          R"("gex":"0000000000000002","lpf":"000000000000000b",)"
+          R"("wsr":"000000000000000c","lph":"000000000000000d",)"
+          R"("lpr":"000000000000000e","lps":"000000000000000f"})"),
+      std::string::npos);
 }
 
 TEST(CheckpointSnapshot, OutOfRangeGuardEnumsAreRejected) {

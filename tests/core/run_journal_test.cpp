@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carbon/obs/json.hpp"
@@ -43,6 +45,16 @@ GenerationRecord sample_record(int generation) {
   rec.backend.relaxation_cache_misses = 10;
   rec.backend.relaxation_cache_evictions = 3;
   rec.backend.heuristic_dedup_hits = 7;
+  rec.backend.score_cache_hits = 8;
+  rec.backend.score_cache_evictions = 9;
+  rec.backend.guard_trips = 11;
+  rec.backend.guard_degraded_evals = 12;
+  rec.backend.guard_budget_exhausted = 13;
+  rec.backend.lp_family_rebinds = 14;
+  rec.backend.lp_warm_start_rejects = 15;
+  rec.backend.lp_pool_hits = 16;
+  rec.backend.lp_pool_rejects = 17;
+  rec.backend.lp_pivots_saved = 18;
   return rec;
 }
 
@@ -131,11 +143,27 @@ TEST(RunJournal, GenerationRecordRoundTripsEveryField) {
   EXPECT_EQ(g.at("ll_archive_size").as_integer(), 12);
   EXPECT_EQ(g.at("ul_evals").as_integer(), 20);
   EXPECT_EQ(g.at("ll_evals").as_integer(), 120);
+  // Every backend key, in emission order (bench/e2e parses several of them
+  // by name).
+  const std::pair<const char*, long long> keys[] = {
+      {"relax_cache_hits", 40},  {"relax_cache_misses", 10},
+      {"relax_cache_evictions", 3}, {"dedup_hits", 7},
+      {"xgen_hits", 8},          {"xgen_evictions", 9},
+      {"guard_trips", 11},       {"guard_degraded", 12},
+      {"guard_exhausted", 13},   {"lp_family_rebinds", 14},
+      {"lp_warm_rejects", 15},   {"lp_pool_hits", 16},
+      {"lp_pool_rejects", 17},   {"lp_pivots_saved", 18},
+  };
   const JsonValue& backend = g.at("backend");
-  EXPECT_EQ(backend.at("relax_cache_hits").as_integer(), 40);
-  EXPECT_EQ(backend.at("relax_cache_misses").as_integer(), 10);
-  EXPECT_EQ(backend.at("relax_cache_evictions").as_integer(), 3);
-  EXPECT_EQ(backend.at("dedup_hits").as_integer(), 7);
+  EXPECT_EQ(backend.object.size(), std::size(keys));
+  const std::string line = sink.str().substr(sink.str().find('\n') + 1);
+  std::size_t last = line.find("\"backend\"");
+  for (const auto& [key, value] : keys) {
+    EXPECT_EQ(backend.at(key).as_integer(), value) << key;
+    const std::size_t at = line.find('"' + std::string(key) + "\":", last);
+    ASSERT_NE(at, std::string::npos) << key;
+    last = at;
+  }
   // Without a registry the timings object is present but empty.
   EXPECT_TRUE(g.at("timings_s").is_object());
   EXPECT_TRUE(g.at("timings_s").object.empty());
