@@ -226,7 +226,7 @@ GreedyCase run_greedy_class(std::size_t class_index, bool smoke) {
     if (program.is_static()) return;  // takes the sort fast path in bcpop
     cover::GreedyBatchStats stats;
     (void)cover::greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {},
+        inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {}, {},
         &scratch, &stats);
     gc.trees += 1;
     gc.mean_rounds += static_cast<double>(stats.rounds);

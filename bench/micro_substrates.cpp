@@ -62,7 +62,7 @@ void BM_GreedyCostEffectiveness(benchmark::State& state) {
   const auto& inst = instance_for_class(static_cast<std::size_t>(state.range(0)));
   const cover::Relaxation relax = cover::relax(inst);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cover::greedy_solve_with(
+    benchmark::DoNotOptimize(cover::greedy_solve(
         inst, cover::cost_effectiveness_score, relax.duals, relax.relaxed_x));
   }
 }
@@ -78,7 +78,7 @@ void BM_GreedyGpTree(benchmark::State& state) {
   common::Rng rng(7);
   const gp::Tree tree = gp::generate_full(rng, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cover::greedy_solve_with(
+    benchmark::DoNotOptimize(cover::greedy_solve(
         inst,
         [&tree](const cover::BundleFeatures& f) {
           const auto arr = gp::features_to_array(f);

@@ -32,7 +32,7 @@ double mean_gap(const carbon::gp::Tree& tree,
                 const std::vector<TrainingCase>& cases) {
   carbon::common::RunningStats gaps;
   for (const TrainingCase& c : cases) {
-    const auto result = carbon::cover::greedy_solve_with(
+    const auto result = carbon::cover::greedy_solve(
         c.instance, carbon::gp::make_score_function(tree),
         c.relaxation.duals, c.relaxation.relaxed_x);
     gaps.add(result.feasible ? carbon::bilevel::percent_gap(
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const double ce_gap = [&] {
     common::RunningStats g;
     for (const TrainingCase& c : cases) {
-      const auto r = cover::greedy_solve_with(
+      const auto r = cover::greedy_solve(
           c.instance, cover::cost_effectiveness_score, c.relaxation.duals,
           c.relaxation.relaxed_x);
       g.add(bilevel::percent_gap(r.value, c.relaxation.lower_bound));

@@ -186,13 +186,16 @@ struct HeuristicBatchPlan {
     std::span<const double> pricing, const cover::ScoreFunction& score,
     const cover::GreedyOptions& greedy = {});
 
-/// Repairs a binary customer genome to cover feasibility (cheapest useful
-/// coverage per cost first); the genome is respected otherwise. The round
-/// cap in `greedy` bounds repair ADDITIONS (bundles already set in the
-/// genome are free — the budget meters work, not genome content).
+/// Repairs a binary customer genome to cover feasibility: the greedy core
+/// started from the genome (padded or truncated to the bundle count) adds
+/// the cheapest-per-useful-coverage bundles; the genome is respected
+/// otherwise and no redundancy pass runs. The round cap in `greedy` bounds
+/// repair ADDITIONS (bundles already set in the genome are free — the
+/// budget meters work, not genome content). Needs no relaxation: the
+/// repair scorer reads neither duals nor x̄.
 [[nodiscard]] cover::SolveResult solve_with_selection(
-    EvalContext& ctx, const cover::Relaxation& relax,
-    std::span<const double> pricing, std::span<const std::uint8_t> selection,
+    EvalContext& ctx, std::span<const double> pricing,
+    std::span<const std::uint8_t> selection,
     const cover::GreedyOptions& greedy = {});
 
 /// Assembles the Evaluation from a solved lower level. Leader revenue (the

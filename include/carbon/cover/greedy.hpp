@@ -8,10 +8,14 @@
 // paper's terminal set (Table I) with the per-service terminals aggregated
 // over services, as discussed in DESIGN.md §5.1.
 //
-// The core is a template over the scorer so that hot callers (the GP tree
-// evaluator, which runs inside the innermost loop of every fitness
-// evaluation) pay no std::function indirection; `greedy_solve` is the
-// type-erased convenience wrapper.
+// There is one construction core, greedy_solve_batched: a template over a
+// batch scorer (so the compiled GP scorer in the innermost loop of every
+// fitness evaluation pays no std::function indirection), optionally started
+// from a partial selection (COBRA's genome repair). Its partial-cover
+// bookkeeping, detail::CoverState, is shared with GRASP's construction.
+// `greedy_solve` is the type-erased per-bundle convenience wrapper over the
+// same core; greedy_solve_static is the sort-based path for round-invariant
+// scorers.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <numeric>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -40,6 +44,9 @@ struct BundleFeatures {
 };
 
 /// Scores one bundle; the greedy selects the maximal score each round.
+/// Scorers must be pure (the score a function of the features alone): the
+/// core may score any bundle in any round, selected and exhausted ones
+/// included, and ignores the scores it does not need.
 using ScoreFunction = std::function<double(const BundleFeatures&)>;
 
 /// SoA view of the features of EVERY bundle for one greedy round: one
@@ -86,121 +93,70 @@ void eliminate_redundancy(const Instance& instance,
                           std::vector<std::uint8_t>& selection);
 
 /// Per-bundle static masses (independent of the residual): qsum[j] and the
-/// dual-weighted coverage dual_mass[j], accumulated in service order so the
-/// batched and per-bundle paths sum in the same sequence.
+/// dual-weighted coverage dual_mass[j], accumulated in service order.
 void static_masses(const Instance& instance, std::span<const double> duals,
                    std::vector<double>& qsum, std::vector<double>& dual_mass);
 
-}  // namespace detail
+/// The per-bundle adapter onto the batch interface: fills one
+/// BundleFeatures per lane and writes out[j] = score(features of j). It is
+/// not terminal-aware, so a core driving it rescores every bundle every
+/// round.
+void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
+                      std::span<double> out);
 
-/// Runs the greedy with an arbitrary callable scorer (inlined at the call
-/// site). `duals` and `relaxed_x` may be empty, in which case the
-/// corresponding features read as 0 (the GP population then learns to ignore
-/// them). Returns feasible=false only when the instance itself cannot be
-/// covered.
-template <typename Score>
-[[nodiscard]] SolveResult greedy_solve_with(const Instance& instance,
-                                            Score&& score,
-                                            std::span<const double> duals = {},
-                                            std::span<const double> relaxed_x =
-                                                {},
-                                            const GreedyOptions& options = {}) {
-  const std::size_t m = instance.num_bundles();
-  const std::size_t n = instance.num_services();
+/// The partial cover every construction here grows: the selection, the
+/// residual demand and each bundle's useful coverage
+/// useful[j] = Σ_k min(q_jk, residual_k). `useful` holds integers exactly in
+/// doubles and is updated incrementally through the service→bundle supplier
+/// index; entries of selected bundles go stale (scorers may still see them,
+/// but their scores are never used).
+struct CoverState {
+  std::vector<std::uint8_t> selection;
+  std::vector<int> residual;
+  std::vector<double> useful;
+  long long outstanding = 0;  ///< Σ_k residual_k
 
-  SolveResult result;
-  result.selection.assign(m, 0);
+  /// Starts from `start` (empty = nothing selected): its bytes are copied
+  /// into the selection, padded with 0 or truncated to num_bundles. The
+  /// residual is the demand minus the start's coverage, clamped at 0
+  /// (Instance::residual_demand).
+  void reset(const Instance& instance, std::span<const std::uint8_t> start);
 
-  std::vector<int> residual(instance.demands().begin(),
-                            instance.demands().end());
-  long long outstanding =
-      std::accumulate(residual.begin(), residual.end(), 0LL);
-
-  // Per-bundle static features (do not depend on the residual).
-  std::vector<double> qsum;
-  std::vector<double> dual_mass;
-  detail::static_masses(instance, duals, qsum, dual_mass);
-
-  // Incrementally maintained useful coverage: useful[j] = Σ_k min(q_jk, r_k).
-  std::vector<double> useful(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto row = instance.bundle(j);
-    double u = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      u += std::min(row[k], residual[k]);
-    }
-    useful[j] = u;
-  }
-
-  long long rounds = 0;
-  while (outstanding > 0) {
-    if (options.max_rounds > 0 && rounds >= options.max_rounds) {
-      result.feasible = false;
-      result.rounds_capped = true;
-      result.value = instance.selection_cost(result.selection);
-      return result;
-    }
-    ++rounds;
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_j = m;
-    const double bres = static_cast<double>(outstanding);
-
-    for (std::size_t j = 0; j < m; ++j) {
-      if (result.selection[j]) continue;
-      if (useful[j] <= 0.0) continue;  // adds nothing: never select
-
-      BundleFeatures f;
-      f.cost = instance.cost(j);
-      f.qsum = qsum[j];
-      f.qcov = useful[j];
-      f.bres = bres;
-      f.dual = dual_mass[j];
-      f.xbar = j < relaxed_x.size() ? relaxed_x[j] : 0.0;
-
-      const double s = detail::sanitize_score(score(f));
-      if (s > best_score) {
-        best_score = s;
-        best_j = j;
-      }
-    }
-
-    if (best_j == m) {
-      // No bundle adds coverage yet demand remains: instance not coverable.
-      result.feasible = false;
-      result.value = instance.selection_cost(result.selection);
-      return result;
-    }
-
-    result.selection[best_j] = 1;
-    const auto chosen = instance.bundle(best_j);
-    for (std::size_t k = 0; k < n; ++k) {
+  /// Selects bundle j, lowers the residual, and lowers `useful` of every
+  /// unselected bundle sharing a service whose residual moved, calling
+  /// on_qcov_changed(i) for each such bundle i.
+  template <typename OnQcovChanged>
+  void add(const Instance& instance, std::size_t j,
+           OnQcovChanged&& on_qcov_changed) {
+    selection[j] = 1;
+    const auto chosen = instance.bundle(j);
+    for (std::size_t k = 0; k < instance.num_services(); ++k) {
       const int r_old = residual[k];
       if (r_old <= 0 || chosen[k] <= 0) continue;
-      const int used = std::min(chosen[k], r_old);
-      const int r_new = r_old - used;
+      const int r_new = r_old - std::min(chosen[k], r_old);
       residual[k] = r_new;
-      outstanding -= used;
-      // Update useful coverage of the unselected bundles for this service.
-      // Iterates only the suppliers of service k (CSR index, contiguous).
+      outstanding -= r_old - r_new;
       const auto idx = instance.suppliers(k);
       const auto qty = instance.supplier_quantities(k);
       for (std::size_t t = 0; t < idx.size(); ++t) {
-        const std::size_t j = idx[t];
-        if (result.selection[j]) continue;
+        const std::size_t i = idx[t];
+        if (selection[i]) continue;
         const int q = qty[t];
-        useful[j] -= std::min(q, r_old) - std::min(q, r_new);
+        const int delta = std::min(q, r_old) - std::min(q, r_new);
+        if (delta == 0) continue;  // qcov untouched: score still exact
+        useful[i] -= delta;
+        on_qcov_changed(i);
       }
     }
   }
 
-  if (options.eliminate_redundancy) {
-    detail::eliminate_redundancy(instance, result.selection);
-  }
+  /// Ends the construction: runs the redundancy pass on a feasible cover
+  /// when asked, prices the selection and moves it into the result.
+  [[nodiscard]] SolveResult finish(const Instance& instance, bool feasible,
+                                   bool rounds_capped, bool redundancy_pass);
+};
 
-  result.feasible = true;
-  result.value = instance.selection_cost(result.selection);
-  return result;
-}
+}  // namespace detail
 
 /// Batch scorers that can report which residual-dependent terminals they
 /// read (gp::CompiledBatchScorer queries the CANONICAL compiled program, so
@@ -219,11 +175,10 @@ concept TerminalAwareBatchScorer = requires(const std::remove_cvref_t<S>& s) {
 /// dozen heap allocations each; every vector is assign()ed at entry, so a
 /// reused scratch never leaks state between solves.
 struct GreedyScratch {
-  std::vector<int> residual;
+  detail::CoverState cover;
   std::vector<double> qsum;
   std::vector<double> dual_mass;
   std::vector<double> xbar;
-  std::vector<double> useful;
   std::vector<double> scores;
   std::vector<std::uint32_t> dirty;      ///< bundles whose qcov changed
   std::vector<std::uint8_t> dirty_flag;  ///< dirty_flag[j] == j in `dirty`
@@ -234,6 +189,22 @@ struct GreedyScratch {
   std::vector<double> sub_dual;
   std::vector<double> sub_xbar;
   std::vector<double> sub_out;
+
+  /// Fills the residual-independent feature columns: qsum, dual_mass
+  /// (detail::static_masses) and xbar (padded or truncated to num_bundles,
+  /// absent -> 0).
+  void load_static_columns(const Instance& instance,
+                           std::span<const double> duals,
+                           std::span<const double> relaxed_x);
+
+  /// Starts one construction from `start` (see detail::CoverState::reset):
+  /// resets the cover, loads the static columns and returns the feature
+  /// view over them, bres left 0. A start that already covers the demand
+  /// loads nothing and returns an empty view.
+  BatchFeatureView begin(const Instance& instance,
+                         std::span<const double> duals,
+                         std::span<const double> relaxed_x,
+                         std::span<const std::uint8_t> start);
 };
 
 /// Rescoring effort of one batched greedy solve. The dense baseline scores
@@ -253,9 +224,17 @@ struct GreedyBatchStats {
   }
 };
 
-/// Batch-scoring variant of greedy_solve_with: semantically identical (same
-/// selections, same tie-breaks) for any batch scorer that computes, per
-/// bundle, the same double the per-bundle scorer would.
+/// The greedy construction core. Every bundle's score comes from one batch
+/// scorer call per round, and the argmax takes the first strict maximum, so
+/// any batch scorer that computes per bundle the double a per-bundle scorer
+/// would yields that scorer's greedy exactly.
+///
+/// `duals` and `relaxed_x` may be empty (or short), in which case the
+/// corresponding features read as 0. `start` (empty = nothing selected)
+/// pre-selects bundles, as COBRA's genome repair does: see
+/// detail::CoverState::reset. Bundles of the start are free —
+/// options.max_rounds counts additions only. Returns feasible=false without
+/// rounds_capped only when the demand cannot be covered.
 ///
 /// Scoring is LAZY: a bundle's score is a pure function of its feature row,
 /// and selecting a bundle only changes qcov for bundles sharing a service
@@ -267,8 +246,7 @@ struct GreedyBatchStats {
 /// (kernel ops are elementwise, so batch composition cannot change any
 /// element's bits), hence the argmax and its index tie-breaks are identical
 /// to the dense greedy. Scorers that read BRES — or type-erased scorers
-/// that cannot say — are rescored dense every round, which is the old
-/// behavior exactly.
+/// that cannot say — are rescored dense every round.
 ///
 /// `scratch` (optional) supplies caller-owned working memory; `stats`
 /// (optional) receives the rescoring effort of this solve.
@@ -276,40 +254,21 @@ template <typename BatchScore>
 [[nodiscard]] SolveResult greedy_solve_batched(
     const Instance& instance, BatchScore&& batch_score,
     std::span<const double> duals = {}, std::span<const double> relaxed_x = {},
+    std::span<const std::uint8_t> start = {},
     const GreedyOptions& options = {}, GreedyScratch* scratch = nullptr,
     GreedyBatchStats* stats = nullptr) {
   const std::size_t m = instance.num_bundles();
-  const std::size_t n = instance.num_services();
 
   GreedyScratch local;
   GreedyScratch& s = scratch != nullptr ? *scratch : local;
+  detail::CoverState& c = s.cover;
+  BatchFeatureView view = s.begin(instance, duals, relaxed_x, start);
   GreedyBatchStats st;
-
-  SolveResult result;
-  result.selection.assign(m, 0);
-
-  s.residual.assign(instance.demands().begin(), instance.demands().end());
-  long long outstanding =
-      std::accumulate(s.residual.begin(), s.residual.end(), 0LL);
-
-  detail::static_masses(instance, duals, s.qsum, s.dual_mass);
-
-  // xbar column: pad/truncate to exactly m entries (absent -> 0), matching
-  // the per-bundle path's `j < relaxed_x.size() ? relaxed_x[j] : 0`.
-  s.xbar.assign(m, 0.0);
-  for (std::size_t j = 0; j < m && j < relaxed_x.size(); ++j) {
-    s.xbar[j] = relaxed_x[j];
-  }
-
-  s.useful.assign(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto row = instance.bundle(j);
-    double u = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      u += std::min(row[k], s.residual[k]);
-    }
-    s.useful[j] = u;
-  }
+  const auto finish = [&](bool feasible, bool rounds_capped) {
+    if (stats != nullptr) *stats = st;
+    return c.finish(instance, feasible, rounds_capped,
+                    options.eliminate_redundancy);
+  };
 
   // Round-invariance of the scorer decides the rescoring regime once.
   bool rescore_all = true;
@@ -325,28 +284,16 @@ template <typename BatchScore>
   if (track_dirty) {
     s.dirty_flag.assign(m, 0);
   }
-
   s.scores.assign(m, 0.0);
-  BatchFeatureView view;
-  view.cost = instance.costs();
-  view.qsum = s.qsum;
-  view.qcov = s.useful;
-  view.dual = s.dual_mass;
-  view.xbar = s.xbar;
-  view.count = m;
 
   bool first_round = true;
   long long rounds = 0;
-  while (outstanding > 0) {
+  while (c.outstanding > 0) {
     if (options.max_rounds > 0 && rounds >= options.max_rounds) {
-      result.feasible = false;
-      result.rounds_capped = true;
-      result.value = instance.selection_cost(result.selection);
-      if (stats != nullptr) *stats = st;
-      return result;
+      return finish(false, true);
     }
     ++rounds;
-    view.bres = static_cast<double>(outstanding);
+    view.bres = static_cast<double>(c.outstanding);
     if (first_round || rescore_all) {
       batch_score(view, std::span<double>(s.scores));
       st.bundles_rescored += m;
@@ -362,10 +309,10 @@ template <typename BatchScore>
       s.sub_xbar.resize(s.dirty.size());
       s.sub_out.resize(s.dirty.size());
       for (const std::uint32_t j : s.dirty) {
-        if (result.selection[j] || s.useful[j] <= 0.0) continue;
+        if (c.selection[j] || c.useful[j] <= 0.0) continue;
         s.sub_cost[d] = view.cost[j];
         s.sub_qsum[d] = s.qsum[j];
-        s.sub_qcov[d] = s.useful[j];
+        s.sub_qcov[d] = c.useful[j];
         s.sub_dual[d] = s.dual_mass[j];
         s.sub_xbar[d] = s.xbar[j];
         s.dirty[d] = j;  // keep the surviving index for the scatter
@@ -398,8 +345,8 @@ template <typename BatchScore>
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_j = m;
     for (std::size_t j = 0; j < m; ++j) {
-      if (result.selection[j]) continue;
-      if (s.useful[j] <= 0.0) continue;
+      if (c.selection[j]) continue;
+      if (c.useful[j] <= 0.0) continue;  // adds nothing: never select
       const double sc = detail::sanitize_score(s.scores[j]);
       if (sc > best_score) {
         best_score = sc;
@@ -408,51 +355,23 @@ template <typename BatchScore>
     }
 
     if (best_j == m) {
-      result.feasible = false;
-      result.value = instance.selection_cost(result.selection);
-      if (stats != nullptr) *stats = st;
-      return result;
+      // No bundle adds coverage yet demand remains: instance not coverable.
+      return finish(false, false);
     }
 
-    result.selection[best_j] = 1;
-    const auto chosen = instance.bundle(best_j);
-    for (std::size_t k = 0; k < n; ++k) {
-      const int r_old = s.residual[k];
-      if (r_old <= 0 || chosen[k] <= 0) continue;
-      const int used = std::min(chosen[k], r_old);
-      const int r_new = r_old - used;
-      s.residual[k] = r_new;
-      outstanding -= used;
-      const auto idx = instance.suppliers(k);
-      const auto qty = instance.supplier_quantities(k);
-      for (std::size_t t = 0; t < idx.size(); ++t) {
-        const std::size_t j = idx[t];
-        if (result.selection[j]) continue;
-        const int q = qty[t];
-        const int delta = std::min(q, r_old) - std::min(q, r_new);
-        if (delta == 0) continue;  // qcov untouched: score still exact
-        s.useful[j] -= delta;
-        if (track_dirty && !s.dirty_flag[j]) {
-          s.dirty_flag[j] = 1;
-          s.dirty.push_back(static_cast<std::uint32_t>(j));
-        }
+    c.add(instance, best_j, [&](std::size_t j) {
+      if (track_dirty && !s.dirty_flag[j]) {
+        s.dirty_flag[j] = 1;
+        s.dirty.push_back(static_cast<std::uint32_t>(j));
       }
-    }
+    });
   }
-
-  if (options.eliminate_redundancy) {
-    detail::eliminate_redundancy(instance, result.selection);
-  }
-
-  result.feasible = true;
-  result.value = instance.selection_cost(result.selection);
-  if (stats != nullptr) *stats = st;
-  return result;
+  return finish(true, false);
 }
 
 /// Fast path for *static* scorers (scores independent of the residual
 /// demand): one score per bundle, computed up front. Semantically identical
-/// to greedy_solve_with for any scorer that ignores qcov/bres: useful
+/// to the argmax greedy for any scorer that ignores qcov/bres: useful
 /// coverage only ever decreases, so the argmax sequence equals the
 /// score-descending sweep (ties broken by index in both). Complexity drops
 /// from O(steps * M * score) to O(M log M + M * N).
@@ -460,7 +379,8 @@ template <typename BatchScore>
     const Instance& instance, std::span<const double> scores,
     const GreedyOptions& options = {});
 
-/// Type-erased convenience wrapper over greedy_solve_with.
+/// Type-erased per-bundle greedy: greedy_solve_batched through
+/// detail::score_per_bundle, so every bundle is rescored every round.
 [[nodiscard]] SolveResult greedy_solve(const Instance& instance,
                                        const ScoreFunction& score,
                                        std::span<const double> duals = {},

@@ -292,11 +292,7 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
     // the per-context greedy scratch — zero allocations once warm.
     const std::size_t m = ctx.ll.num_bundles();
     cover::GreedyScratch& gs = ctx.greedy_scratch;
-    cover::detail::static_masses(ctx.ll, relax.duals, gs.qsum, gs.dual_mass);
-    gs.xbar.assign(m, 0.0);
-    for (std::size_t j = 0; j < m && j < relax.relaxed_x.size(); ++j) {
-      gs.xbar[j] = relax.relaxed_x[j];
-    }
+    gs.load_static_columns(ctx.ll, relax.duals, relax.relaxed_x);
     // qcov/bres are round-dependent; broadcast zeros (the program ignores
     // them anyway).
     const double zero = 0.0;
@@ -317,7 +313,8 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
     cover::GreedyBatchStats stats;
     solved = cover::greedy_solve_batched(
         ctx.ll, gp::CompiledBatchScorer(program, ctx.reg_scratch),
-        relax.duals, relax.relaxed_x, greedy, &ctx.greedy_scratch, &stats);
+        relax.duals, relax.relaxed_x, {}, greedy, &ctx.greedy_scratch,
+        &stats);
     if (metrics != nullptr && stats.rounds > 0) {
       metrics->add_counter("greedy/rounds",
                            static_cast<long long>(stats.rounds));
@@ -418,6 +415,24 @@ HeuristicBatchPlan plan_heuristic_batch(std::span<const HeuristicJob> jobs) {
   return plan;
 }
 
+namespace {
+
+/// COBRA's repair scorer, cover::cost_effectiveness_score over a batch:
+/// useful coverage per unit cost. It reads QCOV but not BRES, so the core
+/// rescores only the bundles whose coverage moved.
+struct CostPerCoverage {
+  [[nodiscard]] bool depends_on_bres() const noexcept { return false; }
+  [[nodiscard]] bool depends_on_qcov() const noexcept { return true; }
+  void operator()(const cover::BatchFeatureView& view,
+                  std::span<double> out) const {
+    for (std::size_t j = 0; j < view.count; ++j) {
+      out[j] = view.qcov[j] / std::max(view.cost[j], 1e-9);
+    }
+  }
+};
+
+}  // namespace
+
 cover::SolveResult solve_with_score(EvalContext& ctx,
                                     const cover::Relaxation& relax,
                                     std::span<const double> pricing,
@@ -429,68 +444,14 @@ cover::SolveResult solve_with_score(EvalContext& ctx,
 }
 
 cover::SolveResult solve_with_selection(EvalContext& ctx,
-                                        const cover::Relaxation& relax,
                                         std::span<const double> pricing,
                                         std::span<const std::uint8_t> selection,
                                         const cover::GreedyOptions& greedy) {
-  (void)relax;
   load_pricing(ctx, pricing);
-
-  cover::SolveResult solved;
-  solved.selection.assign(selection.begin(), selection.end());
-  solved.selection.resize(ctx.ll.num_bundles(), 0);
-
-  // Repair: add the cheapest-per-useful-coverage bundles until feasible.
-  std::vector<int> residual = ctx.ll.residual_demand(solved.selection);
-  long long outstanding = 0;
-  for (int r : residual) outstanding += r;
-  long long additions = 0;
-  while (outstanding > 0) {
-    if (greedy.max_rounds > 0 && additions >= greedy.max_rounds) {
-      solved.feasible = false;
-      solved.rounds_capped = true;
-      solved.value = ctx.ll.selection_cost(solved.selection);
-      return solved;
-    }
-    ++additions;
-    double best_ratio = -1.0;
-    std::size_t best_j = ctx.ll.num_bundles();
-    for (std::size_t j = 0; j < ctx.ll.num_bundles(); ++j) {
-      if (solved.selection[j]) continue;
-      const auto row = ctx.ll.bundle(j);
-      long long useful = 0;
-      for (std::size_t k = 0; k < ctx.ll.num_services(); ++k) {
-        if (residual[k] > 0 && row[k] > 0) {
-          useful += std::min(row[k], residual[k]);
-        }
-      }
-      if (useful <= 0) continue;
-      const double ratio =
-          static_cast<double>(useful) / std::max(ctx.ll.cost(j), 1e-9);
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_j = j;
-      }
-    }
-    if (best_j == ctx.ll.num_bundles()) {
-      solved.feasible = false;
-      solved.value = ctx.ll.selection_cost(solved.selection);
-      return solved;
-    }
-    solved.selection[best_j] = 1;
-    const auto row = ctx.ll.bundle(best_j);
-    for (std::size_t k = 0; k < ctx.ll.num_services(); ++k) {
-      if (residual[k] > 0 && row[k] > 0) {
-        const int used = std::min(row[k], residual[k]);
-        residual[k] -= used;
-        outstanding -= used;
-      }
-    }
-  }
-
-  solved.feasible = true;
-  solved.value = ctx.ll.selection_cost(solved.selection);
-  return solved;
+  cover::GreedyOptions repair = greedy;
+  repair.eliminate_redundancy = false;
+  return cover::greedy_solve_batched(ctx.ll, CostPerCoverage{}, {}, {},
+                                     selection, repair, &ctx.greedy_scratch);
 }
 
 Evaluation finalize_evaluation(const Instance& inst,

@@ -151,7 +151,7 @@ Evaluation ParallelEvaluator::finish_selection(EvalContext& ctx,
                                                const SelectionJob& job) {
   return construct_with(ctx, relax, job.pricing, job.purpose,
                         [&](const cover::GreedyOptions& options) {
-                          return solve_with_selection(ctx, relax, job.pricing,
+                          return solve_with_selection(ctx, job.pricing,
                                                       job.selection, options);
                         });
 }

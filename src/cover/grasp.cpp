@@ -2,95 +2,53 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace carbon::cover {
 
 namespace {
 
-/// One semi-greedy construction, batch-scoring core: every round fills the
-/// SoA feature view once and scores the whole bundle axis in one call.
+/// One semi-greedy construction, batch-scoring core: every round scores the
+/// whole bundle axis in one call and picks uniformly from the RCL. The
+/// partial cover lives in `scratch` (detail::CoverState), shared with the
+/// deterministic greedy.
 SolveResult construct(const Instance& instance,
                       const BatchScoreFunction& score, common::Rng& rng,
                       std::span<const double> duals,
                       std::span<const double> relaxed_x, double alpha,
-                      const GreedyOptions& greedy_options) {
+                      const GreedyOptions& greedy_options,
+                      GreedyScratch& scratch) {
   const std::size_t m = instance.num_bundles();
-  const std::size_t n = instance.num_services();
-
-  SolveResult result;
-  result.selection.assign(m, 0);
-  std::vector<int> residual(instance.demands().begin(),
-                            instance.demands().end());
-  long long outstanding =
-      std::accumulate(residual.begin(), residual.end(), 0LL);
-
-  std::vector<double> qsum;
-  std::vector<double> dual_mass;
-  detail::static_masses(instance, duals, qsum, dual_mass);
-
-  std::vector<double> xbar(m, 0.0);
-  for (std::size_t j = 0; j < m && j < relaxed_x.size(); ++j) {
-    xbar[j] = relaxed_x[j];
-  }
-
-  std::vector<double> useful(m, 0.0);
-  std::vector<double> scores(m, 0.0);
+  BatchFeatureView view = scratch.begin(instance, duals, relaxed_x, {});
+  detail::CoverState& c = scratch.cover;
+  scratch.scores.assign(m, 0.0);
   std::vector<std::size_t> candidates;
   std::vector<double> cand_scores;
 
-  BatchFeatureView view;
-  view.cost = instance.costs();
-  view.qsum = qsum;
-  view.qcov = useful;
-  view.dual = dual_mass;
-  view.xbar = xbar;
-  view.count = m;
-
   long long rounds = 0;
-  while (outstanding > 0) {
+  while (c.outstanding > 0) {
     if (greedy_options.max_rounds > 0 &&
         rounds >= greedy_options.max_rounds) {
-      result.feasible = false;
-      result.rounds_capped = true;
-      result.value = instance.selection_cost(result.selection);
-      return result;
+      return c.finish(instance, false, true, false);
     }
     ++rounds;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (result.selection[j]) {
-        useful[j] = 0.0;
-        continue;
-      }
-      const auto row = instance.bundle(j);
-      double u = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (residual[k] > 0 && row[k] > 0) {
-          u += std::min(row[k], residual[k]);
-        }
-      }
-      useful[j] = u;
-    }
-    view.bres = static_cast<double>(outstanding);
-    score(view, std::span<double>(scores));
+    view.bres = static_cast<double>(c.outstanding);
+    score(view, std::span<double>(scratch.scores));
 
     candidates.clear();
     cand_scores.clear();
     double best = -std::numeric_limits<double>::infinity();
     double worst = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < m; ++j) {
-      if (result.selection[j] || useful[j] <= 0.0) continue;
-      const double s = detail::sanitize_score(scores[j]);
+      if (c.selection[j] || c.useful[j] <= 0.0) continue;
+      const double s = detail::sanitize_score(scratch.scores[j]);
       candidates.push_back(j);
       cand_scores.push_back(s);
       best = std::max(best, s);
       worst = std::min(worst, s);
     }
     if (candidates.empty()) {
-      result.feasible = false;
-      result.value = instance.selection_cost(result.selection);
-      return result;
+      return c.finish(instance, false, false, false);
     }
 
     // Restricted candidate list.
@@ -101,29 +59,13 @@ SolveResult construct(const Instance& instance,
         candidates[rcl_size++] = candidates[i];
       }
     }
-    const std::size_t pick = candidates[rng.below(rcl_size)];
-
-    result.selection[pick] = 1;
-    const auto row = instance.bundle(pick);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (residual[k] > 0 && row[k] > 0) {
-        const int used = std::min(row[k], residual[k]);
-        residual[k] -= used;
-        outstanding -= used;
-      }
-    }
+    c.add(instance, candidates[rng.below(rcl_size)], [](std::size_t) {});
   }
-
-  result.feasible = true;
-  if (greedy_options.eliminate_redundancy) {
-    detail::eliminate_redundancy(instance, result.selection);
-  }
-  result.value = instance.selection_cost(result.selection);
-  return result;
+  return c.finish(instance, true, false, greedy_options.eliminate_redundancy);
 }
 
 void validate(const GraspOptions& options) {
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
+  if (!(options.alpha >= 0.0 && options.alpha <= 1.0)) {
     throw std::invalid_argument("grasp_solve: alpha in [0, 1]");
   }
   if (options.restarts == 0) {
@@ -139,9 +81,11 @@ SolveResult multistart(const Instance& instance,
   SolveResult best;
   best.feasible = false;
   best.value = std::numeric_limits<double>::infinity();
+  GreedyScratch scratch;
   for (std::size_t r = 0; r < options.restarts; ++r) {
-    SolveResult candidate = construct(instance, score, rng, duals, relaxed_x,
-                                      options.alpha, options.greedy);
+    SolveResult candidate =
+        construct(instance, score, rng, duals, relaxed_x, options.alpha,
+                  options.greedy, scratch);
     if (!candidate.feasible) {
       if (!candidate.rounds_capped) return candidate;  // not coverable
       // A round-capped restart only proves the budget ran out, not that the
@@ -164,21 +108,9 @@ SolveResult grasp_solve(const Instance& instance, const ScoreFunction& score,
                         std::span<const double> relaxed_x,
                         const GraspOptions& options) {
   validate(options);
-  // Adapt the per-bundle scorer onto the batch core: every considered
-  // candidate sees exactly the features the scalar construction built, so
-  // the RCL (and thus the rng consumption) is unchanged.
   const BatchScoreFunction batched = [&score](const BatchFeatureView& view,
                                               std::span<double> out) {
-    for (std::size_t j = 0; j < view.count; ++j) {
-      BundleFeatures f;
-      f.cost = view.cost[j];
-      f.qsum = view.qsum[j];
-      f.qcov = view.qcov[j];
-      f.bres = view.bres;
-      f.dual = view.dual[j];
-      f.xbar = view.xbar[j];
-      out[j] = score(f);
-    }
+    detail::score_per_bundle(score, view, out);
   };
   return multistart(instance, batched, rng, duals, relaxed_x, options);
 }

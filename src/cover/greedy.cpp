@@ -1,5 +1,6 @@
 #include "carbon/cover/greedy.hpp"
 
+#include <numeric>
 #include <stdexcept>
 
 namespace carbon::cover {
@@ -59,7 +60,93 @@ void static_masses(const Instance& instance, std::span<const double> duals,
   }
 }
 
+void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
+                      std::span<double> out) {
+  for (std::size_t j = 0; j < view.count; ++j) {
+    BundleFeatures f;
+    f.cost = view.cost[j];
+    f.qsum = view.qsum[j];
+    f.qcov = view.qcov[j];
+    f.bres = view.bres;
+    f.dual = view.dual[j];
+    f.xbar = view.xbar[j];
+    out[j] = score(f);
+  }
+}
+
+void CoverState::reset(const Instance& instance,
+                       std::span<const std::uint8_t> start) {
+  const std::size_t m = instance.num_bundles();
+  const std::size_t n = instance.num_services();
+  selection.assign(m, 0);
+  residual.assign(instance.demands().begin(), instance.demands().end());
+  for (std::size_t j = 0; j < m && j < start.size(); ++j) {
+    selection[j] = start[j];
+    if (!start[j]) continue;
+    const auto row = instance.bundle(j);
+    for (std::size_t k = 0; k < n; ++k) {
+      residual[k] = std::max(0, residual[k] - row[k]);
+    }
+  }
+  outstanding = std::accumulate(residual.begin(), residual.end(), 0LL);
+
+  useful.assign(m, 0.0);
+  // A covered start leaves every useful coverage at 0, so the O(m·n) sweep
+  // is skipped: repairing an already feasible COBRA genome costs only the
+  // residual pass.
+  if (outstanding == 0) return;
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto row = instance.bundle(j);
+    double u = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      u += std::min(row[k], residual[k]);
+    }
+    useful[j] = u;
+  }
+}
+
+SolveResult CoverState::finish(const Instance& instance, bool feasible,
+                               bool rounds_capped, bool redundancy_pass) {
+  if (feasible && redundancy_pass) {
+    eliminate_redundancy(instance, selection);
+  }
+  SolveResult result;
+  result.feasible = feasible;
+  result.rounds_capped = rounds_capped;
+  result.value = instance.selection_cost(selection);
+  result.selection = std::move(selection);
+  return result;
+}
+
 }  // namespace detail
+
+void GreedyScratch::load_static_columns(const Instance& instance,
+                                        std::span<const double> duals,
+                                        std::span<const double> relaxed_x) {
+  const std::size_t m = instance.num_bundles();
+  detail::static_masses(instance, duals, qsum, dual_mass);
+  xbar.assign(m, 0.0);
+  for (std::size_t j = 0; j < m && j < relaxed_x.size(); ++j) {
+    xbar[j] = relaxed_x[j];
+  }
+}
+
+BatchFeatureView GreedyScratch::begin(const Instance& instance,
+                                      std::span<const double> duals,
+                                      std::span<const double> relaxed_x,
+                                      std::span<const std::uint8_t> start) {
+  cover.reset(instance, start);
+  BatchFeatureView view;
+  if (cover.outstanding == 0) return view;  // nothing to construct or score
+  load_static_columns(instance, duals, relaxed_x);
+  view.cost = instance.costs();
+  view.qsum = qsum;
+  view.qcov = cover.useful;
+  view.dual = dual_mass;
+  view.xbar = xbar;
+  view.count = instance.num_bundles();
+  return view;
+}
 
 SolveResult greedy_solve_static(const Instance& instance,
                                 std::span<const double> scores,
@@ -78,7 +165,7 @@ SolveResult greedy_solve_static(const Instance& instance,
   }
 
   // Stable order: score descending, index ascending — matches the argmax
-  // tie-breaking of greedy_solve_with exactly.
+  // tie-breaking of greedy_solve_batched exactly.
   std::vector<std::size_t> order(m);
   for (std::size_t j = 0; j < m; ++j) order[j] = j;
   std::stable_sort(order.begin(), order.end(),
@@ -148,7 +235,12 @@ SolveResult greedy_solve(const Instance& instance, const ScoreFunction& score,
                          std::span<const double> duals,
                          std::span<const double> relaxed_x,
                          const GreedyOptions& options) {
-  return greedy_solve_with(instance, score, duals, relaxed_x, options);
+  return greedy_solve_batched(
+      instance,
+      [&score](const BatchFeatureView& view, std::span<double> out) {
+        detail::score_per_bundle(score, view, out);
+      },
+      duals, relaxed_x, {}, options);
 }
 
 }  // namespace carbon::cover

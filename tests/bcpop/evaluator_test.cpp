@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "carbon/bcpop/eval_core.hpp"
 #include "carbon/bilevel/gap.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/ea/binary_ops.hpp"
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/scoring.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::bcpop {
 namespace {
@@ -97,6 +101,58 @@ TEST(Evaluator, AlreadyFeasibleSelectionUntouched) {
   const Evaluation e = eval.evaluate_with_selection(pricing, everything);
   ASSERT_TRUE(e.ll_feasible);
   EXPECT_EQ(e.selection, everything);
+}
+
+TEST(Evaluator, SelectionRepairMatchesReferenceGreedy) {
+  // The repair is the cost-effectiveness greedy started from the genome,
+  // with no redundancy pass: it must agree bit for bit with the reference
+  // greedy given the same start, for every genome shape and round cap.
+  common::Rng rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    cover::GeneratorConfig cfg;
+    cfg.num_bundles = 20 + 7 * static_cast<std::size_t>(trial % 4);
+    cfg.num_services = 3 + static_cast<std::size_t>(trial % 4);
+    cfg.tightness = trial % 2 == 0 ? 0.45 : 0.7;
+    cfg.seed = 500 + static_cast<std::uint64_t>(trial);
+    const Instance inst(cover::generate(cfg), /*num_owned=*/4);
+    Pricing pricing;
+    for (const auto& b : inst.price_bounds()) {
+      pricing.push_back(rng.uniform(b.lo, b.hi));
+    }
+    const cover::Instance ll = inst.lower_level_instance(pricing);
+    const std::size_t m = ll.num_bundles();
+
+    const std::vector<std::vector<std::uint8_t>> genomes = {
+        {},
+        ea::random_binary_vector(rng, m, 0.15),
+        cover::greedy_solve(ll, cover::cost_effectiveness_score).selection,
+        std::vector<std::uint8_t>(m, 1),
+        ea::random_binary_vector(rng, m / 2, 0.3),
+        ea::random_binary_vector(rng, m + 5, 0.1),
+    };
+    EvalContext ctx(inst);
+    for (std::size_t g = 0; g < genomes.size(); ++g) {
+      for (const long long cap : {0LL, 1LL, 3LL}) {
+        cover::GreedyOptions options;
+        options.max_rounds = cap;
+        const cover::SolveResult got =
+            solve_with_selection(ctx, pricing, genomes[g], options);
+        cover::GreedyOptions plain = options;
+        plain.eliminate_redundancy = false;
+        const cover::SolveResult want = cover::testing::reference_greedy(
+            ll, cover::cost_effectiveness_score, {}, {}, genomes[g], plain);
+        const std::string label = "trial " + std::to_string(trial) +
+                                  " genome " + std::to_string(g) + " cap " +
+                                  std::to_string(cap);
+        ASSERT_EQ(got.selection, want.selection) << label;
+        ASSERT_EQ(got.feasible, want.feasible) << label;
+        ASSERT_EQ(got.rounds_capped, want.rounds_capped) << label;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value),
+                  std::bit_cast<std::uint64_t>(want.value))
+            << label;
+      }
+    }
+  }
 }
 
 TEST(Evaluator, CountsEvaluationsByPurpose) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "carbon/cover/exact.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/relaxation.hpp"
@@ -113,11 +118,72 @@ TEST(Grasp, ValidatesOptions) {
   EXPECT_THROW(
       (void)grasp_solve(inst, cost_effectiveness_score, rng, {}, {}, bad),
       std::invalid_argument);
+  bad.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      (void)grasp_solve(inst, cost_effectiveness_score, rng, {}, {}, bad),
+      std::invalid_argument);
   bad.alpha = 0.2;
   bad.restarts = 0;
   EXPECT_THROW(
       (void)grasp_solve(inst, cost_effectiveness_score, rng, {}, {}, bad),
       std::invalid_argument);
+}
+
+/// FNV-1a over everything a solve returns (selection bytes, flags, value
+/// bits), folded across a sweep.
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  h ^= v;
+  h *= 1099511628211ull;
+}
+
+void hash_result(std::uint64_t& h, const SolveResult& r) {
+  for (const std::uint8_t b : r.selection) fnv_mix(h, b);
+  fnv_mix(h, r.feasible ? 1 : 0);
+  fnv_mix(h, r.rounds_capped ? 1 : 0);
+  fnv_mix(h, std::bit_cast<std::uint64_t>(r.value));
+}
+
+TEST(Grasp, SelectionsPinnedAcrossSeedSweep) {
+  // Frozen hash of what grasp_solve returns over a fixed sweep: both
+  // overloads, a narrow and a full RCL, and a round-capped case. Any change
+  // to the construction's bookkeeping that moved an RCL or an rng draw
+  // would move this hash.
+  const BatchScoreFunction batch_ce = [](const BatchFeatureView& v,
+                                         std::span<double> out) {
+    for (std::size_t j = 0; j < v.count; ++j) {
+      out[j] = v.qcov[j] / std::max(v.cost[j], 1e-9);
+    }
+  };
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    GeneratorConfig cfg;
+    cfg.num_bundles = 30 + 5 * seed;
+    cfg.num_services = 4 + seed % 3;
+    cfg.tightness = 0.45;
+    cfg.seed = 700 + seed;
+    const Instance inst = generate(cfg);
+    const Relaxation rel = relax(inst);
+    for (const double alpha : {0.15, 1.0}) {
+      GraspOptions opts;
+      opts.alpha = alpha;
+      opts.restarts = 4;
+      common::Rng rng_a(seed);
+      hash_result(h, grasp_solve(inst, cost_effectiveness_score, rng_a,
+                                 rel.duals, rel.relaxed_x, opts));
+      common::Rng rng_b(seed);
+      hash_result(h, grasp_solve(inst, batch_ce, rng_b, rel.duals,
+                                 rel.relaxed_x, opts));
+    }
+    GraspOptions capped;
+    capped.restarts = 4;
+    capped.greedy.max_rounds = 2;
+    common::Rng rng_c(seed + 100);
+    const SolveResult r = grasp_solve(inst, cost_effectiveness_score, rng_c,
+                                      rel.duals, rel.relaxed_x, capped);
+    EXPECT_TRUE(r.rounds_capped) << "seed " << seed;
+    hash_result(h, r);
+  }
+  EXPECT_EQ(h, 13002711319161223622ull);
 }
 
 }  // namespace

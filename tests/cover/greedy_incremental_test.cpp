@@ -1,9 +1,10 @@
 // Differential tests for the incremental (dirty-set) batched greedy: for
 // every scorer regime — BRES-dependent (dense rescore every round),
-// QCOV-only (dirty-set rescore), round-invariant (never rescored) — the
-// selections, tie-breaks, and objective must be bit-identical to the dense
-// per-bundle reference greedy_solve_with, and the GreedyBatchStats must
-// show the work actually skipped.
+// QCOV-only (dirty-set rescore), round-invariant (never rescored), started
+// from nothing or from a partial selection — the selections, tie-breaks,
+// and objective must be bit-identical to the per-bundle reference greedy
+// (tests/cover/greedy_reference.hpp), and the GreedyBatchStats must show
+// the work actually skipped.
 //
 // Labeled sanitizer-critical: the gather/scatter sub-batch path indexes
 // compacted columns through the surviving-dirty list; ASan validates those
@@ -25,6 +26,7 @@
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/scoring.hpp"
 #include "carbon/gp/tree.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -60,9 +62,21 @@ struct SideInputs {
   return s;
 }
 
+/// Start selections the core must honor: nothing selected, and a sparse
+/// random partial selection whose length is drawn around the bundle count
+/// (shorter, equal or longer).
+[[nodiscard]] std::vector<std::vector<std::uint8_t>> starts(
+    common::Rng& rng, const Instance& inst) {
+  const std::size_t m = inst.num_bundles();
+  std::vector<std::uint8_t> partial(m / 2 + rng.below(m));
+  for (auto& b : partial) b = rng.uniform() < 0.08 ? 1 : 0;
+  return {{}, partial};
+}
+
 void expect_same_solve(const SolveResult& a, const SolveResult& b,
                        const char* label) {
   ASSERT_EQ(a.feasible, b.feasible) << label;
+  ASSERT_EQ(a.rounds_capped, b.rounds_capped) << label;
   ASSERT_EQ(a.selection, b.selection) << label;
   ASSERT_EQ(bits(a.value), bits(b.value)) << label;
 }
@@ -84,44 +98,49 @@ TEST(GreedyIncremental, MatchesPerBundleReferenceAcrossRandomPrograms) {
     const gp::Tree tree = gp::generate_full(rng, depth, gen);
     const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
 
-    // Reference: per-bundle interpreter greedy (the paper's algorithm).
-    const SolveResult ref = greedy_solve_with(
-        inst, gp::make_score_function(tree), side.duals, side.xbar);
+    for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
+      // Reference: per-bundle interpreter greedy (the paper's algorithm).
+      const SolveResult ref = testing::reference_greedy(
+          inst, gp::make_score_function(tree), side.duals, side.xbar, start);
 
-    // Incremental dirty-set greedy through the dependency-aware scorer.
-    GreedyBatchStats stats;
-    const SolveResult inc = greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
-        side.xbar, {}, &scratch, &stats);
-    expect_same_solve(ref, inc, tree.to_string().c_str());
+      // Incremental dirty-set greedy through the dependency-aware scorer.
+      GreedyBatchStats stats;
+      const SolveResult inc = greedy_solve_batched(
+          inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
+          side.xbar, start, {}, &scratch, &stats);
+      expect_same_solve(ref, inc, tree.to_string().c_str());
 
-    // Dense batched baseline: the same program behind a plain lambda (not
-    // TerminalAware), which forces a full rescore every round.
-    std::vector<double> dense_scratch;
-    const SolveResult dense = greedy_solve_batched(
-        inst,
-        [&](const BatchFeatureView& view, std::span<double> out) {
-          program.evaluate_batch(gp::view_to_batch(view), out, dense_scratch);
-        },
-        side.duals, side.xbar);
-    expect_same_solve(dense, inc, tree.to_string().c_str());
+      // Dense batched baseline: the same program behind a plain lambda (not
+      // TerminalAware), which forces a full rescore every round.
+      std::vector<double> dense_scratch;
+      const SolveResult dense = greedy_solve_batched(
+          inst,
+          [&](const BatchFeatureView& view, std::span<double> out) {
+            program.evaluate_batch(gp::view_to_batch(view), out, dense_scratch);
+          },
+          side.duals, side.xbar, start);
+      expect_same_solve(dense, inc, tree.to_string().c_str());
 
-    // Stats must reflect the regime the program's terminals dictate.
-    ASSERT_GT(stats.rounds, 0u);
-    ASSERT_EQ(stats.rescore_slots, stats.rounds * inst.num_bundles());
-    if (program.uses_terminal(gp::Terminal::kBres)) {
-      EXPECT_EQ(stats.bundles_rescored, stats.rescore_slots)
-          << tree.to_string();
-    } else if (program.uses_terminal(gp::Terminal::kQcov)) {
-      EXPECT_LE(stats.bundles_rescored, stats.rescore_slots);
-      if (stats.rounds > 1) {
-        EXPECT_LT(stats.rescored_frac(), 1.0) << tree.to_string();
-        ++dirty_regime_seen;
+      // Stats must reflect the regime the program's terminals dictate.
+      if (start.empty()) {
+        ASSERT_GT(stats.rounds, 0u);
       }
-    } else {
-      // Round-invariant: only the first dense round scores anything.
-      EXPECT_EQ(stats.bundles_rescored, inst.num_bundles())
-          << tree.to_string();
+      if (stats.rounds == 0) continue;  // the start already covers demand
+      ASSERT_EQ(stats.rescore_slots, stats.rounds * inst.num_bundles());
+      if (program.uses_terminal(gp::Terminal::kBres)) {
+        EXPECT_EQ(stats.bundles_rescored, stats.rescore_slots)
+            << tree.to_string();
+      } else if (program.uses_terminal(gp::Terminal::kQcov)) {
+        EXPECT_LE(stats.bundles_rescored, stats.rescore_slots);
+        if (stats.rounds > 1) {
+          EXPECT_LT(stats.rescored_frac(), 1.0) << tree.to_string();
+          ++dirty_regime_seen;
+        }
+      } else {
+        // Round-invariant: only the first dense round scores anything.
+        EXPECT_EQ(stats.bundles_rescored, inst.num_bundles())
+            << tree.to_string();
+      }
     }
   }
   // The generator must have produced at least a few multi-round QCOV-only
@@ -150,15 +169,17 @@ TEST(GreedyIncremental, QcovOnlyProgramsTakeTheDirtySetPath) {
       const Instance inst = small_instance(seed, 120, 10);
       const SideInputs side = side_inputs(rng, inst);
 
-      const SolveResult ref = greedy_solve_with(
-          inst, gp::make_score_function(tree), side.duals, side.xbar);
-      GreedyBatchStats stats;
-      const SolveResult inc = greedy_solve_batched(
-          inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
-          side.xbar, {}, &scratch, &stats);
-      expect_same_solve(ref, inc, text);
-      if (stats.rounds > 1) {
-        EXPECT_LT(stats.rescored_frac(), 1.0) << text << " seed=" << seed;
+      for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
+        const SolveResult ref = testing::reference_greedy(
+            inst, gp::make_score_function(tree), side.duals, side.xbar, start);
+        GreedyBatchStats stats;
+        const SolveResult inc = greedy_solve_batched(
+            inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
+            side.xbar, start, {}, &scratch, &stats);
+        expect_same_solve(ref, inc, text);
+        if (stats.rounds > 1) {
+          EXPECT_LT(stats.rescored_frac(), 1.0) << text << " seed=" << seed;
+        }
       }
     }
   }
@@ -181,7 +202,7 @@ TEST(GreedyIncremental, StaticProgramMatchesSortBasedFastPath) {
     GreedyBatchStats stats;
     const SolveResult inc = greedy_solve_batched(
         inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
-        side.xbar, {}, &scratch, &stats);
+        side.xbar, {}, {}, &scratch, &stats);
 
     // Score every bundle once (any residual state: scores ignore it).
     std::vector<double> qsum;
@@ -212,19 +233,23 @@ TEST(GreedyIncremental, ConstantScoresPreserveIndexTieBreaks) {
   const gp::Tree tree = gp::parse("(div COST COST)");  // simplifies to 1
   const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
   std::vector<double> reg_scratch;
+  common::Rng rng(23);
   for (std::uint64_t seed : {21ULL, 22ULL}) {
     const Instance inst = small_instance(seed);
-    const SolveResult ref =
-        greedy_solve_with(inst, gp::make_score_function(tree));
-    const SolveResult inc = greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, reg_scratch));
-    expect_same_solve(ref, inc, "constant scores");
+    for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
+      const SolveResult ref = testing::reference_greedy(
+          inst, gp::make_score_function(tree), {}, {}, start);
+      const SolveResult inc = greedy_solve_batched(
+          inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, start);
+      expect_same_solve(ref, inc, "constant scores");
+    }
   }
 }
 
 TEST(GreedyIncremental, ScratchReuseIsStateless) {
-  // A scratch carried across solves of different instances and programs
-  // must never change any result relative to a fresh scratch.
+  // A scratch carried across solves of different instances and programs,
+  // with and without a start selection, must never change any result
+  // relative to a fresh scratch.
   common::Rng rng(314);
   GreedyScratch reused;
   std::vector<double> reg_scratch;
@@ -238,14 +263,21 @@ TEST(GreedyIncremental, ScratchReuseIsStateless) {
     const gp::Tree tree = gp::generate_full(rng, 4, gen);
     const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
 
-    const SolveResult with_reused = greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
-        side.xbar, {}, &reused);
-    std::vector<double> fresh_regs;
-    const SolveResult with_fresh = greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, fresh_regs), side.duals,
-        side.xbar, {}, nullptr);
-    expect_same_solve(with_fresh, with_reused, tree.to_string().c_str());
+    // A start-selection solve, then a solve from nothing, both through
+    // the reused scratch.
+    const std::vector<std::uint8_t> partial = starts(rng, inst).back();
+    for (const std::span<const std::uint8_t> start :
+         {std::span<const std::uint8_t>(partial),
+          std::span<const std::uint8_t>()}) {
+      const SolveResult with_reused = greedy_solve_batched(
+          inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
+          side.xbar, start, {}, &reused);
+      std::vector<double> fresh_regs;
+      const SolveResult with_fresh = greedy_solve_batched(
+          inst, gp::CompiledBatchScorer(program, fresh_regs), side.duals,
+          side.xbar, start, {}, nullptr);
+      expect_same_solve(with_fresh, with_reused, tree.to_string().c_str());
+    }
   }
 }
 
@@ -260,7 +292,7 @@ TEST(GreedyIncremental, PaperClassInstancesRescoreFractionBelowOne) {
     const Instance inst = make_paper_instance(c, 0);
     GreedyBatchStats stats;
     const SolveResult solved = greedy_solve_batched(
-        inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {},
+        inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {}, {},
         &scratch, &stats);
     ASSERT_TRUE(solved.feasible) << "class " << c;
     ASSERT_GT(stats.rounds, 1u) << "class " << c;

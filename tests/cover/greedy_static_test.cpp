@@ -8,6 +8,7 @@
 #include "carbon/cover/relaxation.hpp"
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/scoring.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -30,7 +31,7 @@ TEST_P(StaticGreedyEquivalenceTest, MatchesArgmaxGreedyForStaticScores) {
     for (double& s : scores) s = rng.uniform(-10.0, 10.0);
 
     const SolveResult fast = greedy_solve_static(inst, scores);
-    const SolveResult slow = greedy_solve_with(
+    const SolveResult slow = testing::reference_greedy(
         inst,
         [&](const BundleFeatures& f) {
           // Recover the bundle identity through its unique static features

@@ -7,6 +7,7 @@
 #include "carbon/common/rng.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/relaxation.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -52,8 +53,8 @@ TEST(Greedy, RedundancyEliminationRemovesUselessBundles) {
   const auto worst_first = [](const BundleFeatures& f) { return f.cost; };
   GreedyOptions keep;
   keep.eliminate_redundancy = false;
-  const auto with = greedy_solve_with(tiny(), worst_first, {}, {}, {});
-  const auto without = greedy_solve_with(tiny(), worst_first, {}, {}, keep);
+  const auto with = greedy_solve(tiny(), worst_first, {}, {}, {});
+  const auto without = greedy_solve(tiny(), worst_first, {}, {}, keep);
   ASSERT_TRUE(with.feasible);
   ASSERT_TRUE(without.feasible);
   EXPECT_LE(with.value, without.value);
@@ -70,7 +71,7 @@ TEST(Greedy, RedundancyEliminationKeepsFeasibility) {
   const Instance inst = generate(cfg);
   const auto scorer = [&rng](const BundleFeatures&) { return rng.uniform(); };
   for (int rep = 0; rep < 10; ++rep) {
-    const auto r = greedy_solve_with(inst, scorer);
+    const auto r = greedy_solve(inst, scorer);
     ASSERT_TRUE(r.feasible);
     ASSERT_TRUE(inst.feasible(r.selection));
   }
@@ -80,7 +81,7 @@ TEST(Greedy, NanScoresDoNotCrashOrWin) {
   const auto nan_for_cheap = [](const BundleFeatures& f) {
     return f.cost < 10.0 ? std::numeric_limits<double>::quiet_NaN() : 1.0;
   };
-  const auto r = greedy_solve_with(tiny(), nan_for_cheap);
+  const auto r = greedy_solve(tiny(), nan_for_cheap);
   ASSERT_TRUE(r.feasible);
   // NaN-scored bundles lose against the finite score.
   EXPECT_EQ(r.selection[2], 1);
@@ -94,7 +95,7 @@ TEST(Greedy, FeaturesExposeResidualDynamics) {
     if (f.cost == 5.0 && f.qsum == 4.0) bres_seen.push_back(f.bres);
     return cost_effectiveness_score(f);
   };
-  (void)greedy_solve_with(inst, spy);
+  (void)greedy_solve(inst, spy);
   ASSERT_GE(bres_seen.size(), 2u);
   // Outstanding demand must shrink between rounds.
   EXPECT_GT(bres_seen.front(), bres_seen.back());
@@ -109,7 +110,7 @@ TEST(Greedy, QcovIsCappedByResidual) {
     if (f.qsum == 100.0) qcov0 = f.qcov;
     return f.qcov;
   };
-  (void)greedy_solve_with(inst, spy);
+  (void)greedy_solve(inst, spy);
   EXPECT_DOUBLE_EQ(qcov0, 5.0);
 }
 
@@ -123,7 +124,7 @@ TEST(Greedy, DualAndXbarFeaturesArriveWhenProvided) {
     saw_xbar |= f.xbar != 0.0;
     return cost_effectiveness_score(f);
   };
-  (void)greedy_solve_with(inst, spy, rel.duals, rel.relaxed_x);
+  (void)greedy_solve(inst, spy, rel.duals, rel.relaxed_x);
   EXPECT_TRUE(saw_dual);
   EXPECT_TRUE(saw_xbar);
 }
@@ -135,7 +136,7 @@ TEST(Greedy, MissingDualsReadAsZero) {
     EXPECT_EQ(f.xbar, 0.0);
     return 1.0;
   };
-  (void)greedy_solve_with(inst, spy);
+  (void)greedy_solve(inst, spy);
 }
 
 class GreedySweepTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -173,11 +174,11 @@ TEST(Greedy, DualScoreBeatsRandomOnAverage) {
     dual_total +=
         greedy_solve(inst, dual_score, rel.duals, rel.relaxed_x).value;
     random_total +=
-        greedy_solve_with(inst,
-                          [&rng](const BundleFeatures&) {
-                            return rng.uniform();
-                          },
-                          rel.duals, rel.relaxed_x)
+        testing::reference_greedy(inst,
+                                  [&rng](const BundleFeatures&) {
+                                    return rng.uniform();
+                                  },
+                                  rel.duals, rel.relaxed_x)
             .value;
   }
   EXPECT_LT(dual_total, random_total);

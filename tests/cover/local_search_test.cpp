@@ -6,6 +6,7 @@
 #include "carbon/cover/exact.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/greedy.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -79,9 +80,9 @@ TEST_P(LocalSearchSweepTest, NeverWorsensAndKeepsFeasibility) {
   common::Rng rng(GetParam());
 
   // Start from a sloppy random-score greedy cover.
-  const auto start = greedy_solve_with(
+  const auto start = testing::reference_greedy(
       inst, [&rng](const BundleFeatures&) { return rng.uniform(); }, {}, {},
-      {.eliminate_redundancy = false});
+      {}, {.eliminate_redundancy = false});
   ASSERT_TRUE(start.feasible);
 
   std::vector<std::uint8_t> sel = start.selection;

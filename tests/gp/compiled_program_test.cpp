@@ -15,6 +15,7 @@
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/scoring.hpp"
 #include "carbon/gp/tree.hpp"
+#include "cover/greedy_reference.hpp"
 
 namespace carbon::gp {
 namespace {
@@ -237,7 +238,7 @@ TEST(CompiledProgram, GreedyBatchedMatchesGreedyWith) {
     const auto program = std::make_shared<const CompiledProgram>(
         CompiledProgram::compile(tree));
 
-    const cover::SolveResult want = cover::greedy_solve_with(
+    const cover::SolveResult want = cover::testing::reference_greedy(
         inst,
         [&tree](const cover::BundleFeatures& f) {
           const auto arr = features_to_array(f);
