@@ -123,8 +123,20 @@ struct CoverState {
   void reset(const Instance& instance, std::span<const std::uint8_t> start);
 
   /// Selects bundle j, lowers the residual, and lowers `useful` of every
-  /// unselected bundle sharing a service whose residual moved, calling
-  /// on_qcov_changed(i) for each such bundle i.
+  /// unselected bundle whose useful coverage moved, calling
+  /// on_qcov_changed(i) for each such bundle i (once per service that moved
+  /// it).
+  ///
+  /// A supplier's term min(q, r) changes from r_old to r_new by
+  /// min(q, r_old) − min(q, r_new), which is 0 exactly when q ≤ r_new.
+  /// Instance::suppliers(k) lists quantities in descending order, so the
+  /// walk stops at the first such supplier: every later one is unchanged
+  /// too, and a service whose residual stays at or above its largest
+  /// quantity costs one comparison. The result is the full walk's: `useful`
+  /// holds integers (exact in doubles, so the order of the subtractions is
+  /// irrelevant), each bundle still sees its services in ascending k, and
+  /// only the order of on_qcov_changed calls differs, which the dirty-set
+  /// rescoring does not observe (it gathers and scatters by index).
   template <typename OnQcovChanged>
   void add(const Instance& instance, std::size_t j,
            OnQcovChanged&& on_qcov_changed) {
@@ -139,12 +151,11 @@ struct CoverState {
       const auto idx = instance.suppliers(k);
       const auto qty = instance.supplier_quantities(k);
       for (std::size_t t = 0; t < idx.size(); ++t) {
+        const int q = qty[t];
+        if (q <= r_new) break;  // this and every later qcov term unchanged
         const std::size_t i = idx[t];
         if (selection[i]) continue;
-        const int q = qty[t];
-        const int delta = std::min(q, r_old) - std::min(q, r_new);
-        if (delta == 0) continue;  // qcov untouched: score still exact
-        useful[i] -= delta;
+        useful[i] -= std::min(q, r_old) - r_new;
         on_qcov_changed(i);
       }
     }
@@ -359,6 +370,9 @@ template <typename BatchScore>
       return finish(false, false);
     }
 
+    // The dirty list comes out in supplier order, not index order; the
+    // gather and scatter above go by index and the batch kernels are
+    // elementwise, so that order cannot change any score.
     c.add(instance, best_j, [&](std::size_t j) {
       if (track_dirty && !s.dirty_flag[j]) {
         s.dirty_flag[j] = 1;

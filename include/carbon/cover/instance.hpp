@@ -52,6 +52,13 @@ class Instance {
   /// Bundles supplying service k (q_jk > 0), as parallel index/quantity
   /// arrays. Precomputed (CSR-style) because the greedy's coverage updates
   /// iterate service-major in its innermost loop.
+  ///
+  /// Order contract: each service's suppliers are sorted by descending
+  /// q_jk, ties broken by ascending bundle index. The cover update
+  /// (detail::CoverState::add) relies on it to stop at the first supplier
+  /// whose quantity no longer exceeds the new residual; every other
+  /// consumer is order-free (integer sums, or one entry per LP column).
+  /// Fixed at construction: copies inherit it and set_cost leaves it.
   [[nodiscard]] std::span<const std::uint32_t> suppliers(
       std::size_t k) const noexcept {
     return {supplier_idx_.data() + supplier_start_[k],
@@ -93,7 +100,7 @@ class Instance {
   std::vector<int> q_;          // bundle-major M x N
   std::vector<int> demands_;    // size N
   // CSR over services: suppliers of service k live in
-  // [supplier_start_[k], supplier_start_[k+1]).
+  // [supplier_start_[k], supplier_start_[k+1]), by descending quantity.
   std::vector<std::size_t> supplier_start_;   // size N+1
   std::vector<std::uint32_t> supplier_idx_;   // bundle indices
   std::vector<int> supplier_q_;               // matching quantities

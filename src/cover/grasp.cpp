@@ -59,6 +59,8 @@ SolveResult construct(const Instance& instance,
         candidates[rcl_size++] = candidates[i];
       }
     }
+    // The callback is ignored, so the supplier order CoverState::add walks
+    // in cannot reach the candidate list or the RNG draws.
     c.add(instance, candidates[rng.below(rcl_size)], [](std::size_t) {});
   }
   return c.finish(instance, true, false, greedy_options.eliminate_redundancy);

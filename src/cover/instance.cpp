@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace carbon::cover {
 
@@ -55,11 +56,31 @@ void Instance::build_supplier_index() {
       ++cursor[k];
     }
   }
+  // Each segment was filled in ascending j, so a stable sort by descending
+  // quantity keeps ascending j among ties: the order suppliers() promises.
+  std::vector<std::pair<int, std::uint32_t>> segment;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t lo = supplier_start_[k];
+    const std::size_t hi = supplier_start_[k + 1];
+    segment.clear();
+    for (std::size_t t = lo; t < hi; ++t) {
+      segment.emplace_back(supplier_q_[t], supplier_idx_[t]);
+    }
+    std::stable_sort(
+        segment.begin(), segment.end(),
+        [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (std::size_t t = lo; t < hi; ++t) {
+      supplier_q_[t] = segment[t - lo].first;
+      supplier_idx_[t] = segment[t - lo].second;
+    }
+  }
 }
 
+// total_supply and feasible sum integers over the supplier list, so its
+// order does not matter.
 long long Instance::total_supply(std::size_t k) const noexcept {
   long long total = 0;
-  for (std::size_t j = 0; j < num_bundles(); ++j) total += quantity(j, k);
+  for (const int q : supplier_quantities(k)) total += q;
   return total;
 }
 
@@ -73,9 +94,11 @@ bool Instance::coverable() const noexcept {
 bool Instance::feasible(std::span<const std::uint8_t> selection) const {
   if (selection.size() != num_bundles()) return false;
   for (std::size_t k = 0; k < num_services(); ++k) {
+    const auto idx = suppliers(k);
+    const auto qty = supplier_quantities(k);
     long long covered = 0;
-    for (std::size_t j = 0; j < num_bundles(); ++j) {
-      if (selection[j]) covered += quantity(j, k);
+    for (std::size_t t = 0; t < idx.size(); ++t) {
+      if (selection[idx[t]]) covered += qty[t];
     }
     if (covered < demands_[k]) return false;
   }

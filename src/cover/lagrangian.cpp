@@ -58,7 +58,8 @@ LagrangianResult lagrangian_bound(const Instance& instance,
     best.iterations = it + 1;
     if (mu < options.min_step_scale) break;
 
-    // Subgradient of L at λ: g_k = b_k − Σ_j Q_jk x_j.
+    // Subgradient of L at λ: g_k = b_k − Σ_j Q_jk x_j, an integer sum, so
+    // the order of the supplier list does not matter.
     double norm_sq = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
       long long covered = 0;

@@ -17,7 +17,9 @@ lp::Problem build_relaxation_lp(const Instance& instance) {
   }
   // Row k's nonzeros are exactly the suppliers of service k (quantities are
   // validated non-negative, so q_jk > 0 <=> q_jk != 0). Constraints are added
-  // in ascending k, which keeps every column's row indices sorted.
+  // in ascending k, which keeps every column's row indices sorted. Each
+  // entry lands in its own column, so the order of the supplier list (by
+  // quantity, see Instance::suppliers) leaves the LP unchanged.
   std::vector<lp::RowEntry> entries;
   for (std::size_t k = 0; k < n; ++k) {
     const auto suppliers = instance.suppliers(k);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -279,6 +280,73 @@ TEST(GreedyIncremental, ScratchReuseIsStateless) {
       expect_same_solve(with_fresh, with_reused, tree.to_string().c_str());
     }
   }
+}
+
+TEST(GreedyIncremental, CoverStateInvariantsHoldAfterEveryAdd) {
+  // detail::CoverState::add updates `useful` incrementally and reports the
+  // bundles it touched; the dirty-set rescoring is exact only if, after
+  // every addition, (a) each unselected bundle's useful coverage equals
+  // Σ_k min(q_jk, residual_k) recomputed from scratch, (b) the reported
+  // bundles are exactly those whose useful coverage changed, and
+  // (c) outstanding is Σ_k residual_k. Bundles are added in random order,
+  // not by score, to reach cover states no scorer would.
+  common::Rng rng(2718);
+  int adds = 0;
+  for (const double tightness : {0.1, 0.45, 0.9}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      GeneratorConfig cfg;
+      cfg.num_bundles = 30 + 10 * static_cast<std::size_t>(trial % 3);
+      cfg.num_services = 4 + static_cast<std::size_t>(trial % 4);
+      cfg.tightness = tightness;
+      cfg.max_quantity = trial % 2 == 0 ? 999 : 12;  // the latter ties often
+      cfg.seed = 700 + static_cast<std::uint64_t>(trial);
+      const Instance inst = generate(cfg);
+      const std::size_t m = inst.num_bundles();
+      const std::size_t n = inst.num_services();
+
+      for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
+        detail::CoverState c;
+        c.reset(inst, start);
+        const auto check = [&](const char* when) {
+          ASSERT_EQ(c.residual, inst.residual_demand(c.selection)) << when;
+          long long outstanding = 0;
+          for (const int r : c.residual) outstanding += r;
+          ASSERT_EQ(c.outstanding, outstanding) << when;
+          for (std::size_t j = 0; j < m; ++j) {
+            if (c.selection[j]) continue;
+            long long useful = 0;
+            for (std::size_t k = 0; k < n; ++k) {
+              useful += std::min(inst.quantity(j, k), c.residual[k]);
+            }
+            ASSERT_EQ(c.useful[j], static_cast<double>(useful))
+                << when << ": bundle " << j;
+          }
+        };
+        ASSERT_NO_FATAL_FAILURE(check("after reset"));
+
+        while (c.outstanding > 0) {
+          std::vector<std::size_t> eligible;
+          for (std::size_t j = 0; j < m; ++j) {
+            if (!c.selection[j] && c.useful[j] > 0.0) eligible.push_back(j);
+          }
+          ASSERT_FALSE(eligible.empty());  // generated instances are coverable
+          const std::size_t pick = eligible[rng.below(eligible.size())];
+
+          const std::vector<double> before = c.useful;
+          std::vector<std::uint8_t> reported(m, 0);
+          c.add(inst, pick, [&](std::size_t i) { reported[i] = 1; });
+          ++adds;
+          ASSERT_NO_FATAL_FAILURE(check("after add"));
+          for (std::size_t i = 0; i < m; ++i) {
+            const bool changed = !c.selection[i] && c.useful[i] != before[i];
+            ASSERT_EQ(reported[i] != 0, changed)
+                << "bundle " << i << " after adding " << pick;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(adds, 100);
 }
 
 TEST(GreedyIncremental, PaperClassInstancesRescoreFractionBelowOne) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "carbon/cover/generator.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -98,6 +103,67 @@ TEST(Instance, SupplierIndexMatchesMatrix) {
   ASSERT_EQ(idx1.size(), 2u);
   EXPECT_EQ(idx1[0], 1u);
   EXPECT_EQ(idx1[1], 2u);
+}
+
+TEST(Instance, SupplierIndexSortedByQuantity) {
+  // Index order and quantity order differ, and every service has ties.
+  const Instance inst({1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
+                      {{1, 5, 0},
+                       {4, 5, 2},
+                       {0, 7, 2},
+                       {4, 0, 9},
+                       {2, 5, 0},
+                       {4, 1, 2}},
+                      {3, 3, 3});
+  const std::vector<std::vector<std::uint32_t>> want_idx = {
+      {1, 3, 5, 4, 0}, {2, 0, 1, 4, 5}, {3, 1, 2, 5}};
+  const std::vector<std::vector<int>> want_q = {
+      {4, 4, 4, 2, 1}, {7, 5, 5, 5, 1}, {9, 2, 2, 2}};
+  for (std::size_t k = 0; k < inst.num_services(); ++k) {
+    const auto idx = inst.suppliers(k);
+    const auto qty = inst.supplier_quantities(k);
+    EXPECT_EQ(std::vector<std::uint32_t>(idx.begin(), idx.end()), want_idx[k])
+        << "service " << k;
+    EXPECT_EQ(std::vector<int>(qty.begin(), qty.end()), want_q[k])
+        << "service " << k;
+  }
+
+  // The contract on generated instances: each segment is sorted by
+  // descending quantity, ascending index on ties, and is a permutation of
+  // the dense column's nonzeros.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    GeneratorConfig cfg;
+    cfg.num_bundles = 80;
+    cfg.num_services = 6;
+    cfg.density = 0.6;
+    cfg.max_quantity = 9;  // forces ties
+    cfg.seed = seed;
+    const Instance gen = generate(cfg);
+    for (std::size_t k = 0; k < gen.num_services(); ++k) {
+      const auto idx = gen.suppliers(k);
+      const auto qty = gen.supplier_quantities(k);
+      ASSERT_EQ(idx.size(), qty.size());
+      for (std::size_t t = 1; t < idx.size(); ++t) {
+        ASSERT_TRUE(qty[t - 1] > qty[t] ||
+                    (qty[t - 1] == qty[t] && idx[t - 1] < idx[t]))
+            << "seed " << seed << " service " << k << " entry " << t;
+      }
+      std::vector<std::pair<std::uint32_t, int>> listed;
+      for (std::size_t t = 0; t < idx.size(); ++t) {
+        ASSERT_EQ(qty[t], gen.quantity(idx[t], k));
+        listed.emplace_back(idx[t], qty[t]);
+      }
+      std::sort(listed.begin(), listed.end());
+      std::vector<std::pair<std::uint32_t, int>> dense;
+      for (std::size_t j = 0; j < gen.num_bundles(); ++j) {
+        if (gen.quantity(j, k) != 0) {
+          dense.emplace_back(static_cast<std::uint32_t>(j),
+                             gen.quantity(j, k));
+        }
+      }
+      EXPECT_EQ(listed, dense) << "seed " << seed << " service " << k;
+    }
+  }
 }
 
 TEST(Instance, ConstructorValidation) {
