@@ -19,8 +19,6 @@
 //   core/      CARBON and the experiment harness
 //   cobra/     the COBRA baseline
 //   baselines/ nested GA, BIGA, CODBA
-//   graph/     digraph + Dijkstra substrate
-//   toll/      toll-setting domain (second application from the paper)
 #pragma once
 
 #include "carbon/baselines/biga.hpp"
@@ -46,7 +44,6 @@
 #include "carbon/core/result.hpp"
 #include "carbon/cover/exact.hpp"
 #include "carbon/cover/generator.hpp"
-#include "carbon/cover/grasp.hpp"
 #include "carbon/cover/greedy.hpp"
 #include "carbon/cover/instance.hpp"
 #include "carbon/cover/lagrangian.hpp"
@@ -61,11 +58,9 @@
 #include "carbon/gp/population_stats.hpp"
 #include "carbon/gp/scoring.hpp"
 #include "carbon/gp/tree.hpp"
-#include "carbon/graph/graph.hpp"
 #include "carbon/guard/guard.hpp"
 #include "carbon/lp/problem.hpp"
 #include "carbon/lp/simplex.hpp"
 #include "carbon/obs/json.hpp"
 #include "carbon/obs/metrics.hpp"
 #include "carbon/obs/run_journal.hpp"
-#include "carbon/toll/toll_problem.hpp"

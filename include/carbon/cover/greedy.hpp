@@ -11,11 +11,10 @@
 // There is one construction core, greedy_solve_batched: a template over a
 // batch scorer (so the compiled GP scorer in the innermost loop of every
 // fitness evaluation pays no std::function indirection), optionally started
-// from a partial selection (COBRA's genome repair). Its partial-cover
-// bookkeeping, detail::CoverState, is shared with GRASP's construction.
-// `greedy_solve` is the type-erased per-bundle convenience wrapper over the
-// same core; greedy_solve_static is the sort-based path for round-invariant
-// scorers.
+// from a partial selection (COBRA's genome repair); detail::CoverState is
+// its partial-cover bookkeeping. `greedy_solve` is the type-erased
+// per-bundle convenience wrapper over the same core; greedy_solve_static is
+// the sort-based path for round-invariant scorers.
 #pragma once
 
 #include <algorithm>
@@ -52,9 +51,9 @@ using ScoreFunction = std::function<double(const BundleFeatures&)>;
 /// SoA view of the features of EVERY bundle for one greedy round: one
 /// contiguous column per BundleFeatures field (bres is a scalar — the
 /// outstanding demand is shared by all bundles within a round). Batch
-/// scorers (gp::CompiledProgram via gp::make_batch_score_function) fill
-/// `out[j]` for all j in one sweep of elementwise loops instead of being
-/// called M times with per-bundle structs.
+/// scorers (gp::CompiledBatchScorer) fill `out[j]` for all j in one sweep
+/// of elementwise loops instead of being called M times with per-bundle
+/// structs.
 struct BatchFeatureView {
   std::span<const double> cost;  ///< c_j
   std::span<const double> qsum;  ///< Σ_k q_jk
@@ -64,11 +63,6 @@ struct BatchFeatureView {
   double bres = 0.0;             ///< Σ_k residual_k (broadcast)
   std::size_t count = 0;         ///< number of bundles (size of each column)
 };
-
-/// Scores every bundle of one round: writes out[j] for j in [0, count).
-/// Entries of selected / zero-coverage bundles are ignored by the caller.
-using BatchScoreFunction =
-    std::function<void(const BatchFeatureView&, std::span<double>)>;
 
 struct GreedyOptions {
   /// Drop redundant bundles after reaching feasibility.
@@ -96,13 +90,6 @@ void eliminate_redundancy(const Instance& instance,
 /// dual-weighted coverage dual_mass[j], accumulated in service order.
 void static_masses(const Instance& instance, std::span<const double> duals,
                    std::vector<double>& qsum, std::vector<double>& dual_mass);
-
-/// The per-bundle adapter onto the batch interface: fills one
-/// BundleFeatures per lane and writes out[j] = score(features of j). It is
-/// not terminal-aware, so a core driving it rescores every bundle every
-/// round.
-void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
-                      std::span<double> out);
 
 /// The partial cover every construction here grows: the selection, the
 /// residual demand and each bundle's useful coverage
@@ -256,8 +243,8 @@ struct GreedyBatchStats {
 /// back. Every rescore recomputes exactly the double a dense sweep would
 /// (kernel ops are elementwise, so batch composition cannot change any
 /// element's bits), hence the argmax and its index tie-breaks are identical
-/// to the dense greedy. Scorers that read BRES — or type-erased scorers
-/// that cannot say — are rescored dense every round.
+/// to the dense greedy. Scorers that read BRES — or scorers that cannot
+/// say — are rescored dense every round.
 ///
 /// `scratch` (optional) supplies caller-owned working memory; `stats`
 /// (optional) receives the rescoring effort of this solve.
@@ -393,8 +380,9 @@ template <typename BatchScore>
     const Instance& instance, std::span<const double> scores,
     const GreedyOptions& options = {});
 
-/// Type-erased per-bundle greedy: greedy_solve_batched through
-/// detail::score_per_bundle, so every bundle is rescored every round.
+/// Type-erased per-bundle greedy: greedy_solve_batched through a per-bundle
+/// adapter that is not terminal-aware, so every bundle is rescored every
+/// round.
 [[nodiscard]] SolveResult greedy_solve(const Instance& instance,
                                        const ScoreFunction& score,
                                        std::span<const double> duals = {},

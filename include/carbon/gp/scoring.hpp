@@ -3,7 +3,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -82,17 +81,5 @@ class CompiledBatchScorer {
   const CompiledProgram* program_;
   std::vector<double>* scratch_;
 };
-
-/// Wraps a compiled program (shared) as a type-erased batch scorer for
-/// cover::grasp_solve and other BatchScoreFunction consumers. The closure
-/// owns its register scratch, so repeated rounds do not allocate.
-[[nodiscard]] inline cover::BatchScoreFunction make_batch_score_function(
-    std::shared_ptr<const CompiledProgram> program) {
-  return [program = std::move(program),
-          scratch = std::make_shared<std::vector<double>>()](
-             const cover::BatchFeatureView& view, std::span<double> out) {
-    program->evaluate_batch(view_to_batch(view), out, *scratch);
-  };
-}
 
 }  // namespace carbon::gp

@@ -40,7 +40,7 @@ enum class Rung : unsigned char {
 enum class Trip : unsigned char {
   kNone = 0,         ///< Full-fidelity evaluation.
   kLpIterationCap,   ///< Simplex hit its deterministic iteration cap.
-  kConstructionCap,  ///< Greedy/GRASP hit its selection-round cap.
+  kConstructionCap,  ///< Greedy hit its selection-round cap.
   kNodeBudget,       ///< Per-evaluation LL node budget exhausted.
   kInjected,         ///< Forced by GuardConfig::inject (fault hook).
   kWatchdog,         ///< Opt-in wall-clock watchdog fired (non-deterministic).
@@ -73,7 +73,7 @@ enum class Trip : unsigned char {
 struct Outcome {
   Rung rung = Rung::kFullLp;  ///< Ladder position the bound came from.
   Trip trip = Trip::kNone;    ///< First budget event, kNone if untripped.
-  /// Greedy/GRASP construction was cut short by a round cap; the reported
+  /// Greedy construction was cut short by a round cap; the reported
   /// selection may be infeasible (treated like any uncoverable outcome).
   bool construction_capped = false;
   /// The whole node budget was consumed before construction could start;
@@ -97,7 +97,7 @@ struct Limits {
   /// Subgradient iteration cap for the rung-1 Lagrangian bound. Setting this
   /// to 0 while a trip is active skips rung 1 entirely (straight to rung 2).
   long long lagrangian_iteration_cap = 50;
-  /// Greedy/GRASP selection-round cap for the construction stage.
+  /// Greedy selection-round cap for the construction stage.
   long long construction_round_cap = 0;
   /// Total deterministic node budget per evaluation: LP/subgradient
   /// iterations spent on the bound plus greedy selection rounds.

@@ -5,6 +5,28 @@
 
 namespace carbon::cover {
 
+namespace {
+
+/// The per-bundle adapter onto the batch interface: fills one
+/// BundleFeatures per lane and writes out[j] = score(features of j). It is
+/// not terminal-aware, so a core driving it rescores every bundle every
+/// round.
+void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
+                      std::span<double> out) {
+  for (std::size_t j = 0; j < view.count; ++j) {
+    BundleFeatures f;
+    f.cost = view.cost[j];
+    f.qsum = view.qsum[j];
+    f.qcov = view.qcov[j];
+    f.bres = view.bres;
+    f.dual = view.dual[j];
+    f.xbar = view.xbar[j];
+    out[j] = score(f);
+  }
+}
+
+}  // namespace
+
 namespace detail {
 
 void eliminate_redundancy(const Instance& instance,
@@ -57,20 +79,6 @@ void static_masses(const Instance& instance, std::span<const double> duals,
     }
     qsum[j] = s;
     dual_mass[j] = d;
-  }
-}
-
-void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
-                      std::span<double> out) {
-  for (std::size_t j = 0; j < view.count; ++j) {
-    BundleFeatures f;
-    f.cost = view.cost[j];
-    f.qsum = view.qsum[j];
-    f.qcov = view.qcov[j];
-    f.bres = view.bres;
-    f.dual = view.dual[j];
-    f.xbar = view.xbar[j];
-    out[j] = score(f);
   }
 }
 
@@ -238,7 +246,7 @@ SolveResult greedy_solve(const Instance& instance, const ScoreFunction& score,
   return greedy_solve_batched(
       instance,
       [&score](const BatchFeatureView& view, std::span<double> out) {
-        detail::score_per_bundle(score, view, out);
+        score_per_bundle(score, view, out);
       },
       duals, relaxed_x, {}, options);
 }

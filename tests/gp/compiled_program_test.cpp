@@ -235,8 +235,8 @@ TEST(CompiledProgram, GreedyBatchedMatchesGreedyWith) {
     for (double& x : xbar) x = rng.uniform(0.0, 1.0);
 
     const Tree tree = generate_ramped(rng, gen);
-    const auto program = std::make_shared<const CompiledProgram>(
-        CompiledProgram::compile(tree));
+    const CompiledProgram program = CompiledProgram::compile(tree);
+    std::vector<double> scratch;
 
     const cover::SolveResult want = cover::testing::reference_greedy(
         inst,
@@ -245,8 +245,14 @@ TEST(CompiledProgram, GreedyBatchedMatchesGreedyWith) {
           return tree.evaluate(std::span<const double, kNumTerminals>(arr));
         },
         duals, xbar);
+    // A plain lambda is not a TerminalAwareBatchScorer, so this drives the
+    // dense-every-round regime of the core.
     const cover::SolveResult got = cover::greedy_solve_batched(
-        inst, make_batch_score_function(program), duals, xbar);
+        inst,
+        [&](const cover::BatchFeatureView& view, std::span<double> out) {
+          program.evaluate_batch(view_to_batch(view), out, scratch);
+        },
+        duals, xbar);
 
     EXPECT_EQ(want.feasible, got.feasible);
     EXPECT_EQ(want.selection, got.selection);

@@ -99,6 +99,29 @@ TEST(Cli, StrictNumericFlagsAreRejected) {
   EXPECT_EQ(run(solve + " --threads 2"), 0);
 }
 
+TEST(Cli, NegativeCountsAreRejectedWithTheFlagNamed) {
+  const std::string inst = carbon::test::test_temp_dir() + "counts.orlib";
+  ASSERT_EQ(run("generate --bundles 20 --services 3 --out " + inst), 0);
+  // A negative count cast to size_t would wrap to a huge value: for
+  // --max-nodes that silently lifts the branch-and-bound node cap.
+  const std::string err_path = carbon::test::test_temp_dir() + "err.txt";
+  const auto rejected = [&](const std::string& args, const std::string& flag) {
+    const std::string cmd =
+        cli() + " " + args + " > /dev/null 2> " + err_path;
+    EXPECT_NE(std::system(cmd.c_str()), 0) << cmd;
+    std::ifstream f(err_path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    EXPECT_NE(ss.str().find(flag), std::string::npos) << ss.str();
+  };
+  rejected("exact --in " + inst + " --max-nodes -1", "--max-nodes");
+  rejected("generate --bundles -3 --services 3 --out " + inst, "--bundles");
+  rejected("generate --bundles 20 --services -1 --out " + inst, "--services");
+  rejected("solve --in " + inst + " --owned -2 --algo carbon --ul-budget 40 "
+           "--ll-budget 100 --pop 8",
+           "--owned");
+}
+
 TEST(Cli, CheckpointFlagsAreValidated) {
   const std::string inst = carbon::test::test_temp_dir() + "ckpt.orlib";
   const std::string ckpt = carbon::test::test_temp_dir() + "ckpt.ckpt";

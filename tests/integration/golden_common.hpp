@@ -114,9 +114,9 @@ inline void expect_same_trajectory(const Trajectory& want,
 // serial evaluator class: every literal below is what that commit produced
 // for carbon_config()/cobra_config() on make_instance(), printed with "%a"
 // so the doubles are exact. Every cell of the golden matrices (threads x
-// compiled_scoring x memo_xgen x SIMD path) must reproduce them bit for
-// bit. Never regenerate these: a mismatch is a behaviour change to explain,
-// not a fixture to refresh.
+// SIMD path x telemetry) must reproduce them bit for bit. Never regenerate
+// these: a mismatch is a behaviour change to explain, not a fixture to
+// refresh.
 // ---------------------------------------------------------------------------
 
 /// lp_warm=baseline trajectories.
@@ -226,10 +226,10 @@ inline const Trajectory kCobraPool{
     .generations = 11,
 };
 
-/// Summary-record backend counters of a default-configured (compiled
-/// scoring and score memo on) eval_threads=1 run at the same commit. They
-/// pin the one-shard relaxation and score-memo LRUs of the single-
-/// participant evaluator to the serial evaluator's cache traffic.
+/// Summary-record backend counters of a default-configured (score memo on)
+/// eval_threads=1 run at the same commit. They pin the one-shard relaxation
+/// and score-memo LRUs of the single-participant evaluator to the serial
+/// evaluator's cache traffic.
 struct BackendCounters {
   long long relax_cache_hits = 0;
   long long relax_cache_misses = 0;

@@ -46,14 +46,6 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
 
   const bilevel::LinearBilevel p3 = bilevel::program3();
   EXPECT_TRUE(bilevel::solve_by_grid(p3, 101).best.has_value());
-
-  toll::GridConfig grid;
-  grid.rows = 3;
-  grid.cols = 3;
-  const toll::Problem road = toll::make_grid_problem(grid);
-  const auto zero_eval = toll::evaluate(
-      road, std::vector<double>(road.tollable_arcs().size(), 0.0));
-  EXPECT_TRUE(zero_eval.all_routable);
 }
 
 }  // namespace

@@ -90,8 +90,12 @@ int cmd_generate(const common::CliArgs& args) {
     return 1;
   }
   cover::GeneratorConfig cfg;
-  cfg.num_bundles = static_cast<std::size_t>(args.get_int("bundles", 100));
-  cfg.num_services = static_cast<std::size_t>(args.get_int("services", 5));
+  // Counts land in size_t fields: reject zero/negative with the flag named
+  // instead of letting the cast wrap.
+  cfg.num_bundles =
+      static_cast<std::size_t>(args.get_positive_int("bundles", 100));
+  cfg.num_services =
+      static_cast<std::size_t>(args.get_positive_int("services", 5));
   cfg.tightness = args.get_double("tightness", cfg.tightness);
   cfg.density = args.get_double("density", cfg.density);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
@@ -118,8 +122,9 @@ int cmd_relax(const common::CliArgs& args) {
 int cmd_exact(const common::CliArgs& args) {
   const cover::Instance inst = load(args);
   cover::ExactOptions opts;
+  // A negative cap would wrap to SIZE_MAX and silently lift the node limit.
   opts.max_nodes =
-      static_cast<std::size_t>(args.get_int("max-nodes", 200'000));
+      static_cast<std::size_t>(args.get_positive_int("max-nodes", 200'000));
   const cover::ExactResult r = cover::exact_solve(inst, opts);
   if (!r.feasible) {
     std::printf("infeasible\n");
@@ -188,8 +193,8 @@ int cmd_solve(const common::CliArgs& args) {
     return 1;
   }
   const cover::Instance market = load(args);
-  const auto owned = static_cast<std::size_t>(
-      args.get_int("owned", static_cast<long long>(market.num_bundles() / 10)));
+  const auto owned = static_cast<std::size_t>(args.get_positive_int(
+      "owned", static_cast<long long>(market.num_bundles() / 10)));
   const bcpop::Instance inst(market, owned);
 
   const std::string algo = args.get("algo", "carbon");

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 # evaluator (its caches are touched only by the submitting thread, so TSan
 # reports any worker that still reaches one — through the capacity-1
 # eviction churn, the thread-count-invariance runs, and the
-# compiled-scoring batch memo), the
+# per-batch score memo), the
 # experiment runner (replication runs fanned out as TaskScheduler jobs,
 # each with its own solver and evaluator), the compiled-program fuzz (per-context register scratch must stay
 # thread-private), the metrics registry (sharded counters/timers
