@@ -27,7 +27,8 @@
 int main(int argc, char** argv) {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
-  const auto samples = static_cast<std::size_t>(args.get_int("samples", 40));
+  const auto samples =
+      static_cast<std::size_t>(args.get_positive_int("samples", 40));
   common::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 99)));
 
   // Small market: exact LL solves must be cheap.

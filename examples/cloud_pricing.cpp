@@ -23,12 +23,14 @@ int main(int argc, char** argv) {
   const common::CliArgs args(argc, argv);
 
   cover::GeneratorConfig gen;
-  gen.num_bundles = static_cast<std::size_t>(args.get_int("bundles", 150));
-  gen.num_services = static_cast<std::size_t>(args.get_int("services", 8));
+  gen.num_bundles =
+      static_cast<std::size_t>(args.get_positive_int("bundles", 150));
+  gen.num_services =
+      static_cast<std::size_t>(args.get_positive_int("services", 8));
   gen.tightness = args.get_double("tightness", 0.25);
   gen.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  const auto owned = static_cast<std::size_t>(
-      args.get_int("owned", static_cast<long long>(gen.num_bundles / 10)));
+  const auto owned = static_cast<std::size_t>(args.get_positive_int(
+      "owned", static_cast<long long>(gen.num_bundles / 10)));
 
   const bcpop::Instance market(cover::generate(gen), owned);
   std::printf("Market: %zu bundles x %zu services, leader owns %zu, "
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
               market.mean_competitor_price());
 
   core::ExperimentConfig cfg;
-  cfg.runs = static_cast<std::size_t>(args.get_int("runs", 5));
+  cfg.runs = static_cast<std::size_t>(args.get_positive_int("runs", 5));
   cfg.ul_eval_budget = args.get_int("ul-budget", 1'000);
   cfg.ll_eval_budget = args.get_int("ll-budget", 3'000);
   cfg.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 7)) * 977;

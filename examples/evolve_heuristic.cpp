@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
   const auto num_instances =
-      static_cast<std::size_t>(args.get_int("instances", 5));
+      static_cast<std::size_t>(args.get_positive_int("instances", 5));
   const int generations = static_cast<int>(args.get_int("generations", 30));
-  const auto pop_size = static_cast<std::size_t>(args.get_int("pop", 50));
+  const auto pop_size =
+      static_cast<std::size_t>(args.get_positive_int("pop", 50));
   common::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 123)));
 
   // Training set: several covering instances with their LP relaxations.

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
   const auto followers =
-      static_cast<std::size_t>(args.get_int("followers", 3));
+      static_cast<std::size_t>(args.get_positive_int("followers", 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 
   cover::GeneratorConfig gen;

@@ -75,19 +75,12 @@ struct EvalContext {
   guard::Limits guard{};
 };
 
-/// Solves the LP relaxation of LL(pricing), warm-started from the context's
-/// fixed baseline basis. Pure in `pricing`: identical pricings produce
-/// bit-identical relaxations in any context of the same instance. Throws
-/// std::runtime_error on solver failure (not on infeasibility).
-[[nodiscard]] cover::Relaxation solve_relaxation(
-    EvalContext& ctx, std::span<const double> pricing);
-
 /// Budget-guarded relaxation from an explicit start basis — the kernel
 /// behind every evaluation that is not force-tripped. Rung 0 runs the
 /// simplex warm-started from a copy of `start` (empty = crash start) under
 /// ctx.guard's iteration cap (the tighter of lp_iteration_cap and
-/// ll_node_cap; with neither set this is solve_relaxation from `start`, bit
-/// for bit). A capped-out solve falls to the rung-1 Lagrangian subgradient
+/// ll_node_cap; with neither set this is the uncapped solve from `start`,
+/// bit for bit). A capped-out solve falls to the rung-1 Lagrangian subgradient
 /// bound, and past that to the rung-2 greedy-only bound (LB = 0, empty
 /// duals/x̄). When `final_basis` is non-null and rung 0 finished optimal
 /// with an artificial-free basis, that basis is copied out for the caller

@@ -1,8 +1,9 @@
 // Abstraction over bi-level evaluation backends.
 //
 // CARBON and COBRA only need four things from the problem: the leader's
-// decision box, the length of a binary follower genome, and the two
-// evaluation entry points (heuristic-driven and genome-driven). Putting that
+// decision box, the length of a binary follower genome, and the two batch
+// evaluation entry points (heuristic-driven and genome-driven; a single
+// evaluation is a one-job batch). Putting that
 // behind an interface lets the same solvers run on the single-customer BCPOP
 // (bcpop::ParallelEvaluator, the one BCPOP backend) and on extensions such
 // as the multi-follower market (bcpop::MultiFollowerEvaluator) — the
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "carbon/ea/real_ops.hpp"
@@ -80,54 +82,32 @@ class EvaluatorInterface {
   /// Length of a binary lower-level genome (COBRA's encoding).
   [[nodiscard]] virtual std::size_t genome_length() const = 0;
 
-  /// Evaluates a pricing with a GP scoring heuristic driving the follower.
-  virtual Evaluation evaluate_with_heuristic(std::span<const double> pricing,
-                                             const gp::Tree& heuristic,
-                                             EvalPurpose purpose) = 0;
-
-  /// Evaluates a pricing with a binary follower genome (repaired if needed).
-  virtual Evaluation evaluate_with_selection(
-      std::span<const double> pricing,
-      std::span<const std::uint8_t> selection, EvalPurpose purpose) = 0;
-
-  /// Evaluates a generation's worth of heuristic jobs, returning results in
-  /// submission order (results[i] answers jobs[i] — solvers rely on that for
-  /// deterministic reduction). The default runs the jobs serially in order,
-  /// so a solver written against the batch API behaves bit-identically to
-  /// one written against the scalar calls; ParallelEvaluator overrides this
-  /// to fan the jobs across its scheduler.
+  /// Evaluates a generation's worth of heuristic jobs — the one heuristic
+  /// entry point every backend implements. Results come back in submission
+  /// order (results[i] answers jobs[i] — solvers rely on that for
+  /// deterministic reduction).
   virtual std::vector<Evaluation> evaluate_heuristic_batch(
-      std::span<const HeuristicJob> jobs) {
-    std::vector<Evaluation> results;
-    results.reserve(jobs.size());
-    for (const HeuristicJob& job : jobs) {
-      results.push_back(
-          evaluate_with_heuristic(job.pricing, *job.heuristic, job.purpose));
-    }
-    return results;
-  }
+      std::span<const HeuristicJob> jobs) = 0;
 
-  /// Batch counterpart for genome-driven evaluations; same ordering
-  /// guarantee and serial default as evaluate_heuristic_batch.
+  /// Genome-driven counterpart (binary follower genomes, repaired if
+  /// needed); same ordering guarantee as evaluate_heuristic_batch.
   virtual std::vector<Evaluation> evaluate_selection_batch(
-      std::span<const SelectionJob> jobs) {
-    std::vector<Evaluation> results;
-    results.reserve(jobs.size());
-    for (const SelectionJob& job : jobs) {
-      results.push_back(
-          evaluate_with_selection(job.pricing, job.selection, job.purpose));
-    }
-    return results;
-  }
+      std::span<const SelectionJob> jobs) = 0;
 
-  /// Convenience overloads defaulting to a complete bi-level evaluation.
-  Evaluation evaluate_with_heuristic(std::span<const double> pricing,
-                                     const gp::Tree& heuristic) {
-    return evaluate_with_heuristic(pricing, heuristic, EvalPurpose::kBoth);
+  /// One evaluation is a one-job batch: same charge, memo, cache and
+  /// injection behaviour as the batch twin.
+  Evaluation evaluate_with_heuristic(
+      std::span<const double> pricing, const gp::Tree& heuristic,
+      EvalPurpose purpose = EvalPurpose::kBoth) {
+    const HeuristicJob job{pricing, &heuristic, purpose};
+    return std::move(evaluate_heuristic_batch({&job, 1}).front());
   }
-  Evaluation evaluate_with_selection(std::span<const double> pricing,
-                                     std::span<const std::uint8_t> selection) {
-    return evaluate_with_selection(pricing, selection, EvalPurpose::kBoth);
+  Evaluation evaluate_with_selection(
+      std::span<const double> pricing,
+      std::span<const std::uint8_t> selection,
+      EvalPurpose purpose = EvalPurpose::kBoth) {
+    const SelectionJob job{pricing, selection, purpose};
+    return std::move(evaluate_selection_batch({&job, 1}).front());
   }
 
   [[nodiscard]] virtual long long ul_evaluations() const = 0;

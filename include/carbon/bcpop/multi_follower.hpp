@@ -60,17 +60,16 @@ class MultiFollowerProblem {
 
 class MultiFollowerEvaluator final : public EvaluatorInterface {
  public:
-  using EvaluatorInterface::evaluate_with_heuristic;
-  using EvaluatorInterface::evaluate_with_selection;
-
   explicit MultiFollowerEvaluator(const MultiFollowerProblem& problem);
 
-  Evaluation evaluate_with_heuristic(std::span<const double> pricing,
-                                     const gp::Tree& heuristic,
-                                     EvalPurpose purpose) override;
-  Evaluation evaluate_with_selection(std::span<const double> pricing,
-                                     std::span<const std::uint8_t> selection,
-                                     EvalPurpose purpose) override;
+  /// Evaluates the jobs in order: each runs as a one-job batch on every
+  /// follower (kLowerOnly) and is aggregated under its own purpose.
+  std::vector<Evaluation> evaluate_heuristic_batch(
+      std::span<const HeuristicJob> jobs) override;
+  /// As evaluate_heuristic_batch; follower f repairs block f of the
+  /// concatenated genome.
+  std::vector<Evaluation> evaluate_selection_batch(
+      std::span<const SelectionJob> jobs) override;
 
   [[nodiscard]] std::span<const ea::Bounds> price_bounds() const override {
     return problem_.price_bounds();
@@ -83,7 +82,7 @@ class MultiFollowerEvaluator final : public EvaluatorInterface {
   /// One LL evaluation per follower solve (cost scales with K).
   [[nodiscard]] long long ll_evaluations() const override { return ll_evals_; }
 
-  /// Per-follower breakdown of the most recent evaluation.
+  /// Per-follower breakdown of the last job evaluated.
   [[nodiscard]] const std::vector<Evaluation>& last_breakdown() const {
     return last_breakdown_;
   }

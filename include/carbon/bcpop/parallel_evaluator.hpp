@@ -20,8 +20,11 @@
 // copy, LP, scratch); the scheduler guarantees that participant 0 is the
 // calling thread and that no two jobs share a participant at once.
 //
-// One relaxation discipline serves batches and scalar calls alike
-// (resolve_relaxations, docs/ALGORITHMS.md §7):
+// The two batch calls are the evaluator's entry points; a scalar call
+// (EvaluatorInterface::evaluate_with_heuristic/_selection) is a one-job
+// batch, and evaluate_with_score runs the same stages for one job. One
+// relaxation discipline serves them all (resolve_relaxations,
+// docs/ALGORITHMS.md §7):
 //   A. the submitting thread probes the relaxation cache and picks each
 //      miss's start basis, in submission order;
 //   B. the distinct misses fan out as pure LP solves;
@@ -71,8 +74,6 @@ namespace carbon::bcpop {
 
 class ParallelEvaluator final : public EvaluatorInterface {
  public:
-  using EvaluatorInterface::evaluate_with_heuristic;
-  using EvaluatorInterface::evaluate_with_selection;
   using RelaxationPtr = RelaxationCache::RelaxationPtr;
 
   struct Options {
@@ -99,28 +100,20 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// batches first deduplicate through the per-batch score memo (planned on
   /// the calling thread, so the evaluated set — and therefore the result
   /// bits — is independent of the thread count); duplicates still charge
-  /// the Table II budget.
-  std::vector<Evaluation> evaluate_heuristic_batch(
-      std::span<const HeuristicJob> jobs) override;
-  std::vector<Evaluation> evaluate_selection_batch(
-      std::span<const SelectionJob> jobs) override;
-
-  /// Scalar entry points run on the calling thread's context (participant
-  /// 0) through the same staged resolve as a one-job batch, sharing the
-  /// caches and counters. Scoring trees are compiled (gp::CompiledProgram);
+  /// the Table II budget. Scoring trees are compiled (gp::CompiledProgram);
   /// programs without residual-dependent terminals take the sort-based
   /// cover::greedy_solve_static fast path.
-  Evaluation evaluate_with_heuristic(std::span<const double> pricing,
-                                     const gp::Tree& heuristic,
-                                     EvalPurpose purpose) override;
-  /// Binary customer genome (COBRA's lower level). Infeasible selections
+  std::vector<Evaluation> evaluate_heuristic_batch(
+      std::span<const HeuristicJob> jobs) override;
+  /// Binary customer genomes (COBRA's lower level). Infeasible selections
   /// are greedily repaired (cheapest effective bundle first); redundant
   /// bundles are NOT removed, the genome is respected otherwise.
-  Evaluation evaluate_with_selection(std::span<const double> pricing,
-                                     std::span<const std::uint8_t> selection,
-                                     EvalPurpose purpose) override;
-  /// Greedy driven by an arbitrary scoring function (baselines, tests).
-  /// Not memoized across generations (a std::function has no key).
+  std::vector<Evaluation> evaluate_selection_batch(
+      std::span<const SelectionJob> jobs) override;
+  /// Greedy driven by an arbitrary scoring function (the nested-GA baseline,
+  /// the tests' interpreter oracle). Runs on the calling thread's context
+  /// through the same staged resolve as a one-job batch; not memoized (a
+  /// std::function has no key).
   Evaluation evaluate_with_score(std::span<const double> pricing,
                                  const cover::ScoreFunction& score,
                                  EvalPurpose purpose = EvalPurpose::kBoth);
@@ -271,13 +264,6 @@ class ParallelEvaluator final : public EvaluatorInterface {
                                 std::span<const double> pricing,
                                 EvalPurpose purpose,
                                 const Construct& construct) const;
-  /// Scalar entry point body: relaxation (injected or resolved) +
-  /// construct(ctx, relax) on the caller's context, then the guard outcome
-  /// is counted. The caller has already charged.
-  template <typename Construct>
-  Evaluation evaluate_scalar(std::span<const double> pricing,
-                             EvalPurpose purpose, bool injected,
-                             const Construct& construct);
   /// Construction stage under the guard plan: skipped when the node budget
   /// is gone, otherwise solve(greedy options) under the ll_solve timer,
   /// then finalized.

@@ -6,7 +6,6 @@
 // bounded-variable simplex, so the basis size is the (small) service count.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "carbon/cover/instance.hpp"
@@ -63,11 +62,6 @@ struct RelaxationFamily {
   lp::Basis baseline_basis;
 
   explicit RelaxationFamily(const Instance& instance);
-
-  [[nodiscard]] static std::shared_ptr<const RelaxationFamily> make(
-      const Instance& instance) {
-    return std::make_shared<const RelaxationFamily>(instance);
-  }
 };
 
 /// Solves a relaxation LP (as built by build_relaxation_lp, possibly with a
@@ -88,15 +82,11 @@ struct RelaxationFamily {
                                              lp::Basis* warm,
                                              lp::SolveScratch* scratch);
 
-/// Budget-capped variant of solve_relaxation_lp: an iteration-limited solve
-/// comes back as a Relaxation with guard_trip = kLpIterationCap (infeasible,
-/// so callers fall down the degradation ladder) instead of throwing. All
-/// other failure statuses still throw — they indicate bugs, not budgets.
-[[nodiscard]] Relaxation solve_relaxation_lp_capped(
-    const lp::Problem& problem, const lp::SimplexOptions& options,
-    lp::Basis* warm);
-
-/// Family fast path of solve_relaxation_lp_capped (see above).
+/// Budget-capped variant of the family solve_relaxation_lp: an
+/// iteration-limited solve comes back as a Relaxation with guard_trip =
+/// kLpIterationCap (infeasible, so callers fall down the degradation ladder)
+/// instead of throwing. All other failure statuses still throw — they
+/// indicate bugs, not budgets.
 [[nodiscard]] Relaxation solve_relaxation_lp_capped(
     const lp::ProblemFamily& family, const lp::SimplexOptions& options,
     lp::Basis* warm, lp::SolveScratch* scratch);

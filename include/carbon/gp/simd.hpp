@@ -12,15 +12,12 @@
 // harness without regenerating a single baseline.
 //
 // Dispatch model: one kernel table is selected per process, on first use,
-// from the CARBON_SIMD environment variable —
-//   CARBON_SIMD=auto    pick AVX2 when compiled in and the CPU reports it
-//                       (the default)
-//   CARBON_SIMD=scalar  force the portable scalar loops
-//   CARBON_SIMD=avx2    force AVX2 (falls back to scalar, observable via
-//                       path_name(), when the build or CPU lacks it)
-// select_path() overrides the choice programmatically at any time — safe
-// precisely because all paths are bit-identical (tests flip paths mid-
-// process to run the scalar-vs-SIMD differential fuzz).
+// by the build and the CPU — AVX2 when the -mavx2 TU is compiled in and the
+// CPU reports it, the portable scalar loops otherwise. Since every path
+// computes the same bits, the choice only changes speed. select_path()
+// overrides it programmatically at any time — the tests flip paths mid-
+// process to run the scalar-vs-SIMD differential fuzz and the golden
+// matrices.
 //
 // The AVX2 table lives in its own translation unit (src/gp/simd_avx2.cpp)
 // compiled with -mavx2; nothing outside that TU executes AVX2 instructions,
@@ -56,8 +53,9 @@ struct Kernels {
   const char* name = "scalar";
 };
 
-/// The active kernel table. First call resolves CARBON_SIMD (subsequent
-/// calls are one atomic load); never fails — the scalar table always exists.
+/// The active kernel table. First call picks it from the build and the CPU
+/// (subsequent calls are one atomic load); never fails — the scalar table
+/// always exists.
 [[nodiscard]] const Kernels& kernels() noexcept;
 
 [[nodiscard]] Path active_path() noexcept;

@@ -97,19 +97,6 @@ EvalContext::EvalContext(const Instance& instance,
       ll_family(shared.family),
       baseline_basis(shared.baseline_basis) {}
 
-cover::Relaxation solve_relaxation(EvalContext& ctx,
-                                   std::span<const double> pricing) {
-  ctx.ll_family.rebind(pricing);
-  // Warm-start from a COPY of the fixed baseline so the basis stored in the
-  // context never drifts with evaluation order. The copy lands in the
-  // context's scratch basis, whose vectors keep their capacity across calls.
-  ctx.basis_scratch = ctx.baseline_basis;
-  return cover::solve_relaxation_lp(
-      ctx.ll_family, {},
-      ctx.basis_scratch.empty() ? nullptr : &ctx.basis_scratch,
-      &ctx.lp_scratch);
-}
-
 namespace {
 
 /// Rung 2: no bound at all. The evaluation stays valid — LB = 0 is a

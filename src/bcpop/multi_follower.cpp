@@ -114,34 +114,42 @@ Evaluation MultiFollowerEvaluator::aggregate(std::span<const double> pricing,
   return total;
 }
 
-Evaluation MultiFollowerEvaluator::evaluate_with_heuristic(
-    std::span<const double> pricing, const gp::Tree& heuristic,
-    EvalPurpose purpose) {
-  last_breakdown_.clear();
-  for (auto& eval : per_follower_) {
-    // Sub-evaluators keep their own counters; ours are authoritative.
-    last_breakdown_.push_back(eval->evaluate_with_heuristic(
-        pricing, heuristic, EvalPurpose::kLowerOnly));
+std::vector<Evaluation> MultiFollowerEvaluator::evaluate_heuristic_batch(
+    std::span<const HeuristicJob> jobs) {
+  std::vector<Evaluation> results;
+  results.reserve(jobs.size());
+  for (const HeuristicJob& job : jobs) {
+    last_breakdown_.clear();
+    for (auto& eval : per_follower_) {
+      // Sub-evaluators keep their own counters; ours are authoritative.
+      last_breakdown_.push_back(eval->evaluate_with_heuristic(
+          job.pricing, *job.heuristic, EvalPurpose::kLowerOnly));
+    }
+    results.push_back(aggregate(job.pricing, job.purpose));
   }
-  return aggregate(pricing, purpose);
+  return results;
 }
 
-Evaluation MultiFollowerEvaluator::evaluate_with_selection(
-    std::span<const double> pricing, std::span<const std::uint8_t> selection,
-    EvalPurpose purpose) {
+std::vector<Evaluation> MultiFollowerEvaluator::evaluate_selection_batch(
+    std::span<const SelectionJob> jobs) {
   const std::size_t m = problem_.num_bundles();
-  last_breakdown_.clear();
-  for (std::size_t f = 0; f < per_follower_.size(); ++f) {
-    // Slice follower f's block from the concatenated genome; missing or
-    // short genomes read as all-zeros (the repair fills them in).
-    std::span<const std::uint8_t> block;
-    if (selection.size() >= (f + 1) * m) {
-      block = selection.subspan(f * m, m);
+  std::vector<Evaluation> results;
+  results.reserve(jobs.size());
+  for (const SelectionJob& job : jobs) {
+    last_breakdown_.clear();
+    for (std::size_t f = 0; f < per_follower_.size(); ++f) {
+      // Slice follower f's block from the concatenated genome; missing or
+      // short genomes read as all-zeros (the repair fills them in).
+      std::span<const std::uint8_t> block;
+      if (job.selection.size() >= (f + 1) * m) {
+        block = job.selection.subspan(f * m, m);
+      }
+      last_breakdown_.push_back(per_follower_[f]->evaluate_with_selection(
+          job.pricing, block, EvalPurpose::kLowerOnly));
     }
-    last_breakdown_.push_back(per_follower_[f]->evaluate_with_selection(
-        pricing, block, EvalPurpose::kLowerOnly));
+    results.push_back(aggregate(job.pricing, job.purpose));
   }
-  return aggregate(pricing, purpose);
+  return results;
 }
 
 BackendStats MultiFollowerEvaluator::backend_stats() const {

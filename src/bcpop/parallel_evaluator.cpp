@@ -175,29 +175,6 @@ Evaluation ParallelEvaluator::construct_resolved(
   return construct(*resolved.relax);
 }
 
-template <typename Construct>
-Evaluation ParallelEvaluator::evaluate_scalar(std::span<const double> pricing,
-                                              EvalPurpose purpose,
-                                              bool injected,
-                                              const Construct& construct) {
-  // The caller's own context: a one-pricing resolve runs its stage B
-  // inline on participant 0 too, strictly before construction.
-  EvalContext& ctx = *contexts_[0];
-  const auto finish = [&](const cover::Relaxation& relax) {
-    return construct(ctx, relax);
-  };
-  Evaluation result;
-  if (injected) {
-    result = finish(injected_relaxation(ctx, pricing));
-  } else {
-    const std::span<const double> one[] = {pricing};
-    result = construct_resolved(resolve_relaxations(one).front(), pricing,
-                                purpose, finish);
-  }
-  count_guard(result);
-  return result;
-}
-
 void ParallelEvaluator::memoize(std::span<const gp::Node> key,
                                 std::span<const double> pricing,
                                 EvalPurpose purpose,
@@ -308,7 +285,7 @@ ParallelEvaluator::resolve_relaxations(
     out[p.out_index] = {p.result, p.watchdog_expired};
   }
   // In-batch duplicates read back through the cache so the hit counters
-  // and the LRU walk match a scalar call sequence; the pinned pointer
+  // and the LRU walk match a sequence of one-job calls; the pinned pointer
   // covers the (tiny cache) case where a later insert already evicted the
   // entry, and still counts as the hit it is.
   for (const auto& [i, k] : aliases) {
@@ -356,7 +333,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   // and the set of real solves is identical for any thread count.
   const HeuristicBatchPlan plan = plan_heuristic_batch(jobs);
   // Jobs are charged in submission order below, so job i's ll ordinal is
-  // base + i — the same ordinal a scalar call sequence would assign. The
+  // base + i — the same ordinal a sequence of one-job calls would assign. The
   // injection target is therefore identical for any batching.
   const long long base = ll_evals_;
   std::vector<Evaluation> unique_results(plan.uniques.size());
@@ -414,7 +391,7 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
     if (inject_now(base + static_cast<long long>(i))) {
       // The injected job gets its own forced-trip evaluation on the calling
       // thread; its memo siblings keep the full-fidelity result, exactly as
-      // a scalar call sequence would produce.
+      // a sequence of one-job calls would produce.
       EvalContext& ctx = *contexts_[0];
       results[i] = finish_heuristic(
           ctx, injected_relaxation(ctx, jobs[i].pricing), jobs[i],
@@ -434,8 +411,8 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
   std::vector<Evaluation> results(jobs.size());
   if (jobs.empty()) return results;
   // Injection ordinals are assigned by submission index BEFORE fan-out
-  // (job i gets base + i — the ordinal a scalar call sequence would charge
-  // it with), so the tripped job is the same for any thread count.
+  // (job i gets base + i — the ordinal a sequence of one-job calls would
+  // charge it with), so the tripped job is the same for any thread count.
   const long long base = ll_evals_;
   const auto injected = [&](std::size_t i) {
     return inject_now(base + static_cast<long long>(i));
@@ -471,57 +448,30 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
   return results;
 }
 
-Evaluation ParallelEvaluator::evaluate_with_heuristic(
-    std::span<const double> pricing, const gp::Tree& heuristic,
-    EvalPurpose purpose) {
-  const HeuristicJob job{pricing, &heuristic, purpose};
-  const bool injected = charge(purpose);
-
-  const gp::CompiledProgram program = gp::CompiledProgram::compile(heuristic);
-  // Cross-generation memo, keyed by the canonical program; skipped for
-  // injected jobs — their degradation is ordinal-dependent. A hit still
-  // charges the full budget.
-  const bool use_xgen = xgen_active() && !injected;
-  const std::span<const gp::Node> key_nodes = program.canonical_nodes();
-  if (use_xgen) {
-    Evaluation cached;
-    if (xgen_.lookup(key_nodes, pricing, purpose, &cached)) {
-      obs::count(metrics_, "memo/xgen_hits");
-      count_guard(cached);
-      return cached;
-    }
-  }
-  Evaluation result = evaluate_scalar(
-      pricing, purpose, injected,
-      [&](EvalContext& ctx, const cover::Relaxation& relax) {
-        return finish_heuristic(ctx, relax, job, program);
-      });
-  if (use_xgen) memoize(key_nodes, pricing, purpose, result);
-  return result;
-}
-
-Evaluation ParallelEvaluator::evaluate_with_selection(
-    std::span<const double> pricing, std::span<const std::uint8_t> selection,
-    EvalPurpose purpose) {
-  const SelectionJob job{pricing, selection, purpose};
-  return evaluate_scalar(pricing, purpose, charge(purpose),
-                         [&](EvalContext& ctx, const cover::Relaxation& relax) {
-                           return finish_selection(ctx, relax, job);
-                         });
-}
-
 Evaluation ParallelEvaluator::evaluate_with_score(
     std::span<const double> pricing, const cover::ScoreFunction& score,
     EvalPurpose purpose) {
-  return evaluate_scalar(
-      pricing, purpose, charge(purpose),
-      [&](EvalContext& ctx, const cover::Relaxation& relax) {
-        return construct_with(ctx, relax, pricing, purpose,
-                              [&](const cover::GreedyOptions& options) {
-                                return solve_with_score(ctx, relax, pricing,
-                                                        score, options);
-                              });
-      });
+  const bool injected = charge(purpose);
+  // The caller's own context: a one-pricing resolve runs its stage B
+  // inline on participant 0 too, strictly before construction.
+  EvalContext& ctx = *contexts_[0];
+  const auto finish = [&](const cover::Relaxation& relax) {
+    return construct_with(ctx, relax, pricing, purpose,
+                          [&](const cover::GreedyOptions& options) {
+                            return solve_with_score(ctx, relax, pricing, score,
+                                                    options);
+                          });
+  };
+  Evaluation result;
+  if (injected) {
+    result = finish(injected_relaxation(ctx, pricing));
+  } else {
+    const std::span<const double> one[] = {pricing};
+    result = construct_resolved(resolve_relaxations(one).front(), pricing,
+                                purpose, finish);
+  }
+  count_guard(result);
+  return result;
 }
 
 }  // namespace carbon::bcpop

@@ -101,13 +101,6 @@ Relaxation solve_relaxation_lp(const lp::ProblemFamily& family,
                                   /*capped=*/false);
 }
 
-Relaxation solve_relaxation_lp_capped(const lp::Problem& problem,
-                                      const lp::SimplexOptions& options,
-                                      lp::Basis* warm) {
-  return relaxation_from_solution(lp::solve(problem, options, warm),
-                                  /*capped=*/true);
-}
-
 Relaxation solve_relaxation_lp_capped(const lp::ProblemFamily& family,
                                       const lp::SimplexOptions& options,
                                       lp::Basis* warm,

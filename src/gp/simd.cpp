@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "carbon/gp/eval_ops.hpp"
 
@@ -83,10 +82,9 @@ std::atomic<const Kernels*>& active_slot() noexcept {
 const Kernels& kernels() noexcept {
   const Kernels* k = active_slot().load(std::memory_order_acquire);
   if (k == nullptr) {
-    // First use: resolve CARBON_SIMD. A benign race resolves the same env
-    // var to the same table on every thread.
-    const char* env = std::getenv("CARBON_SIMD");
-    k = resolve(env != nullptr ? std::string_view(env) : "auto");
+    // First use: the widest table the build and the CPU support. A benign
+    // race resolves to the same table on every thread.
+    k = resolve("auto");
     active_slot().store(k, std::memory_order_release);
   }
   return *k;

@@ -57,7 +57,7 @@ TEST(ParallelEvaluator, HeuristicBatchMatchesSerialBitwise) {
     }
   }
 
-  // Reference: the serial call sequence — one scalar call per job.
+  // Reference: the serial call sequence — one one-job call per job.
   ParallelEvaluator serial(inst, /*threads=*/1);
   std::vector<Evaluation> want;
   for (const HeuristicJob& job : jobs) {
@@ -91,7 +91,7 @@ TEST(ParallelEvaluator, SelectionBatchMatchesSerialBitwise) {
     jobs.push_back({pricings[i], genomes[i], EvalPurpose::kBoth});
   }
 
-  // Reference: the serial call sequence — one scalar call per job.
+  // Reference: the serial call sequence — one one-job call per job.
   ParallelEvaluator serial(inst, /*threads=*/1);
   std::vector<Evaluation> want;
   for (const SelectionJob& job : jobs) {

@@ -36,7 +36,7 @@ using golden::make_instance;
 using golden::parse_journal;
 using golden::trajectory_of;
 
-TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
+TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
   const bcpop::Instance inst = make_instance();
   const Trajectory& golden = golden::kCarbonBaseline;
 
@@ -84,7 +84,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossThreadsCompilationTelemetry) {
   gp::simd::select_path("auto");
 }
 
-TEST(GoldenTrajectory, CarbonIsInvariantAcrossSchedulerAndScoreMemo) {
+TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsWithMemoHits) {
   // The cross-generation score memo serves repeated (program, pricing)
   // evaluations without moving a bit — memo hits still charge the Table II
   // budgets — and the work-stealing scheduler only reorders execution of
@@ -114,7 +114,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSchedulerAndScoreMemo) {
   gp::simd::select_path("auto");
 }
 
-TEST(GoldenTrajectory, CobraIsInvariantAcrossSchedulerAndScoreMemo) {
+TEST(GoldenTrajectory, CobraIsInvariantAcrossThreads) {
   const bcpop::Instance inst = make_instance();
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -44,7 +44,7 @@ using golden::make_instance;
 using golden::parse_journal;
 using golden::trajectory_of;
 
-TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
+TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
@@ -67,7 +67,7 @@ TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
   gp::simd::select_path("auto");
 }
 
-TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossThreadsCompilation) {
+TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
