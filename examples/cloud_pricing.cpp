@@ -11,6 +11,7 @@
 // sloppy follower model (COBRA) believes in revenue it will never collect.
 
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "carbon/common/cli.hpp"
@@ -18,7 +19,7 @@
 #include "carbon/core/experiment.hpp"
 #include "carbon/cover/generator.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
 
@@ -77,4 +78,7 @@ int main(int argc, char** argv) {
       "overpays, so its reported revenue is an over-relaxation (Eq. 3 of\n"
       "the paper) — CARBON's smaller revenue is the realistic one.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "cloud_pricing: %s\n", e.what());
+  return 2;
 }

@@ -7,6 +7,7 @@
 //                         [--seed S]
 
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "carbon/bilevel/gap.hpp"
@@ -44,12 +45,13 @@ double mean_gap(const carbon::gp::Tree& tree,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
   const auto num_instances =
       static_cast<std::size_t>(args.get_positive_int("instances", 5));
-  const int generations = static_cast<int>(args.get_int("generations", 30));
+  const auto generations =
+      static_cast<int>(args.get_positive_int("generations", 30));
   const auto pop_size =
       static_cast<std::size_t>(args.get_positive_int("pop", 50));
   common::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 123)));
@@ -123,4 +125,7 @@ int main(int argc, char** argv) {
               best_gap, ce_gap);
   std::printf("scoring function: %s\n", gp::simplify(best).to_string().c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "evolve_heuristic: %s\n", e.what());
+  return 2;
 }

@@ -11,10 +11,11 @@
 // bi-level solution, even though the naive pair (6, 8) looks great.
 
 #include <cstdio>
+#include <exception>
 
 #include "carbon/bilevel/linear.hpp"
 
-int main() {
+int main() try {
   using namespace carbon::bilevel;
   const LinearBilevel p = program3();
 
@@ -58,4 +59,7 @@ int main() {
                 grid.best->x, grid.best->y, grid.best->upper_value);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "linear_bilevel: %s\n", e.what());
+  return 2;
 }

@@ -8,13 +8,14 @@
 // Usage: multi_follower [--followers K] [--seed S]
 
 #include <cstdio>
+#include <exception>
 
 #include "carbon/bcpop/multi_follower.hpp"
 #include "carbon/common/cli.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/cover/generator.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
   const auto followers =
@@ -71,4 +72,7 @@ int main(int argc, char** argv) {
   std::printf("\nShared follower model: %s\n",
               gp::simplify(r.best_heuristic).to_string().c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "multi_follower: %s\n", e.what());
+  return 2;
 }

@@ -9,12 +9,13 @@
 // Build & run:  ./quickstart [--seed N]
 
 #include <cstdio>
+#include <exception>
 
 #include "carbon/common/cli.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/cover/generator.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace carbon;
   const common::CliArgs args(argc, argv);
 
@@ -56,4 +57,7 @@ int main(int argc, char** argv) {
               "demand,\n QSUM=bundle mass, DUAL=LP-dual-weighted coverage, "
               "XBAR=LP relaxed value)\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

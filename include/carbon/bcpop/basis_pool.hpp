@@ -31,14 +31,15 @@ namespace carbon::bcpop {
 
 /// Warm-start policy for the LL relaxation solves (config/CLI axis).
 enum class LpWarm : unsigned char {
-  /// Every solve warm-starts from the fixed base-cost basis. This is the
-  /// PR-1 behavior, bit for bit: existing golden trajectories hold.
+  /// Every solve warm-starts from the fixed base-cost basis: a relaxation
+  /// is a pure function of the pricing. CARBON's default.
   kBaseline,
   /// Solves warm-start from the nearest pooled basis (falling back to the
   /// baseline on miss/rejection). A new golden axis: degenerate LPs with
   /// alternate optima can surface different — equally optimal — duals/x̄
   /// depending on the start basis, so trajectories differ from baseline
   /// while remaining deterministic across thread counts and SIMD paths.
+  /// COBRA's default.
   kPool
 };
 

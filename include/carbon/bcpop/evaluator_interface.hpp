@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "carbon/bcpop/basis_pool.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/tree.hpp"
 #include "carbon/guard/guard.hpp"
@@ -113,6 +114,11 @@ class EvaluatorInterface {
   [[nodiscard]] virtual long long ul_evaluations() const = 0;
   [[nodiscard]] virtual long long ll_evaluations() const = 0;
 
+  /// Start-basis policy of the relaxation solves this evaluator runs
+  /// (docs/ALGORITHMS.md §15). The run journal records it, since it is the
+  /// one evaluator axis that changes trajectories.
+  [[nodiscard]] virtual LpWarm lp_warm() const noexcept = 0;
+
   /// Cumulative backend statistics snapshot; the default (for backends with
   /// no caches or memos) is all-zero. Must be safe to call between batches.
   [[nodiscard]] virtual BackendStats backend_stats() const { return {}; }
@@ -136,12 +142,14 @@ class EvaluatorInterface {
                          long long /*eval_base*/) noexcept {}
 
   /// Drops every cached intermediate (relaxations, cross-generation score
-  /// entries) while keeping the budget counters. Solvers call this when
-  /// resuming from a checkpoint: a caller-owned evaluator may have been
-  /// warmed under a different configuration (other guard limits, another
-  /// run's pricings), and resume must reproduce the uninterrupted run from
-  /// cold caches, not inherit stale entries. No-op for backends without
-  /// caches. Call between batches, not during one.
+  /// entries, pooled bases) while keeping the budget counters. Solvers call
+  /// this when resuming from a checkpoint: a caller-owned evaluator may
+  /// have been warmed under a different configuration (other guard limits,
+  /// another run's pricings), and resume must reproduce the uninterrupted
+  /// run from cold caches, not inherit stale entries. They also call it
+  /// right after writing a checkpoint, so the uninterrupted run goes on
+  /// from the same cold caches. No-op for backends without caches. Call
+  /// between batches, not during one.
   virtual void clear_caches() noexcept {}
 };
 

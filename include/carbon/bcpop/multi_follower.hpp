@@ -81,6 +81,10 @@ class MultiFollowerEvaluator final : public EvaluatorInterface {
   [[nodiscard]] long long ul_evaluations() const override { return ul_evals_; }
   /// One LL evaluation per follower solve (cost scales with K).
   [[nodiscard]] long long ll_evaluations() const override { return ll_evals_; }
+  /// The per-follower evaluators' policy (they all share one).
+  [[nodiscard]] LpWarm lp_warm() const noexcept override {
+    return per_follower_.front()->lp_warm();
+  }
 
   /// Per-follower breakdown of the last job evaluated.
   [[nodiscard]] const std::vector<Evaluation>& last_breakdown() const {

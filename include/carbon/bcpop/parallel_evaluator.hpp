@@ -151,7 +151,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
   }
   /// Warm-start policy this evaluator was built with (immutable: switching
   /// would invalidate cached relaxations computed under the other policy).
-  [[nodiscard]] LpWarm lp_warm() const noexcept { return lp_warm_; }
+  [[nodiscard]] LpWarm lp_warm() const noexcept override { return lp_warm_; }
   /// The warm-start basis pool (empty and untouched under kBaseline).
   [[nodiscard]] const BasisPool& basis_pool() const noexcept {
     return basis_pool_;
@@ -216,7 +216,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
 
   /// Drops the relaxation cache, the cross-generation score cache, the
   /// basis pool and the pivots-saved baseline (counters kept). Called by
-  /// solvers on checkpoint resume.
+  /// solvers after every checkpoint write and on resume.
   void clear_caches() noexcept override;
 
  private:

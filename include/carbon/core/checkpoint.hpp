@@ -4,7 +4,9 @@
 // generation boundary — populations, archives, RNG stream, best-so-far
 // result, convergence trace, and consumed evaluation budgets — such that
 // resuming from the file reproduces the uninterrupted run bit for bit (the
-// golden-trajectory harness enforces this; see docs/ALGORITHMS.md §11).
+// kill/resume harness enforces this; see docs/ALGORITHMS.md §11). Both
+// sides of that equality go on from empty evaluator caches: a resume
+// starts with them, and the run that wrote the checkpoint drops its own.
 //
 // Wire format: two JSONL lines written through the obs/json layer.
 //   line 1  header  {"magic":"carbon-checkpoint","version":1,"algo":...,

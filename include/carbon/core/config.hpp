@@ -80,14 +80,17 @@ struct CarbonConfig {
   /// (per-thread contexts + ordered reduction; see docs/ALGORITHMS.md §7).
   std::size_t eval_threads = 1;
 
-  /// Start basis of the LL relaxation LPs (docs/ALGORITHMS.md §15). Every
-  /// evaluation resolves its relaxation through the same staged path; this
-  /// only picks where a cache miss's simplex starts. kBaseline (default):
-  /// the fixed base-cost basis — existing golden trajectories hold bit for
-  /// bit. kPool: the nearest pooled basis, and final bases are committed
-  /// back to the pool (deterministic for any eval_threads and SIMD path,
-  /// but a DIFFERENT golden axis: degenerate LPs can surface alternate
-  /// optimal duals/x̄ under a different start basis).
+  /// Start basis of the LL relaxation LPs when the solver owns its
+  /// evaluator (docs/ALGORITHMS.md §15). Every evaluation resolves its
+  /// relaxation through the same staged path; this only picks where a
+  /// cache miss's simplex starts. kBaseline (CARBON's default): the fixed
+  /// base-cost basis. kPool (COBRA's default): the nearest pooled basis,
+  /// and final bases are committed back to the pool (deterministic for any
+  /// eval_threads and SIMD path, but a DIFFERENT golden axis: degenerate
+  /// LPs can surface alternate optimal duals/x̄ under a different start
+  /// basis). CARBON stays at kBaseline because its GP terminals read those
+  /// duals and x̄: under kPool the carbon-n100m5 e2e panel changed 4 of 7
+  /// trajectories, ran 16% slower and lost 1.1% of best revenue.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   std::uint64_t seed = 1;
@@ -100,9 +103,12 @@ struct CarbonConfig {
   /// (see docs/ALGORITHMS.md §9).
   obs::TelemetryConfig telemetry{};
 
-  /// Crash-safe checkpoint/resume (docs/ALGORITHMS.md §11). Writing a
-  /// checkpoint never changes the trajectory, and resuming from one
-  /// reproduces the uninterrupted run bit for bit.
+  /// Crash-safe checkpoint/resume (docs/ALGORITHMS.md §11). Resuming from
+  /// a checkpoint reproduces the uninterrupted run with the same checkpoint
+  /// config bit for bit. Each write starts a new cache epoch (empty caches
+  /// and basis pool, as on resume): under kBaseline that moves only the
+  /// cache counters, under kPool it can also move the trajectory against a
+  /// run without checkpoints.
   CheckpointConfig checkpoint{};
 
   /// Deterministic per-evaluation resource budgets + degradation ladder

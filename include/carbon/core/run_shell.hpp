@@ -105,11 +105,13 @@ struct UpperVariation {
 
 class RunShell {
  public:
-  /// Reads the shared fields of a solver config (seed, eval_threads,
-  /// lp_warm, the budgets, record_convergence, telemetry, checkpoint and
-  /// guard; the config must outlive the shell), takes the budget and
-  /// backend-counter baselines of `eval`, attaches the metrics registry and
-  /// journals "run_start". `rng` and `result` are the solver's own; the
+  /// Reads the shared fields of a solver config (seed, eval_threads, the
+  /// budgets, record_convergence, telemetry, checkpoint and guard; the
+  /// config must outlive the shell), takes the budget and backend-counter
+  /// baselines of `eval`, attaches the metrics registry and journals
+  /// "run_start" with the warm-start policy of `eval` — the evaluator that
+  /// actually runs, which a caller-owned one may set apart from the
+  /// config's lp_warm. `rng` and `result` are the solver's own; the
   /// best-so-far fields start at -inf (revenue) and +inf (gap).
   ///
   /// A resumed run (`resumed` non-null) then continues the checkpoint's RNG
@@ -124,7 +126,7 @@ class RunShell {
   RunShell(std::string_view algo, const Config& cfg,
            bcpop::EvaluatorInterface& eval, common::Rng& rng,
            RunResult& result, SolverProgress* resumed)
-      : RunShell(Settings{algo, cfg.seed, cfg.eval_threads, cfg.lp_warm,
+      : RunShell(Settings{algo, cfg.seed, cfg.eval_threads,
                           cfg.ul_eval_budget, cfg.ll_eval_budget,
                           cfg.record_convergence, cfg.telemetry,
                           &cfg.checkpoint, &cfg.guard},
@@ -148,9 +150,13 @@ class RunShell {
   /// Call where populations, archives, RNG and counters fully determine the
   /// rest of the run. When the cadence is due, passes the shared progress
   /// to save(SolverProgress) — which writes the solver's checkpoint
-  /// — and then asks the stop_after_checkpoint hook; returns true when the
-  /// run must stop there (simulated preemption: everything after the write
-  /// is exactly what a real crash would lose).
+  /// — then drops the evaluator's caches and asks the stop_after_checkpoint
+  /// hook; returns true when the run must stop there (simulated preemption:
+  /// everything after the write is exactly what a real crash would lose).
+  /// Every checkpoint thus starts a new cache epoch: the run goes on from
+  /// the same empty caches and basis pool a resume from this file starts
+  /// from, so the resumed run equals the uninterrupted one bit for bit
+  /// under either lp_warm policy (docs/ALGORITHMS.md §11, §15).
   template <typename Save>
   bool checkpoint(const Save& save) {
     if (!checkpoint_due()) return false;
@@ -168,7 +174,6 @@ class RunShell {
     std::string_view algo;
     std::uint64_t seed;
     std::size_t eval_threads;
-    bcpop::LpWarm lp_warm;
     long long ul_eval_budget;
     long long ll_eval_budget;
     bool record_convergence;
@@ -191,7 +196,8 @@ class RunShell {
   }
   [[nodiscard]] SolverProgress progress() const;
   [[nodiscard]] bool checkpoint_due() const noexcept;
-  /// Advances the cadence and asks the stop hook.
+  /// Advances the cadence, starts the new cache epoch and asks the stop
+  /// hook.
   bool checkpoint_written();
 
   Settings s_;

@@ -72,7 +72,8 @@ RunShell::RunShell(const Settings& settings, bcpop::EvaluatorInterface& eval,
   backend_start_ = eval_.backend_stats();
   if (journal != nullptr) {
     journal->begin_run(s_.algo, s_.seed, s_.eval_threads,
-                       bcpop::to_string(s_.lp_warm), gp::simd::path_name());
+                       bcpop::to_string(eval_.lp_warm()),
+                       gp::simd::path_name());
   }
   result_.best_gap = std::numeric_limits<double>::infinity();
   result_.best_ul_objective = -std::numeric_limits<double>::infinity();
@@ -160,6 +161,11 @@ bool RunShell::checkpoint_due() const noexcept {
 
 bool RunShell::checkpoint_written() {
   next_checkpoint_ = generation_ + s_.checkpoint->every;
+  // A resume from this file starts from empty caches and an empty basis
+  // pool; the run being checkpointed does the same, so the two agree bit
+  // for bit. Under kBaseline a relaxation is a pure function of the
+  // pricing, and only the cache-hit counters see the flush.
+  eval_.clear_caches();
   return s_.checkpoint->stop_after_checkpoint &&
          s_.checkpoint->stop_after_checkpoint(generation_);
 }

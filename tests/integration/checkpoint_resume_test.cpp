@@ -4,8 +4,10 @@
 // after a checkpoint at generation k and resuming from the file reproduces
 // the *uninterrupted* run's trajectory bit for bit — for eval_threads
 // {1, 4}, across a cross-configuration resume (checkpoint written by a
-// serial run, resumed by a parallel one, and vice versa), and across
-// chained kill/resume/kill/resume sequences. Also covers the negative paths: a
+// serial run, resumed by a parallel one, and vice versa), across chained
+// kill/resume/kill/resume sequences, and under both lp_warm policies (each
+// checkpoint starts a new cache epoch, so even the basis pool's history
+// agrees on both sides of a kill). Also covers the negative paths: a
 // truncated, corrupted, wrong-algorithm or wrong-seed file must be rejected
 // with CheckpointError before any solver or evaluator state is touched.
 
@@ -218,6 +220,60 @@ TEST(CheckpointResume, CheckpointWritesNeverPerturbTheTrajectory) {
   expect_same_trajectory(cobra_golden(inst), cobra_with_ckpt,
                          "cobra checkpoint.every=1");
   std::remove(ccfg.checkpoint.path.c_str());
+}
+
+/// Runs `cfg` once uninterrupted, then killed right after every checkpoint
+/// write and resumed from the file until a segment finishes without a
+/// kill; the last segment must reproduce the uninterrupted trajectory.
+template <typename Solver, typename Config>
+void expect_every_kill_resumes_bit_identically(const bcpop::Instance& inst,
+                                               Config cfg,
+                                               const std::string& label) {
+  cfg.checkpoint.path = temp_path("epoch.ckpt");
+  const Trajectory uninterrupted = trajectory_of(Solver(inst, cfg).run());
+  bool killed = false;
+  cfg.checkpoint.stop_after_checkpoint = [&](int) {
+    killed = true;
+    return true;
+  };
+  Trajectory resumed;
+  int segments = 0;
+  do {
+    ASSERT_LT(++segments, 100) << label << ": the run never finished";
+    killed = false;
+    resumed = trajectory_of(Solver(inst, cfg).run());
+    cfg.checkpoint.resume_from = cfg.checkpoint.path;
+  } while (killed);
+  EXPECT_GT(segments, 2) << label;
+  expect_same_trajectory(uninterrupted, resumed, label);
+  std::remove(cfg.checkpoint.path.c_str());
+}
+
+TEST(CheckpointResume, EveryKillResumesBitIdenticallyUnderBothLpWarmPolicies) {
+  // Each checkpoint starts a new cache epoch, so a run killed after any
+  // checkpoint and resumed equals the uninterrupted run with the same
+  // checkpoint config — under kPool too, whose basis pool (unlike a
+  // kBaseline relaxation) carries history into the next solve.
+  const bcpop::Instance inst = make_instance();
+  for (const bcpop::LpWarm warm :
+       {bcpop::LpWarm::kBaseline, bcpop::LpWarm::kPool}) {
+    for (const int every : {1, 2, 3}) {
+      const std::string label = std::string("lp_warm=") +
+                                bcpop::to_string(warm) +
+                                " every=" + std::to_string(every);
+      core::CarbonConfig carbon = golden::carbon_config();
+      carbon.lp_warm = warm;
+      carbon.checkpoint.every = every;
+      expect_every_kill_resumes_bit_identically<core::CarbonSolver>(
+          inst, carbon, "carbon " + label);
+
+      cobra::CobraConfig cobra = golden::cobra_config();
+      cobra.lp_warm = warm;
+      cobra.checkpoint.every = every;
+      expect_every_kill_resumes_bit_identically<cobra::CobraSolver>(
+          inst, cobra, "cobra " + label);
+    }
+  }
 }
 
 // ---- Negative paths: rejected files, untouched state -----------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -161,6 +162,38 @@ TEST(Cli, CheckpointThenResumeSmoke) {
     EXPECT_NE(second.find("best leader revenue"), std::string::npos);
     std::remove(ckpt.c_str());
   }
+}
+
+TEST(Cli, SolveJournalsEachSolversDefaultLpWarm) {
+  // Without --lp-warm each solver keeps its own default: the pool for
+  // cobra, the baseline basis for carbon. The flag overrides either.
+  const std::string inst = carbon::test::test_temp_dir() + "warm.orlib";
+  const std::string journal =
+      carbon::test::test_temp_dir() + "warm.jsonl";
+  ASSERT_EQ(run("generate --bundles 20 --services 3 --out " + inst), 0);
+  const auto run_start = [&](const std::string& flags) {
+    std::remove(journal.c_str());
+    EXPECT_EQ(run("solve --in " + inst +
+                  " --owned 2 --ul-budget 40 --ll-budget 100 --pop 8 "
+                  "--journal " + journal + " " + flags),
+              0)
+        << flags;
+    std::ifstream f(journal);
+    std::string first_line;
+    std::getline(f, first_line);
+    return first_line;
+  };
+  EXPECT_NE(run_start("--algo cobra").find("\"lp_warm\":\"pool\""),
+            std::string::npos);
+  EXPECT_NE(run_start("--algo carbon").find("\"lp_warm\":\"baseline\""),
+            std::string::npos);
+  EXPECT_NE(run_start("--algo cobra --lp-warm baseline")
+                .find("\"lp_warm\":\"baseline\""),
+            std::string::npos);
+  EXPECT_NE(run_start("--algo carbon --lp-warm pool")
+                .find("\"lp_warm\":\"pool\""),
+            std::string::npos);
+  std::remove(journal.c_str());
 }
 
 TEST(Cli, SolveRejectsUnknownFlags) {

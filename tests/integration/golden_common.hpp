@@ -55,6 +55,9 @@ inline cobra::CobraConfig cobra_config() {
   cfg.ul_eval_budget = 80;
   cfg.ll_eval_budget = 800;
   cfg.seed = 7;
+  // Pinned: the kCobraBaseline cells test the baseline start basis, while
+  // COBRA's own default is the basis pool (kCobraPool).
+  cfg.lp_warm = bcpop::LpWarm::kBaseline;
   return cfg;
 }
 

@@ -7,6 +7,9 @@
 //     reproduced bit for bit across simd {auto, scalar} x eval_threads
 //     {1, 4} and across repeated runs (the staged select/insert discipline keeps pool state a
 //     pure function of the batch sequence, not of thread scheduling);
+//   * COBRA's default lp_warm is the pool, so a default-policy cell
+//     reproduces kCobraPool, and run_start journals the policy of the
+//     evaluator that actually runs;
 //   * resume determinism: two resumes from one checkpoint agree bit for
 //     bit, and a resumed segment never consumes pooled bases from another
 //     segment (clear-on-resume), proven with a pool poisoned by foreign
@@ -90,6 +93,62 @@ TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
   gp::simd::select_path("auto");
 }
 
+TEST(PoolGolden, DefaultCobraConfigRunsThePoolTrajectory) {
+  // COBRA warm-starts from the basis pool by default; golden::cobra_config()
+  // pins kBaseline, so taking the default back reproduces kCobraPool.
+  const bcpop::Instance inst = make_instance();
+  cobra::CobraConfig cfg = golden::cobra_config();
+  cfg.lp_warm = cobra::CobraConfig{}.lp_warm;
+  expect_same_trajectory(golden::kCobraPool,
+                         trajectory_of(cobra::CobraSolver(inst, cfg).run()),
+                         "default lp_warm");
+}
+
+TEST(PoolGolden, RunStartRecordsTheRunningEvaluatorsPolicy) {
+  // A caller-owned evaluator runs its own policy whatever the config's
+  // lp_warm says (that field only configures an evaluator the solver
+  // builds), and run_start must journal the policy that actually runs.
+  const bcpop::Instance inst = make_instance();
+  for (const bcpop::LpWarm running :
+       {bcpop::LpWarm::kBaseline, bcpop::LpWarm::kPool}) {
+    const bcpop::LpWarm configured = running == bcpop::LpWarm::kPool
+                                         ? bcpop::LpWarm::kBaseline
+                                         : bcpop::LpWarm::kPool;
+    const std::string want = bcpop::to_string(running);
+
+    bcpop::ParallelEvaluator carbon_eval(
+        inst, bcpop::ParallelEvaluator::Options{.threads = 1,
+                                                .lp_warm = running});
+    core::CarbonConfig carbon = golden::carbon_config();
+    carbon.lp_warm = configured;
+    std::ostringstream carbon_sink;
+    obs::RunJournal carbon_journal(carbon_sink);
+    carbon.telemetry.journal = &carbon_journal;
+    (void)core::CarbonSolver(carbon_eval, carbon).run();
+    EXPECT_EQ(parse_journal(carbon_sink.str()).front().at("lp_warm")
+                  .as_string(),
+              want);
+
+    bcpop::ParallelEvaluator cobra_eval(
+        inst, bcpop::ParallelEvaluator::Options{.threads = 1,
+                                                .lp_warm = running});
+    cobra::CobraConfig cobra = golden::cobra_config();
+    cobra.lp_warm = configured;
+    std::ostringstream cobra_sink;
+    obs::RunJournal cobra_journal(cobra_sink);
+    cobra.telemetry.journal = &cobra_journal;
+    const Trajectory t =
+        trajectory_of(cobra::CobraSolver(cobra_eval, cobra).run());
+    EXPECT_EQ(parse_journal(cobra_sink.str()).front().at("lp_warm")
+                  .as_string(),
+              want);
+    expect_same_trajectory(running == bcpop::LpWarm::kPool
+                               ? golden::kCobraPool
+                               : golden::kCobraBaseline,
+                           t, "cobra on a " + want + " evaluator");
+  }
+}
+
 TEST(PoolGolden, PoolBackendCountersReportActivity) {
   // Telemetry must not perturb the pool trajectory, and the summary's
   // backend block must show the pool actually working: cost-only rebinds
@@ -139,12 +198,15 @@ TEST(PoolGolden, PoolBackendCountersReportActivity) {
 }
 
 TEST(PoolGolden, PoolResumeIsDeterministicAndSegmentIsolated) {
-  // Pool-mode resume contract: a resumed run is NOT asserted bit-identical
-  // to the uninterrupted run (the pool is cleared at the segment boundary,
-  // a documented trade-off) — but resuming twice from one checkpoint must
-  // agree bit for bit, and the resumed trajectory must be IDENTICAL whether
-  // the serving evaluator is fresh or carries a pool poisoned by foreign
-  // work: the resumed segment never consumes another segment's bases.
+  // Pool-mode resume contract: every checkpoint starts a new cache epoch
+  // (the writing run empties its caches and basis pool, as a resume does),
+  // so a resumed run equals the uninterrupted run with the same checkpoint
+  // config bit for bit — CheckpointResume pins that for both policies.
+  // This test pins the segment isolation behind it: resuming twice from
+  // one checkpoint agrees bit for bit, and the resumed trajectory is
+  // IDENTICAL whether the serving evaluator is fresh or carries a pool
+  // poisoned by foreign work: the resumed segment never consumes another
+  // segment's bases.
   const bcpop::Instance inst = make_instance();
   const std::string path =
       carbon::test::test_temp_dir() + "carbon-pool-resume.ckpt";

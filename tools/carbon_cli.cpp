@@ -35,10 +35,10 @@
 //       nodes) with a fixed degradation ladder, plus an opt-in wall-clock
 //       watchdog (carbon and cobra only; docs/ALGORITHMS.md §13).
 //       --lp-warm picks the LL relaxation warm-start policy: baseline
-//       (default, the fixed base-cost basis — historical trajectories bit
-//       for bit) or pool (nearest pooled basis; deterministic for any
-//       --threads but a DIFFERENT golden axis — carbon and cobra only;
-//       docs/ALGORITHMS.md §15).
+//       (the fixed base-cost basis; carbon's default) or pool (the nearest
+//       pooled basis; cobra's default, deterministic for any --threads but
+//       a DIFFERENT golden axis). Without the flag each solver keeps its
+//       default (carbon and cobra only; docs/ALGORITHMS.md §15).
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
 
@@ -46,6 +46,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "carbon/baselines/biga.hpp"
@@ -246,16 +247,21 @@ int cmd_solve(const common::CliArgs& args) {
     return 1;
   }
 
-  // Relaxation warm-start policy (docs/ALGORITHMS.md §15).
-  const std::string lp_warm_str = args.get("lp-warm", "baseline");
-  bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
-  if (lp_warm_str == "pool") {
-    lp_warm = bcpop::LpWarm::kPool;
-  } else if (lp_warm_str != "baseline") {
-    std::fprintf(stderr, "solve: --lp-warm must be baseline|pool\n");
-    return 1;
+  // Relaxation warm-start policy (docs/ALGORITHMS.md §15); without the
+  // flag each solver keeps its own default.
+  std::optional<bcpop::LpWarm> lp_warm;
+  if (args.has("lp-warm")) {
+    const std::string lp_warm_str = args.get("lp-warm", "");
+    if (lp_warm_str == "pool") {
+      lp_warm = bcpop::LpWarm::kPool;
+    } else if (lp_warm_str == "baseline") {
+      lp_warm = bcpop::LpWarm::kBaseline;
+    } else {
+      std::fprintf(stderr, "solve: --lp-warm must be baseline|pool\n");
+      return 1;
+    }
   }
-  if (args.has("lp-warm") && algo != "carbon" && algo != "cobra") {
+  if (lp_warm && algo != "carbon" && algo != "cobra") {
     std::fprintf(stderr, "solve: --lp-warm requires --algo carbon|cobra\n");
     return 1;
   }
@@ -291,7 +297,7 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.memetic_polish = args.get_bool("memetic");
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.lp_warm = lp_warm;
+    if (lp_warm) cfg.lp_warm = *lp_warm;
     cfg.telemetry = telemetry;
     cfg.checkpoint = checkpoint;
     cfg.guard = guard_cfg;
@@ -306,7 +312,7 @@ int cmd_solve(const common::CliArgs& args) {
     cfg.ll_eval_budget = ll_budget;
     cfg.seed = seed;
     cfg.eval_threads = threads;
-    cfg.lp_warm = lp_warm;
+    if (lp_warm) cfg.lp_warm = *lp_warm;
     cfg.telemetry = telemetry;
     cfg.checkpoint = checkpoint;
     cfg.guard = guard_cfg;
