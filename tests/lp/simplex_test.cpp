@@ -385,6 +385,8 @@ TEST(SimplexWarmStart, AcceptedBasisReportsWarmStartUsed) {
   const Solution again = solve(p, {}, &warm);
   ASSERT_TRUE(again.optimal());
   EXPECT_TRUE(again.warm_start_used);
+  // Installing a warm basis always refactorizes once.
+  EXPECT_GT(again.refactorizations, 0);
 }
 
 }  // namespace
