@@ -1,31 +1,25 @@
-// Microbenchmark of the production revised-simplex kernels vs the dense
-// reference kernels (SimplexOptions::use_dense_kernels).
+// Microbenchmark of the production revised-simplex kernels.
 //
 // Part 1 — kernel grid: for relaxation-shaped problems (n = 4m covering
 // columns, >= rows) across an m x density grid, times the two inner loops
 // the solver spends its life in — the pricing sweep (A_j^T y for every
-// column) and FTRAN column formation (B^-1 A_j) — against dense columns
-// materialized exactly as the pre-sparse lp::Problem stored them. Pricing
-// has three rows: the dense per-column dot, the per-column dot over stored
-// nonzeros that the solver priced with before column panels ("csc", kept
-// here only as a comparison point), and the library's own panel pass,
-// lp::ColumnPanels::multiply_transposed, which is what SimplexSolver runs.
-// The FTRAN loops mirror SimplexSolver's over the same storage. Every
+// column) and FTRAN column formation (B^-1 A_j) — against dense loops over
+// columns materialized with their zeros, kept here as the reference.
+// Pricing has three rows: the dense per-column dot, the per-column dot over
+// stored nonzeros that the solver priced with before column panels ("csc",
+// kept here only as a comparison point), and the library's own panel pass,
+// lp::ColumnPanels::multiply_transposed, which is what the simplex runs.
+// The sparse FTRAN loop mirrors the solver's over the same storage. Every
 // variant must compute bit-identical results (asserted).
 //
-// Part 2 — end-to-end: replays eval_core's hot path (warm-started
-// cover::solve_relaxation_lp with per-pricing objective swaps) on generated
-// covering instances, dense vs sparse mode, asserting bit-identical
-// iteration counts and objectives.
-//
-// Part 3 — evaluator replay: simulates the UL population walk the
+// Part 2 — evaluator replay: simulates the UL population walk the
 // evaluator actually serves (a population of pricings mutating
 // multiplicatively across generations) through the ProblemFamily rebind
 // path, comparing the fixed-baseline warm start (lp_warm=baseline) against
 // the deterministic nearest-pricing BasisPool (lp_warm=pool, including the
 // pool's own select/insert overhead). Reports pivots and us/solve per mode;
-// the optimal objective VALUES must agree (alternate optimal bases may
-// differ — that is the documented pool golden axis).
+// the optimal objective VALUES must agree (the two B^-1 update histories
+// may round the answers differently in their last bits).
 //
 // Usage: micro_lp_simplex [--smoke] [output.json]
 //   Prints tables to stdout and writes machine-readable results to the JSON
@@ -240,97 +234,6 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
   return c;
 }
 
-struct EndToEndCase {
-  std::size_t m, n;  ///< rows (services), columns (bundles)
-  double density;
-  std::size_t solves;
-  double dense_us;   ///< per warm-started solve
-  double sparse_us;
-  double speedup;
-  long long iterations;  ///< total pivots (identical in both modes)
-};
-
-EndToEndCase run_end_to_end_case(std::size_t services, std::size_t bundles,
-                                 double density, bool smoke) {
-  cover::GeneratorConfig cfg;
-  cfg.num_bundles = bundles;
-  cfg.num_services = services;
-  cfg.density = density;
-  cfg.seed = 1000 + services + bundles;
-  const cover::Instance inst = cover::generate(cfg);
-  lp::Problem p = cover::build_relaxation_lp(inst);
-
-  // Baseline basis, exactly as EvalContext pins it at construction.
-  lp::Basis baseline;
-  {
-    const lp::Solution sol = lp::solve(p, {}, &baseline);
-    if (!sol.optimal()) {
-      std::fprintf(stderr, "baseline solve failed\n");
-      std::abort();
-    }
-  }
-
-  // Deterministic batch of leader pricings: multiplicative perturbations of
-  // the base costs, the shape of load the EA's price mutations produce (and
-  // the regime the fixed warm-start basis is designed for).
-  common::Rng rng(99 + services);
-  const std::size_t num_pricings = smoke ? 3 : 24;
-  std::vector<std::vector<double>> pricings(num_pricings);
-  for (auto& pr : pricings) {
-    pr.resize(bundles);
-    for (std::size_t j = 0; j < bundles; ++j) {
-      pr[j] = inst.cost(j) * rng.uniform(0.5, 1.5);
-    }
-  }
-
-  lp::SimplexOptions sparse_opts;
-  sparse_opts.max_iterations = 400'000;  // headroom for degenerate stalls
-  lp::SimplexOptions dense_opts = sparse_opts;
-  dense_opts.use_dense_kernels = true;
-
-  long long sparse_iters = 0;
-  long long dense_iters = 0;
-  double sparse_obj = 0.0;
-  double dense_obj = 0.0;
-  lp::Basis scratch;
-
-  const auto run_mode = [&](const lp::SimplexOptions& opts, long long& iters,
-                            double& obj_acc) {
-    const auto t0 = Clock::now();
-    for (const auto& pr : pricings) {
-      for (std::size_t j = 0; j < bundles; ++j) p.objective[j] = pr[j];
-      scratch = baseline;
-      const cover::Relaxation relax = cover::solve_relaxation_lp(
-          p, opts, scratch.empty() ? nullptr : &scratch);
-      iters += relax.stats.iterations;
-      obj_acc += relax.lower_bound;
-    }
-    return seconds_since(t0);
-  };
-
-  const double dense_s = run_mode(dense_opts, dense_iters, dense_obj);
-  const double sparse_s = run_mode(sparse_opts, sparse_iters, sparse_obj);
-
-  if (sparse_iters != dense_iters || sparse_obj != dense_obj) {
-    std::fprintf(stderr,
-                 "end-to-end mismatch at m=%zu n=%zu density=%.2f "
-                 "(iters %lld vs %lld)\n",
-                 services, bundles, density, sparse_iters, dense_iters);
-    std::abort();
-  }
-
-  EndToEndCase c;
-  c.m = services;
-  c.n = bundles;
-  c.density = density;
-  c.solves = num_pricings;
-  c.dense_us = dense_s * 1e6 / static_cast<double>(num_pricings);
-  c.sparse_us = sparse_s * 1e6 / static_cast<double>(num_pricings);
-  c.speedup = c.dense_us / c.sparse_us;
-  c.iterations = sparse_iters;
-  return c;
-}
-
 struct ReplayCase {
   std::size_t m, n;  ///< rows (services), columns (bundles)
   double density;
@@ -522,34 +425,13 @@ int main(int argc, char** argv) {
         c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup);
   }
 
-  // End-to-end: eval_core's warm-started relaxation path on generated
-  // covering instances (services = LP rows, bundles = LP columns).
-  std::vector<EndToEndCase> e2e;
+  // Evaluator replay: baseline vs pool warm starts over a population walk
+  // on generated covering instances (services = LP rows, bundles = LP
+  // columns).
   struct Shape {
     std::size_t services, bundles;
     double density;
   };
-  const std::vector<Shape> shapes =
-      smoke ? std::vector<Shape>{{20, 80, 0.10}}
-            : std::vector<Shape>{{50, 400, 0.10},  {200, 800, 0.05},
-                                 {200, 800, 0.10}, {200, 800, 0.25},
-                                 {400, 1600, 0.10}};
-  for (const Shape& s : shapes) {
-    std::fprintf(stderr, "# end-to-end m=%zu n=%zu density=%.2f...\n",
-                 s.services, s.bundles, s.density);
-    e2e.push_back(run_end_to_end_case(s.services, s.bundles, s.density, smoke));
-  }
-
-  std::printf("\nend-to-end warm-started solve_relaxation batch\n");
-  std::printf("%5s %6s %8s %7s %8s | %12s %12s %8s\n", "m", "n", "density",
-              "solves", "pivots", "dense us/sv", "sparse us/sv", "speedup");
-  for (const EndToEndCase& c : e2e) {
-    std::printf("%5zu %6zu %8.2f %7zu %8lld | %12.1f %12.1f %7.2fx\n", c.m,
-                c.n, c.density, c.solves, c.iterations, c.dense_us,
-                c.sparse_us, c.speedup);
-  }
-
-  // Evaluator replay: baseline vs pool warm starts over a population walk.
   std::vector<ReplayCase> replay;
   // Table III-shaped classes (services x bundles like the paper's
   // generated instances) plus one LP-bench-sized shape.
@@ -598,17 +480,6 @@ int main(int argc, char** argv) {
         c.pricing_panel_ns, c.pricing_speedup, c.pricing_panel_vs_csc,
         c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup,
         i + 1 < kernels.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"end_to_end\": [\n");
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    const EndToEndCase& c = e2e[i];
-    std::fprintf(
-        f,
-        "    {\"services_m\": %zu, \"bundles_n\": %zu, \"density\": %.3f, "
-        "\"solves\": %zu, \"total_pivots\": %lld, \"dense_us_per_solve\": "
-        "%.2f, \"sparse_us_per_solve\": %.2f, \"speedup\": %.3f}%s\n",
-        c.m, c.n, c.density, c.solves, c.iterations, c.dense_us, c.sparse_us,
-        c.speedup, i + 1 < e2e.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"evaluator_replay\": [\n");
   for (std::size_t i = 0; i < replay.size(); ++i) {

@@ -35,10 +35,11 @@ enum class LpWarm : unsigned char {
   /// is a pure function of the pricing. CARBON's default.
   kBaseline,
   /// Solves warm-start from the nearest pooled basis (falling back to the
-  /// baseline on miss/rejection). A new golden axis: degenerate LPs with
-  /// alternate optima can surface different — equally optimal — duals/x̄
-  /// depending on the start basis, so trajectories differ from baseline
-  /// while remaining deterministic across thread counts and SIMD paths.
+  /// baseline on miss/rejection). A new golden axis: a different start
+  /// basis reaches the same optimal basis through a different B^-1 update
+  /// history, whose rounding moves the last bits of the duals/x̄, so
+  /// trajectories differ from baseline while remaining deterministic
+  /// across thread counts and SIMD paths.
   /// COBRA's default.
   kPool
 };

@@ -124,7 +124,7 @@ struct ConstructionBudget {
 
 /// Records the solver-effort counters of a freshly computed relaxation into
 /// `metrics` (lp/iterations, lp/refactorizations, lp/warm_start_hits,
-/// lp/warm_start_rejects, lp/ftran_nnz_skipped). Null-safe; call only on
+/// lp/warm_start_rejects). Null-safe; call only on
 /// cache MISSES so the counters measure actual simplex work, not cache hits.
 void record_lp_metrics(obs::MetricsRegistry* metrics,
                        const cover::Relaxation& relax);

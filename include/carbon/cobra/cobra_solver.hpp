@@ -66,8 +66,8 @@ struct CobraConfig {
   /// Start basis of the LL relaxation LPs (when the solver owns its
   /// evaluator); same semantics as CarbonConfig::lp_warm, but the default
   /// is kPool. COBRA ranks pairs by F and f alone; the relaxation only
-  /// feeds the reported %-gap, so the start basis can move that gap in
-  /// its last ulps but never a selection. On the class-8 e2e workload the
+  /// feeds the reported %-gap, so the rounding of a different B^-1 update
+  /// history can move that gap in its last ulps but never a selection. On the class-8 e2e workload the
   /// pool halves the pivots per solve (192 -> 92) and cuts the run time
   /// by about a third (docs/ALGORITHMS.md §15).
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kPool;

@@ -86,11 +86,13 @@ struct CarbonConfig {
   /// cache miss's simplex starts. kBaseline (CARBON's default): the fixed
   /// base-cost basis. kPool (COBRA's default): the nearest pooled basis,
   /// and final bases are committed back to the pool (deterministic for any
-  /// eval_threads and SIMD path, but a DIFFERENT golden axis: degenerate
-  /// LPs can surface alternate optimal duals/x̄ under a different start
-  /// basis). CARBON stays at kBaseline because its GP terminals read those
-  /// duals and x̄: under kPool the carbon-n100m5 e2e panel changed 4 of 7
-  /// trajectories, ran 16% slower and lost 1.1% of best revenue.
+  /// eval_threads and SIMD path, but a DIFFERENT golden axis: the optima
+  /// are not degenerate and both starts end at the same basis, yet the
+  /// duals/x̄ come out of a different B^-1 update history and differ in
+  /// their last bits). CARBON stays at kBaseline because its GP terminals
+  /// read those duals and x̄: under kPool the carbon-n100m5 e2e panel
+  /// changed 4 of 7 trajectories, ran 16% slower and lost 1.1% of best
+  /// revenue.
   bcpop::LpWarm lp_warm = bcpop::LpWarm::kBaseline;
 
   std::uint64_t seed = 1;

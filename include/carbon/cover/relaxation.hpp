@@ -26,7 +26,6 @@ struct LpStats {
   /// The final clean optimal basis was written back through `warm` (basis
   /// pool commits key off this, never off the raw out-parameter content).
   bool basis_saved = false;
-  long long ftran_nnz_skipped = 0;
 };
 
 struct Relaxation {
@@ -64,25 +63,19 @@ struct RelaxationFamily {
   explicit RelaxationFamily(const Instance& instance);
 };
 
-/// Solves a relaxation LP (as built by build_relaxation_lp, possibly with a
-/// different objective) into a Relaxation. This is the one kernel path shared
-/// by cover::relax() and bcpop's per-evaluation solve: warm-started when
-/// `warm` is non-null, crash-started otherwise. Throws std::runtime_error on
-/// solver failure (iteration limit / numerical breakdown), which indicates a
-/// bug rather than a property of the instance.
-[[nodiscard]] Relaxation solve_relaxation_lp(const lp::Problem& problem,
-                                             const lp::SimplexOptions& options,
-                                             lp::Basis* warm);
-
-/// Family fast path of solve_relaxation_lp: skips validation and reuses the
-/// caller's SolveScratch. Bit-identical to the Problem overload on
-/// family.problem().
+/// Solves a relaxation family (built from build_relaxation_lp, possibly
+/// rebound to a different objective) into a Relaxation. This is the one
+/// kernel path shared by cover::relax() and bcpop's per-evaluation solve:
+/// warm-started when `warm` is non-null, crash-started otherwise, reusing
+/// `scratch` when it is non-null. Throws std::runtime_error on solver
+/// failure (iteration limit / numerical breakdown), which indicates a bug
+/// rather than a property of the instance.
 [[nodiscard]] Relaxation solve_relaxation_lp(const lp::ProblemFamily& family,
                                              const lp::SimplexOptions& options,
                                              lp::Basis* warm,
                                              lp::SolveScratch* scratch);
 
-/// Budget-capped variant of the family solve_relaxation_lp: an
+/// Budget-capped variant of solve_relaxation_lp: an
 /// iteration-limited solve comes back as a Relaxation with guard_trip =
 /// kLpIterationCap (infeasible, so callers fall down the degradation ladder)
 /// instead of throwing. All other failure statuses still throw — they

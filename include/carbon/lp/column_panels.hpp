@@ -37,7 +37,6 @@ class ColumnPanels {
   /// Columns per panel.
   static constexpr std::size_t kWidth = 8;
 
-  ColumnPanels() = default;
   /// Builds the panels of `problem`'s structural columns. The problem's
   /// columns must hold sorted, in-range row indices (Problem::validate()).
   explicit ColumnPanels(const Problem& problem);

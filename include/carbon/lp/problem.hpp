@@ -118,10 +118,6 @@ struct Solution {
   /// basis out-parameter holds the solve's result" from "it still holds the
   /// caller's input" for basis-pool commits.
   bool basis_saved = false;
-  /// Multiply-accumulate operations the sparse FTRAN kernel skipped because
-  /// the entering column entry was structurally zero. Zero when the solve
-  /// ran with SimplexOptions::use_dense_kernels.
-  long long ftran_nnz_skipped = 0;
 
   [[nodiscard]] bool optimal() const noexcept {
     return status == SolveStatus::kOptimal;

@@ -258,7 +258,6 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
   if (relax.stats.warm_start_rejected) {
     metrics->add_counter("lp/warm_start_rejects");
   }
-  metrics->add_counter("lp/ftran_nnz_skipped", relax.stats.ftran_nnz_skipped);
 }
 
 cover::SolveResult solve_with_program(EvalContext& ctx,

@@ -171,14 +171,19 @@ gp::Tree decode_tree(std::string_view text) {
     } else if (tok == "%") {
       n.op = gp::OpCode::kMod;
     } else if (tok[0] == 't') {
+      // Only encode_tree's canonical form: decimal digits without a leading
+      // zero. Every prefix is range-checked, so idx can never wrap.
+      const std::string_view digits = tok.substr(1);
+      if (digits.empty() || (digits.size() > 1 && digits[0] == '0')) {
+        fail("checkpoint: bad terminal token");
+      }
       unsigned idx = 0;
-      if (tok.size() < 2) fail("checkpoint: bad terminal token");
-      for (const char c : tok.substr(1)) {
+      for (const char c : digits) {
         if (c < '0' || c > '9') fail("checkpoint: bad terminal token");
         idx = idx * 10 + static_cast<unsigned>(c - '0');
-      }
-      if (idx >= gp::kNumTerminals) {
-        fail("checkpoint: terminal index out of range");
+        if (idx >= gp::kNumTerminals) {
+          fail("checkpoint: terminal index out of range");
+        }
       }
       n.op = gp::OpCode::kTerminal;
       n.terminal = static_cast<std::uint8_t>(idx);

@@ -57,7 +57,6 @@ Relaxation relaxation_from_solution(const lp::Solution& sol, bool capped) {
   out.stats.warm_start_used = sol.warm_start_used;
   out.stats.warm_start_rejected = sol.warm_start_rejected;
   out.stats.basis_saved = sol.basis_saved;
-  out.stats.ftran_nnz_skipped = sol.ftran_nnz_skipped;
   out.guard_nodes = sol.iterations;
   switch (sol.status) {
     case lp::SolveStatus::kOptimal:
@@ -87,13 +86,6 @@ Relaxation relaxation_from_solution(const lp::Solution& sol, bool capped) {
 
 }  // namespace
 
-Relaxation solve_relaxation_lp(const lp::Problem& problem,
-                               const lp::SimplexOptions& options,
-                               lp::Basis* warm) {
-  return relaxation_from_solution(lp::solve(problem, options, warm),
-                                  /*capped=*/false);
-}
-
 Relaxation solve_relaxation_lp(const lp::ProblemFamily& family,
                                const lp::SimplexOptions& options,
                                lp::Basis* warm, lp::SolveScratch* scratch) {
@@ -110,8 +102,8 @@ Relaxation solve_relaxation_lp_capped(const lp::ProblemFamily& family,
 }
 
 Relaxation relax(const Instance& instance) {
-  const lp::Problem p = build_relaxation_lp(instance);
-  return solve_relaxation_lp(p, {}, nullptr);
+  const lp::ProblemFamily family(build_relaxation_lp(instance));
+  return solve_relaxation_lp(family, {}, nullptr, nullptr);
 }
 
 }  // namespace carbon::cover

@@ -1,60 +1,121 @@
 #include "carbon/lp/simplex.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "carbon/lp/column_panels.hpp"
+
 namespace carbon::lp {
+namespace {
 
-Solution solve(const Problem& problem, const SimplexOptions& options,
-               Basis* warm) {
-  const std::string err = problem.validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("lp::solve: malformed problem: " + err);
-  }
-  const ColumnPanels panels =
-      options.use_dense_kernels ? ColumnPanels{} : ColumnPanels(problem);
-  detail::SimplexSolver solver(problem, panels, options);
-  return solver.run(warm);
-}
+using detail::VarStatus;
 
-Solution solve(const ProblemFamily& family, const SimplexOptions& options,
-               Basis* warm, SolveScratch* scratch) {
-  // ProblemFamily validated and built its panels at construction.
-  detail::SimplexSolver solver(family.problem(), family.panels(), options,
-                               scratch);
-  return solver.run(warm);
-}
+class SimplexSolver {
+ public:
+  /// `panels` must be built from `problem`; `scratch` holds the working
+  /// memory and must outlive the solver.
+  SimplexSolver(const Problem& problem, const ColumnPanels& panels,
+                const SimplexOptions& options, SolveScratch& scratch);
+  Solution run(Basis* warm);
 
-namespace detail {
+ private:
+  /// aty[j] = A_j^T y for every column: one panel pass over the structural
+  /// columns, then the single +-1 entry of each slack and artificial.
+  void price(const std::vector<double>& y, std::vector<double>& aty) const;
+  /// out[i] += scale * A(i, j) over the stored nonzeros of column j.
+  void axpy_column(std::size_t j, double scale, std::vector<double>& out) const;
+  /// alpha = B^-1 A_j (the simplex FTRAN).
+  void ftran(std::size_t j, std::vector<double>& alpha) const;
+  /// (row i of B^-1) . A_j.
+  double binv_row_dot_column(std::size_t i, std::size_t j) const;
+  /// y^T = cB^T B^-1.
+  void compute_duals(std::vector<double>& y) const;
+
+  void setup_phase1();
+  /// Tries an all-slack "crash" basis with structural variables parked at
+  /// their lower (or upper) bounds. Returns true and installs the basis when
+  /// it is primal-feasible, letting the solve skip Phase 1 entirely. This is
+  /// always possible for covering relaxations started at x = u.
+  bool try_crash_start(bool structural_at_upper);
+  /// Installs a caller-provided basis (refactorizes; rejects singular or
+  /// primal-infeasible bases). Returns success.
+  bool try_warm_start(const Basis& warm);
+  void save_basis(Basis& out) const;
+  void enter_phase2();
+  /// Returns final status of the phase iteration loop.
+  SolveStatus iterate(bool phase1);
+  bool refactorize();
+  void recompute_basic_values();
+  double nonbasic_value(std::size_t j) const;
+  /// Drives remaining basic artificials out (or pins redundant rows).
+  void purge_artificials();
+  void export_stats(Solution& sol) const;
+
+  const Problem& p_;
+  const ColumnPanels& panels_;
+  SimplexOptions opt_;
+
+  std::size_t n_struct_ = 0;  // structural variables
+  std::size_t m_ = 0;         // rows == slacks == artificials
+  std::size_t n_total_ = 0;   // struct + slack + artificial
+
+  // Working memory lives in the SolveScratch. Every buffer is fully
+  // re-assigned by the constructor or by the start-basis installation
+  // before its first read, so reuse cannot leak state between solves.
+  std::vector<double>& cost_;        // current phase objective (size n_total_)
+  std::vector<double>& lower_;       // bounds for all variables
+  std::vector<double>& upper_;
+  std::vector<double>& slack_sign_;  // +1 for <=/=, -1 for >=
+  std::vector<double>& art_sign_;    // chosen at phase-1 setup
+
+  std::vector<VarStatus>& status_;
+  std::vector<std::size_t>& basis_;  // basis_[i] = variable basic in row i
+  DenseMatrix& binv_;
+  std::vector<double>& xb_;          // values of basic variables
+
+  // Start-basis candidates and per-phase temporaries (see SolveScratch).
+  std::vector<VarStatus>& status_cand_;
+  std::vector<unsigned char>& mark_;
+  DenseMatrix& refactor_;
+  std::vector<double>& y_;
+  std::vector<double>& aty_;  // A_j^T y of every column
+  std::vector<double>& alpha_;
+  std::vector<double>& work_;
+  std::vector<double>& work2_;
+
+  int iterations_ = 0;
+  int refactorizations_ = 0;
+  bool warm_start_used_ = false;
+  bool warm_start_rejected_ = false;
+  bool numerical_failure_ = false;
+};
 
 SimplexSolver::SimplexSolver(const Problem& problem, const ColumnPanels& panels,
                              const SimplexOptions& options,
-                             SolveScratch* scratch)
+                             SolveScratch& scratch)
     : p_(problem),
       panels_(panels),
       opt_(options),
-      cost_(scratch ? scratch->cost : own_.cost),
-      lower_(scratch ? scratch->lower : own_.lower),
-      upper_(scratch ? scratch->upper : own_.upper),
-      slack_sign_(scratch ? scratch->slack_sign : own_.slack_sign),
-      art_sign_(scratch ? scratch->art_sign : own_.art_sign),
-      col_scratch_(scratch ? scratch->col : own_.col),
-      status_(scratch ? scratch->status : own_.status),
-      basis_(scratch ? scratch->basis : own_.basis),
-      binv_(scratch ? scratch->binv : own_.binv),
-      xb_(scratch ? scratch->xb : own_.xb),
-      status_cand_(scratch ? scratch->status_cand : own_.status_cand),
-      mark_(scratch ? scratch->mark : own_.mark),
-      refactor_(scratch ? scratch->refactor : own_.refactor),
-      y_(scratch ? scratch->y : own_.y),
-      aty_(scratch ? scratch->aty : own_.aty),
-      alpha_(scratch ? scratch->alpha : own_.alpha),
-      work_(scratch ? scratch->work : own_.work),
-      work2_(scratch ? scratch->work2 : own_.work2) {
+      cost_(scratch.cost),
+      lower_(scratch.lower),
+      upper_(scratch.upper),
+      slack_sign_(scratch.slack_sign),
+      art_sign_(scratch.art_sign),
+      status_(scratch.status),
+      basis_(scratch.basis),
+      binv_(scratch.binv),
+      xb_(scratch.xb),
+      status_cand_(scratch.status_cand),
+      mark_(scratch.mark),
+      refactor_(scratch.refactor),
+      y_(scratch.y),
+      aty_(scratch.aty),
+      alpha_(scratch.alpha),
+      work_(scratch.work),
+      work2_(scratch.work2) {
   n_struct_ = p_.num_vars();
   m_ = p_.num_rows();
   n_total_ = n_struct_ + 2 * m_;
@@ -91,74 +152,23 @@ SimplexSolver::SimplexSolver(const Problem& problem, const ColumnPanels& panels,
         break;
     }
   }
-
-  if (opt_.use_dense_kernels) {
-    // Materialize the structural columns with their zeros — the layout (and
-    // memory traffic) of the pre-sparse implementation.
-    dense_cols_.assign(n_struct_, std::vector<double>(m_, 0.0));
-    for (std::size_t j = 0; j < n_struct_; ++j) {
-      const SparseColumn& col = p_.columns[j];
-      for (std::size_t k = 0; k < col.nnz(); ++k) {
-        dense_cols_[j][static_cast<std::size_t>(col.rows[k])] = col.values[k];
-      }
-    }
-  }
-}
-
-void SimplexSolver::full_column(std::size_t j, std::vector<double>& out) const {
-  out.assign(m_, 0.0);
-  if (j < n_struct_) {
-    if (opt_.use_dense_kernels) {
-      const auto& col = dense_cols_[j];
-      std::copy(col.begin(), col.end(), out.begin());
-    } else {
-      const SparseColumn& col = p_.columns[j];
-      for (std::size_t k = 0; k < col.nnz(); ++k) {
-        out[static_cast<std::size_t>(col.rows[k])] = col.values[k];
-      }
-    }
-  } else if (j < n_struct_ + m_) {
-    out[j - n_struct_] = slack_sign_[j - n_struct_];
-  } else {
-    out[j - n_struct_ - m_] = art_sign_[j - n_struct_ - m_];
-  }
-}
-
-double SimplexSolver::column_dot(std::size_t j,
-                                 const std::vector<double>& y) const {
-  if (j < n_struct_) {
-    assert(opt_.use_dense_kernels);
-    const auto& col = dense_cols_[j];
-    double acc = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) acc += col[i] * y[i];
-    return acc;
-  }
-  if (j < n_struct_ + m_) {
-    return slack_sign_[j - n_struct_] * y[j - n_struct_];
-  }
-  return art_sign_[j - n_struct_ - m_] * y[j - n_struct_ - m_];
 }
 
 void SimplexSolver::price(const std::vector<double>& y,
                           std::vector<double>& aty) const {
-  if (opt_.use_dense_kernels) {
-    for (std::size_t j = 0; j < n_struct_; ++j) aty[j] = column_dot(j, y);
-  } else {
-    // Same terms in the same ascending row order per column, padded
-    // entries adding exact zeros: bit-identical to the dense loop above.
-    panels_.multiply_transposed(y, aty);
+  // Each column adds its terms in ascending row order, padded entries adding
+  // exact zeros: bit-identical to a per-column dense dot (see
+  // column_panels.hpp).
+  panels_.multiply_transposed(y, aty);
+  for (std::size_t i = 0; i < m_; ++i) {
+    aty[n_struct_ + i] = slack_sign_[i] * y[i];
+    aty[n_struct_ + m_ + i] = art_sign_[i] * y[i];
   }
-  for (std::size_t j = n_struct_; j < n_total_; ++j) aty[j] = column_dot(j, y);
 }
 
 void SimplexSolver::axpy_column(std::size_t j, double scale,
                                 std::vector<double>& out) const {
   if (j < n_struct_) {
-    if (opt_.use_dense_kernels) {
-      const auto& col = dense_cols_[j];
-      for (std::size_t i = 0; i < m_; ++i) out[i] += scale * col[i];
-      return;
-    }
     const SparseColumn& col = p_.columns[j];
     const std::size_t nnz = col.nnz();
     for (std::size_t k = 0; k < nnz; ++k) {
@@ -171,17 +181,7 @@ void SimplexSolver::axpy_column(std::size_t j, double scale,
   }
 }
 
-void SimplexSolver::ftran(std::size_t j, std::vector<double>& alpha) {
-  if (opt_.use_dense_kernels) {
-    full_column(j, col_scratch_);
-    for (std::size_t i = 0; i < m_; ++i) {
-      double acc = 0.0;
-      const auto brow = binv_.row(i);
-      for (std::size_t r = 0; r < m_; ++r) acc += brow[r] * col_scratch_[r];
-      alpha[i] = acc;
-    }
-    return;
-  }
+void SimplexSolver::ftran(std::size_t j, std::vector<double>& alpha) const {
   if (j < n_struct_) {
     const SparseColumn& col = p_.columns[j];
     const std::size_t nnz = col.nnz();
@@ -193,30 +193,20 @@ void SimplexSolver::ftran(std::size_t j, std::vector<double>& alpha) {
       }
       alpha[i] = acc;
     }
-    ftran_skipped_ +=
-        static_cast<long long>(m_) * static_cast<long long>(m_ - nnz);
-  } else {
-    const bool slack = j < n_struct_ + m_;
-    const std::size_t r = slack ? j - n_struct_ : j - n_struct_ - m_;
-    const double sign = slack ? slack_sign_[r] : art_sign_[r];
-    for (std::size_t i = 0; i < m_; ++i) alpha[i] = binv_(i, r) * sign;
-    ftran_skipped_ +=
-        static_cast<long long>(m_) * static_cast<long long>(m_ - 1);
+    return;
   }
+  const bool slack = j < n_struct_ + m_;
+  const std::size_t r = slack ? j - n_struct_ : j - n_struct_ - m_;
+  const double sign = slack ? slack_sign_[r] : art_sign_[r];
+  for (std::size_t i = 0; i < m_; ++i) alpha[i] = binv_(i, r) * sign;
 }
 
 double SimplexSolver::binv_row_dot_column(std::size_t i, std::size_t j) const {
   const auto brow = binv_.row(i);
-  if (j >= n_struct_ || opt_.use_dense_kernels) {
-    double acc = 0.0;
-    if (j >= n_struct_) {
-      const bool slack = j < n_struct_ + m_;
-      const std::size_t r = slack ? j - n_struct_ : j - n_struct_ - m_;
-      return brow[r] * (slack ? slack_sign_[r] : art_sign_[r]);
-    }
-    const auto& col = dense_cols_[j];
-    for (std::size_t r = 0; r < m_; ++r) acc += brow[r] * col[r];
-    return acc;
+  if (j >= n_struct_) {
+    const bool slack = j < n_struct_ + m_;
+    const std::size_t r = slack ? j - n_struct_ : j - n_struct_ - m_;
+    return brow[r] * (slack ? slack_sign_[r] : art_sign_[r]);
   }
   const SparseColumn& col = p_.columns[j];
   const std::size_t nnz = col.nnz();
@@ -228,22 +218,11 @@ double SimplexSolver::binv_row_dot_column(std::size_t i, std::size_t j) const {
 }
 
 void SimplexSolver::compute_duals(std::vector<double>& y) const {
-  if (opt_.use_dense_kernels) {
-    // Reference kernel: column-strided walk of B^-1, no zero-cost skip.
-    for (std::size_t i = 0; i < m_; ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < m_; ++r) {
-        acc += cost_[basis_[r]] * binv_(r, i);
-      }
-      y[i] = acc;
-    }
-    return;
-  }
-  // Transposed accumulation: per y[i] the terms arrive in the same ascending
-  // r order as the reference loop, minus exact-zero cB terms, so the result
-  // is bit-identical — but B^-1 is now streamed row-major, and rows whose
-  // basic variable has zero cost (all of Phase 1's non-artificials, every
-  // slack-basic row of Phase 2) are skipped outright.
+  // Transposed accumulation: each y[i] receives its terms in ascending r
+  // order, as y[i] = sum_r cB[r] * binv(r, i) would, minus exact-zero cB
+  // terms, so the bits are the same — but B^-1 is streamed row-major, and
+  // rows whose basic variable has zero cost (all of Phase 1's
+  // non-artificials, every slack-basic row of Phase 2) are skipped outright.
   std::fill(y.begin(), y.end(), 0.0);
   for (std::size_t r = 0; r < m_; ++r) {
     const double cr = cost_[basis_[r]];
@@ -420,27 +399,18 @@ bool SimplexSolver::refactorize() {
   ++refactorizations_;
   DenseMatrix& b = refactor_;
   b.reset(m_, m_);
-  if (opt_.use_dense_kernels) {
-    std::vector<double>& col = col_scratch_;
-    for (std::size_t i = 0; i < m_; ++i) {
-      full_column(basis_[i], col);
-      for (std::size_t r = 0; r < m_; ++r) b(r, i) = col[r];
-    }
-  } else {
-    // Scatter only the nonzeros; b starts zero-filled, so the assembled
-    // matrix is bit-identical to the dense copy above.
-    for (std::size_t i = 0; i < m_; ++i) {
-      const std::size_t j = basis_[i];
-      if (j < n_struct_) {
-        const SparseColumn& col = p_.columns[j];
-        for (std::size_t k = 0; k < col.nnz(); ++k) {
-          b(static_cast<std::size_t>(col.rows[k]), i) = col.values[k];
-        }
-      } else if (j < n_struct_ + m_) {
-        b(j - n_struct_, i) = slack_sign_[j - n_struct_];
-      } else {
-        b(j - n_struct_ - m_, i) = art_sign_[j - n_struct_ - m_];
+  // Scatter only the nonzeros into the zero-filled factor input.
+  for (std::size_t i = 0; i < m_; ++i) {
+    const std::size_t j = basis_[i];
+    if (j < n_struct_) {
+      const SparseColumn& col = p_.columns[j];
+      for (std::size_t k = 0; k < col.nnz(); ++k) {
+        b(static_cast<std::size_t>(col.rows[k]), i) = col.values[k];
       }
+    } else if (j < n_struct_ + m_) {
+      b(j - n_struct_, i) = slack_sign_[j - n_struct_];
+    } else {
+      b(j - n_struct_ - m_, i) = art_sign_[j - n_struct_ - m_];
     }
   }
   if (!b.invert(opt_.pivot_tol)) return false;
@@ -650,7 +620,6 @@ void SimplexSolver::export_stats(Solution& sol) const {
   sol.refactorizations = refactorizations_;
   sol.warm_start_used = warm_start_used_;
   sol.warm_start_rejected = warm_start_rejected_;
-  sol.ftran_nnz_skipped = ftran_skipped_;
 }
 
 Solution SimplexSolver::run(Basis* warm) {
@@ -736,5 +705,26 @@ Solution SimplexSolver::run(Basis* warm) {
   return sol;
 }
 
-}  // namespace detail
+}  // namespace
+
+Solution solve(const Problem& problem, const SimplexOptions& options,
+               Basis* warm) {
+  const std::string err = problem.validate();
+  if (!err.empty()) {
+    throw std::invalid_argument("lp::solve: malformed problem: " + err);
+  }
+  const ColumnPanels panels(problem);
+  SolveScratch scratch;
+  return SimplexSolver(problem, panels, options, scratch).run(warm);
+}
+
+Solution solve(const ProblemFamily& family, const SimplexOptions& options,
+               Basis* warm, SolveScratch* scratch) {
+  // ProblemFamily validated and built its panels at construction.
+  SolveScratch local;
+  return SimplexSolver(family.problem(), family.panels(), options,
+                       scratch != nullptr ? *scratch : local)
+      .run(warm);
+}
+
 }  // namespace carbon::lp

@@ -138,6 +138,9 @@ TEST(CheckpointEncoding, TreeDecodeRejectsMalformedInput) {
   EXPECT_THROW((void)decode_tree("t0 t1"), CheckpointError);     // two roots
   EXPECT_THROW((void)decode_tree("t99"), CheckpointError);       // bad index
   EXPECT_THROW((void)decode_tree("t"), CheckpointError);
+  EXPECT_THROW((void)decode_tree("t4294967296"), CheckpointError);  // wraps to t0
+  EXPECT_THROW((void)decode_tree("t4294967297"), CheckpointError);  // wraps to t1
+  EXPECT_THROW((void)decode_tree("t01"), CheckpointError);  // not canonical
   EXPECT_THROW((void)decode_tree("q"), CheckpointError);         // unknown
   EXPECT_THROW((void)decode_tree("c123"), CheckpointError);      // short hex
 }

@@ -175,8 +175,8 @@ inline const Trajectory kCobraBaseline{
     .generations = 11,
 };
 
-/// lp_warm=pool trajectories (a different golden axis: degenerate LPs may
-/// surface alternate optimal duals under a pooled start basis).
+/// lp_warm=pool trajectories (a different golden axis: a pooled start basis
+/// rounds the last bits of the duals through a different B^-1 history).
 inline const Trajectory kCarbonPool{
     .best_ul_so_far = {0x1.dd3ef5fc629fp+9, 0x1.e2cbd22e7987dp+9,
                        0x1.e2cbd22e7987dp+9, 0x1.e2cbd22e7987dp+9,

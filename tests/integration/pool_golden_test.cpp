@@ -1,7 +1,8 @@
 // Golden-trajectory matrix for the lp_warm=pool axis (docs/ALGORITHMS.md
-// §15). Pool mode is a DIFFERENT golden trajectory than baseline mode —
-// degenerate LPs may surface alternate optimal duals/x̄ under a pooled start
-// basis — but it makes its own determinism claims, asserted here:
+// §15). Pool mode is a DIFFERENT golden trajectory than baseline mode — a
+// pooled start basis rounds the last bits of the duals/x̄ through a
+// different B^-1 update history — but it makes its own determinism claims,
+// asserted here:
 //
 //   * one pool trajectory per algorithm, frozen in golden_common.hpp and
 //     reproduced bit for bit across simd {auto, scalar} x eval_threads

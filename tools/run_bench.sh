@@ -5,9 +5,9 @@
 #                            compiled-scalar vs compiled-SIMD kernels, plus
 #                            the incremental-greedy rescoring fractions;
 #   BENCH_lp_simplex.json    the production simplex kernels (column-panel
-#                            pricing) vs the dense reference kernels, the
-#                            end-to-end warm-started relaxation batch, and
-#                            the baseline-vs-pool evaluator replay;
+#                            pricing, sparse FTRAN) vs bench-local dense
+#                            loops, and the baseline-vs-pool evaluator
+#                            replay;
 #   BENCH_parallel_eval.json the work-stealing TaskScheduler vs a serial
 #                            loop on the calling thread over skewed job-cost
 #                            grids, plus the ParallelEvaluator replay across

@@ -24,9 +24,9 @@ cd "$(dirname "$0")/.."
 # each with its own solver and evaluator), the compiled-program fuzz (per-context register scratch must stay
 # thread-private), the metrics registry (sharded counters/timers
 # hammered from scheduler participants while a reader snapshots), and the LP
-# dense-vs-sparse differential suite (the sparse kernels index through
-# CSC arrays in every inner loop; ASan/UBSan verify those accesses on
-# randomized degenerate/infeasible/unbounded instances), the
+# frozen-fingerprint differential suite (the sparse kernels index through
+# CSC arrays and column panels in every inner loop; ASan/UBSan verify those
+# accesses on randomized degenerate/infeasible/unbounded instances), the
 # checkpoint kill/resume harness (checkpoints are written mid-run while
 # the parallel evaluator is live; the bit-identical-resume assertions run
 # at eval_threads 4, so TSan sees the full snapshot-under-concurrency
