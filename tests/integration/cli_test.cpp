@@ -80,6 +80,29 @@ TEST(Cli, FullWorkflow) {
   EXPECT_NE(header.find("generation"), std::string::npos);
 }
 
+TEST(Cli, GreedyValueLinesAreFrozen) {
+  // The exact `value:` lines of the three greedy scorers on one generated
+  // market: a hand-written tree, the built-in cost-effectiveness rule (the
+  // same expression as the tree) and the dual score, which picks a
+  // different cover here.
+  const std::string inst = carbon::test::test_temp_dir() + "greedy.orlib";
+  ASSERT_EQ(run("generate --bundles 60 --services 8 --seed 11 --out " + inst),
+            0);
+  const auto value_line = [&](const std::string& flags) {
+    const std::string out = capture("greedy --in " + inst + " " + flags);
+    const std::size_t at = out.find("value:");
+    EXPECT_NE(at, std::string::npos) << out;
+    if (at == std::string::npos) return std::string();
+    return out.substr(at, out.find('\n', at) - at);
+  };
+  EXPECT_EQ(value_line("--tree \"(div QCOV COST)\""),
+            "value: 7754.980523  lower bound: 6570.104264  gap: 18.0344%");
+  EXPECT_EQ(value_line("--score ce"),
+            "value: 7754.980523  lower bound: 6570.104264  gap: 18.0344%");
+  EXPECT_EQ(value_line("--score dual"),
+            "value: 6832.039768  lower bound: 6570.104264  gap: 3.9868%");
+}
+
 TEST(Cli, StrictNumericFlagsAreRejected) {
   const std::string inst = carbon::test::test_temp_dir() + "strict.orlib";
   ASSERT_EQ(run("generate --bundles 20 --services 3 --out " + inst), 0);
