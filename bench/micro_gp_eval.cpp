@@ -1,9 +1,9 @@
-// Microbenchmark of GP scoring-tree evaluation: per-bundle interpreter vs
-// compiled SoA batch evaluation (gp::CompiledProgram), with the compiled
-// path timed twice — forced-scalar kernels and the SIMD-dispatched kernels
-// (AVX2 when built and supported). The two compiled paths are asserted
-// bit-identical on every case before being timed, so a reported speedup can
-// never come from a semantic divergence.
+// Microbenchmark of GP scoring-tree evaluation: compiled SoA batch
+// evaluation (gp::CompiledProgram, the only GP evaluator) timed twice —
+// forced-scalar kernels and the SIMD-dispatched kernels (AVX2 when built and
+// supported). The two kernel paths are asserted bit-identical on every case
+// before being timed, so a reported speedup can never come from a semantic
+// divergence.
 //
 // Each (depth, batch) cell is measured for two operator pools:
 //   full  — trees over the paper's whole operator set. Protected mod has no
@@ -15,7 +15,7 @@
 //
 // Also measures the incremental batched greedy on the paper's Table III
 // instance classes: random depth-6 scoring trees are run through
-// cover::greedy_solve_batched with GreedyBatchStats, and the fraction of
+// cover::greedy_solve with GreedyBatchStats, and the fraction of
 // score slots actually recomputed (rescored_frac) is reported per class —
 // the dense baseline would be 1.0 everywhere. Random full-depth-6 trees
 // almost always read BRES (which forces dense rescoring), so each tree is
@@ -57,11 +57,9 @@ struct Case {
   std::size_t batch;
   std::size_t tree_nodes;
   std::size_t instructions;
-  double interp_ns;  ///< per evaluation (one bundle, one round)
-  double scalar_ns;  ///< compiled, forced-scalar kernels
-  double simd_ns;    ///< compiled, dispatched (SIMD) kernels
-  double compiled_speedup;  ///< interp / scalar
-  double simd_speedup;      ///< scalar / simd
+  double scalar_ns;     ///< per evaluation, forced-scalar kernels
+  double simd_ns;       ///< per evaluation, dispatched (SIMD) kernels
+  double simd_speedup;  ///< scalar / simd
 };
 
 struct GreedyCase {
@@ -129,7 +127,6 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
   const int trials = smoke ? 1 : 3;
 
   double sink = 0.0;
-  std::vector<double> op_scratch;
 
   const auto best_of = [&](auto body) {
     double best = std::numeric_limits<double>::infinity();
@@ -142,19 +139,6 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
     }
     return best / (static_cast<double>(reps) * static_cast<double>(m));
   };
-
-  const double interp_ns = best_of([&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      for (std::size_t i = 0; i < m; ++i) {
-        std::array<double, gp::kNumTerminals> f{};
-        for (std::size_t t = 0; t < gp::kNumTerminals; ++t) {
-          f[t] = cols.data[t].size() == 1 ? cols.data[t][0] : cols.data[t][i];
-        }
-        sink += tree.evaluate(std::span<const double, gp::kNumTerminals>(f),
-                              op_scratch);
-      }
-    }
-  });
 
   // Cross-path bitwise check before timing: the speedup below is only
   // meaningful if both kernel tables compute the same doubles.
@@ -201,10 +185,8 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
           m,
           tree.size(),
           program.num_instructions(),
-          interp_ns,
           scalar_ns,
           simd_ns,
-          interp_ns / scalar_ns,
           scalar_ns / simd_ns};
 }
 
@@ -225,7 +207,7 @@ GreedyCase run_greedy_class(std::size_t class_index, bool smoke) {
     const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
     if (program.is_static()) return;  // takes the sort fast path in bcpop
     cover::GreedyBatchStats stats;
-    (void)cover::greedy_solve_batched(
+    (void)cover::greedy_solve(
         inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {}, {},
         &scratch, &stats);
     gc.trees += 1;
@@ -292,14 +274,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%6s %6s %6s %6s %6s %12s %12s %12s %9s %9s\n", "pool", "depth",
-              "batch", "nodes", "instr", "interp ns", "scalar ns", "simd ns",
-              "compiled", "simd x");
+  std::printf("%6s %6s %6s %6s %6s %12s %12s %9s\n", "pool", "depth",
+              "batch", "nodes", "instr", "scalar ns", "simd ns", "simd x");
   for (const Case& c : cases) {
-    std::printf("%6s %6d %6zu %6zu %6zu %12.2f %12.2f %12.2f %8.2fx %8.2fx\n",
-                c.pool, c.depth, c.batch, c.tree_nodes, c.instructions,
-                c.interp_ns, c.scalar_ns, c.simd_ns, c.compiled_speedup,
-                c.simd_speedup);
+    std::printf("%6s %6d %6zu %6zu %6zu %12.2f %12.2f %8.2fx\n", c.pool,
+                c.depth, c.batch, c.tree_nodes, c.instructions, c.scalar_ns,
+                c.simd_ns, c.simd_speedup);
   }
 
   // Incremental greedy on the paper's instance classes.
@@ -335,12 +315,10 @@ int main(int argc, char** argv) {
         f,
         "    {\"pool\": \"%s\", \"depth\": %d, \"batch\": %zu, "
         "\"tree_nodes\": %zu, \"program_instructions\": %zu, "
-        "\"interp_ns_per_eval\": %.3f, \"compiled_ns_per_eval\": %.3f, "
-        "\"simd_ns_per_eval\": %.3f, \"speedup\": %.3f, "
+        "\"compiled_ns_per_eval\": %.3f, \"simd_ns_per_eval\": %.3f, "
         "\"simd_speedup\": %.3f}%s\n",
-        c.pool, c.depth, c.batch, c.tree_nodes, c.instructions, c.interp_ns,
-        c.scalar_ns, c.simd_ns, c.compiled_speedup, c.simd_speedup,
-        i + 1 < cases.size() ? "," : "");
+        c.pool, c.depth, c.batch, c.tree_nodes, c.instructions, c.scalar_ns,
+        c.simd_ns, c.simd_speedup, i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"greedy_rescoring\": [\n");
   for (std::size_t i = 0; i < greedy.size(); ++i) {

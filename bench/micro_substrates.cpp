@@ -1,6 +1,8 @@
 // google-benchmark microbenchmarks for the substrates on the evaluation hot
-// path: LP relaxation (cold and warm-started), the score-driven greedy, GP
-// tree evaluation, variation operators, and a full bi-level evaluation.
+// path: LP relaxation (cold and warm-started), the score-driven greedy with
+// the cost-effectiveness and a compiled GP scorer, variation operators, and
+// a full bi-level evaluation. Compiled GP evaluation on its own is timed by
+// micro_gp_eval.
 
 #include <benchmark/benchmark.h>
 
@@ -63,7 +65,7 @@ void BM_GreedyCostEffectiveness(benchmark::State& state) {
   const cover::Relaxation relax = cover::relax(inst);
   for (auto _ : state) {
     benchmark::DoNotOptimize(cover::greedy_solve(
-        inst, cover::cost_effectiveness_score, relax.duals, relax.relaxed_x));
+        inst, cover::CostEffectiveness{}, relax.duals, relax.relaxed_x));
   }
 }
 BENCHMARK(BM_GreedyCostEffectiveness)
@@ -76,34 +78,17 @@ void BM_GreedyGpTree(benchmark::State& state) {
   const auto& inst = instance_for_class(static_cast<std::size_t>(state.range(0)));
   const cover::Relaxation relax = cover::relax(inst);
   common::Rng rng(7);
-  const gp::Tree tree = gp::generate_full(rng, 4);
+  const gp::CompiledProgram program =
+      gp::CompiledProgram::compile(gp::generate_full(rng, 4));
+  std::vector<double> reg_scratch;
+  cover::GreedyScratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cover::greedy_solve(
-        inst,
-        [&tree](const cover::BundleFeatures& f) {
-          const auto arr = gp::features_to_array(f);
-          return tree.evaluate(std::span<const double, gp::kNumTerminals>(arr));
-        },
-        relax.duals, relax.relaxed_x));
+        inst, gp::CompiledBatchScorer(program, reg_scratch), relax.duals,
+        relax.relaxed_x, {}, {}, &scratch));
   }
 }
 BENCHMARK(BM_GreedyGpTree)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_TreeEvaluate(benchmark::State& state) {
-  common::Rng rng(7);
-  const gp::Tree tree =
-      gp::generate_full(rng, static_cast<int>(state.range(0)));
-  const std::array<double, gp::kNumTerminals> features = {100.0, 2000.0,
-                                                          1500.0, 9000.0,
-                                                          130.0, 0.4};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.evaluate(
-        std::span<const double, gp::kNumTerminals>(features)));
-  }
-  state.SetLabel("depth=" + std::to_string(state.range(0)) +
-                 " nodes=" + std::to_string(tree.size()));
-}
-BENCHMARK(BM_TreeEvaluate)->Arg(3)->Arg(5)->Arg(8);
 
 void BM_GpCrossover(benchmark::State& state) {
   common::Rng rng(7);

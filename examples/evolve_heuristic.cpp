@@ -31,10 +31,12 @@ struct TrainingCase {
 /// Mean %-gap of a heuristic across the training cases (lower = better).
 double mean_gap(const carbon::gp::Tree& tree,
                 const std::vector<TrainingCase>& cases) {
+  const auto program = carbon::gp::CompiledProgram::compile(tree);
+  std::vector<double> reg_scratch;
   carbon::common::RunningStats gaps;
   for (const TrainingCase& c : cases) {
     const auto result = carbon::cover::greedy_solve(
-        c.instance, carbon::gp::make_score_function(tree),
+        c.instance, carbon::gp::CompiledBatchScorer(program, reg_scratch),
         c.relaxation.duals, c.relaxation.relaxed_x);
     gaps.add(result.feasible ? carbon::bilevel::percent_gap(
                                    result.value, c.relaxation.lower_bound)
@@ -73,7 +75,7 @@ int main(int argc, char** argv) try {
     common::RunningStats g;
     for (const TrainingCase& c : cases) {
       const auto r = cover::greedy_solve(
-          c.instance, cover::cost_effectiveness_score, c.relaxation.duals,
+          c.instance, cover::CostEffectiveness{}, c.relaxation.duals,
           c.relaxation.relaxed_x);
       g.add(bilevel::percent_gap(r.value, c.relaxation.lower_bound));
     }

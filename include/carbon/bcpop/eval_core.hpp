@@ -130,15 +130,15 @@ void record_lp_metrics(obs::MetricsRegistry* metrics,
                        const cover::Relaxation& relax);
 
 /// Greedy driven by a compiled GP program, batch-scored in SoA layout
-/// through the incremental cover::greedy_solve_batched: round 1 scores
-/// every bundle, later rounds rescore only the dirty set the last selection
+/// through the incremental cover::greedy_solve: round 1 scores every
+/// bundle, later rounds rescore only the dirty set the last selection
 /// invalidated (none at all when the program ignores BRES and QCOV; every
 /// bundle when it reads BRES). Programs that are static *after*
 /// simplification (CompiledProgram::is_static — catches trees like
-/// (sub QCOV QCOV) that the syntactic check misses) take the sort-based
-/// fast path. Produces bit-identical covers to the tree interpreter driving
-/// cover::greedy_solve on the same tree (the CompiledProgram equivalence
-/// contract; finite features only, which the solve path guarantees). When `metrics` is non-null the
+/// (sub QCOV QCOV) whose dynamic terminals fold away) take the sort-based
+/// fast path. Both give the cover of the plain per-bundle greedy over the
+/// tree's values (the CompiledProgram equivalence contract; finite features
+/// only, which the solve path guarantees). When `metrics` is non-null the
 /// rescoring effort is recorded as greedy/rounds, greedy/bundles_rescored,
 /// greedy/rescore_slots counters and a greedy/rescored_frac gauge.
 [[nodiscard]] cover::SolveResult solve_with_program(
@@ -173,19 +173,15 @@ struct HeuristicBatchPlan {
 [[nodiscard]] HeuristicBatchPlan plan_heuristic_batch(
     std::span<const HeuristicJob> jobs);
 
-/// Greedy driven by an arbitrary scoring function (baselines, tests).
-[[nodiscard]] cover::SolveResult solve_with_score(
-    EvalContext& ctx, const cover::Relaxation& relax,
-    std::span<const double> pricing, const cover::ScoreFunction& score,
-    const cover::GreedyOptions& greedy = {});
-
-/// Repairs a binary customer genome to cover feasibility: the greedy core
-/// started from the genome (padded or truncated to the bundle count) adds
-/// the cheapest-per-useful-coverage bundles; the genome is respected
-/// otherwise and no redundancy pass runs. The round cap in `greedy` bounds
-/// repair ADDITIONS (bundles already set in the genome are free — the
-/// budget meters work, not genome content). Needs no relaxation: the
-/// repair scorer reads neither duals nor x̄.
+/// The cost-effectiveness greedy (cover::CostEffectiveness) started from
+/// `selection` (padded or truncated to the bundle count; empty = nothing
+/// selected) adds the cheapest-per-useful-coverage bundles until demand is
+/// covered. `greedy` is passed through as is: its round cap bounds
+/// ADDITIONS (bundles already set in the start are free — the budget meters
+/// work, not genome content) and its eliminate_redundancy decides the
+/// reverse pass. COBRA's genome repair turns that pass off so the genome is
+/// respected; the nested-GA baseline starts from nothing and keeps it.
+/// Needs no relaxation: the scorer reads neither duals nor x̄.
 [[nodiscard]] cover::SolveResult solve_with_selection(
     EvalContext& ctx, std::span<const double> pricing,
     std::span<const std::uint8_t> selection,

@@ -22,7 +22,7 @@
 //
 // The two batch calls are the evaluator's entry points; a scalar call
 // (EvaluatorInterface::evaluate_with_heuristic/_selection) is a one-job
-// batch, and evaluate_with_score runs the same stages for one job. One
+// batch, and evaluate_cost_effectiveness runs the same stages for one job. One
 // relaxation discipline serves them all (resolve_relaxations,
 // docs/ALGORITHMS.md §7):
 //   A. the submitting thread probes the relaxation cache and picks each
@@ -110,13 +110,14 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// bundles are NOT removed, the genome is respected otherwise.
   std::vector<Evaluation> evaluate_selection_batch(
       std::span<const SelectionJob> jobs) override;
-  /// Greedy driven by an arbitrary scoring function (the nested-GA baseline,
-  /// the tests' interpreter oracle). Runs on the calling thread's context
-  /// through the same staged resolve as a one-job batch; not memoized (a
-  /// std::function has no key).
-  Evaluation evaluate_with_score(std::span<const double> pricing,
-                                 const cover::ScoreFunction& score,
-                                 EvalPurpose purpose = EvalPurpose::kBoth);
+  /// The follower answers with the fixed cost-effectiveness greedy
+  /// (cover::CostEffectiveness from an empty start, redundancy pass on):
+  /// the nested-GA baseline's evaluation. Charged before it runs and
+  /// force-tripped like a one-job batch, on the calling thread's context
+  /// through the same staged resolve; not memoized.
+  Evaluation evaluate_cost_effectiveness(
+      std::span<const double> pricing,
+      EvalPurpose purpose = EvalPurpose::kBoth);
 
   /// LP relaxation of LL(pricing) through the staged resolve: memoized in
   /// the bounded LRU, warm-started per lp_warm. The returned entry

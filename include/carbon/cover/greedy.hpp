@@ -8,20 +8,20 @@
 // paper's terminal set (Table I) with the per-service terminals aggregated
 // over services, as discussed in DESIGN.md §5.1.
 //
-// There is one construction core, greedy_solve_batched: a template over a
-// batch scorer (so the compiled GP scorer in the innermost loop of every
-// fitness evaluation pays no std::function indirection), optionally started
-// from a partial selection (COBRA's genome repair); detail::CoverState is
-// its partial-cover bookkeeping. `greedy_solve` is the type-erased
-// per-bundle convenience wrapper over the same core; greedy_solve_static is
-// the sort-based path for round-invariant scorers.
+// There is one construction core, greedy_solve: a template over a batch
+// scorer (so the compiled GP scorer in the innermost loop of every fitness
+// evaluation pays no indirection), optionally started from a partial
+// selection (COBRA's genome repair); detail::CoverState is its partial-cover
+// bookkeeping. Every scorer is a batch scorer: gp::CompiledBatchScorer for
+// evolved trees, CostEffectiveness and DualMinusCost for the hand-written
+// baselines. greedy_solve_static is the sort-based path for round-invariant
+// scores.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -31,29 +31,13 @@
 
 namespace carbon::cover {
 
-/// Everything a scoring function may look at when scoring bundle j.
-/// All values are recomputed against the *residual* demand each round.
-struct BundleFeatures {
-  double cost = 0.0;       ///< c_j — price of the bundle.
-  double qsum = 0.0;       ///< Σ_k q_jk — raw service mass of the bundle.
-  double qcov = 0.0;       ///< Σ_k min(q_jk, residual_k) — useful coverage now.
-  double bres = 0.0;       ///< Σ_k residual_k — outstanding demand.
-  double dual = 0.0;       ///< Σ_k d_k q_jk — LP-dual-weighted coverage.
-  double xbar = 0.0;       ///< x̄_j — value of bundle j in the LP relaxation.
-};
-
-/// Scores one bundle; the greedy selects the maximal score each round.
-/// Scorers must be pure (the score a function of the features alone): the
-/// core may score any bundle in any round, selected and exhausted ones
-/// included, and ignores the scores it does not need.
-using ScoreFunction = std::function<double(const BundleFeatures&)>;
-
 /// SoA view of the features of EVERY bundle for one greedy round: one
-/// contiguous column per BundleFeatures field (bres is a scalar — the
-/// outstanding demand is shared by all bundles within a round). Batch
-/// scorers (gp::CompiledBatchScorer) fill `out[j]` for all j in one sweep
-/// of elementwise loops instead of being called M times with per-bundle
-/// structs.
+/// contiguous column per terminal (bres is a scalar — the outstanding demand
+/// is shared by all bundles within a round). A batch scorer fills `out[j]`
+/// for all j in one sweep of elementwise loops. Scorers must be pure (the
+/// score of bundle j a function of its feature row alone): the core may
+/// score any bundle in any round, selected and exhausted ones included, and
+/// ignores the scores it does not need.
 struct BatchFeatureView {
   std::span<const double> cost;  ///< c_j
   std::span<const double> qsum;  ///< Σ_k q_jk
@@ -158,7 +142,7 @@ struct CoverState {
 
 /// Batch scorers that can report which residual-dependent terminals they
 /// read (gp::CompiledBatchScorer queries the CANONICAL compiled program, so
-/// terminals that simplify away do not count). The batched greedy uses the
+/// terminals that simplify away do not count). greedy_solve uses the
 /// answers to skip rescoring work; scorers without these members are
 /// conservatively rescored dense every round.
 template <typename S>
@@ -167,7 +151,34 @@ concept TerminalAwareBatchScorer = requires(const std::remove_cvref_t<S>& s) {
   { s.depends_on_qcov() } -> std::convertible_to<bool>;
 };
 
-/// Caller-owned working memory for greedy_solve_batched. Hot callers (one
+/// Classic baseline score: useful coverage per unit cost
+/// (cost-effectiveness). It reads QCOV but not BRES, so the core rescores
+/// only the bundles whose coverage moved. COBRA's genome repair, the
+/// nested-GA baseline and cover::exact's incumbent use it.
+struct CostEffectiveness {
+  [[nodiscard]] bool depends_on_bres() const noexcept { return false; }
+  [[nodiscard]] bool depends_on_qcov() const noexcept { return true; }
+  void operator()(const BatchFeatureView& view, std::span<double> out) const {
+    for (std::size_t j = 0; j < view.count; ++j) {
+      out[j] = view.qcov[j] / std::max(view.cost[j], 1e-9);
+    }
+  }
+};
+
+/// Baseline score using LP duals: dual-weighted coverage minus cost (the LP
+/// "attractiveness" of the column). It reads neither QCOV nor BRES, so the
+/// core scores every bundle once.
+struct DualMinusCost {
+  [[nodiscard]] bool depends_on_bres() const noexcept { return false; }
+  [[nodiscard]] bool depends_on_qcov() const noexcept { return false; }
+  void operator()(const BatchFeatureView& view, std::span<double> out) const {
+    for (std::size_t j = 0; j < view.count; ++j) {
+      out[j] = view.dual[j] - view.cost[j];
+    }
+  }
+};
+
+/// Caller-owned working memory for greedy_solve. Hot callers (one
 /// per bcpop::EvalContext, mirroring the per-context lp::Basis scratch) keep
 /// one across evaluations so the ~10^5 greedy solves per run stop paying a
 /// dozen heap allocations each; every vector is assign()ed at entry, so a
@@ -205,7 +216,7 @@ struct GreedyScratch {
                          std::span<const std::uint8_t> start);
 };
 
-/// Rescoring effort of one batched greedy solve. The dense baseline scores
+/// Rescoring effort of one greedy solve. The dense baseline scores
 /// every bundle every round (rescore_slots); the dirty-set greedy only
 /// recomputes bundles_rescored of them, so rescored_frac < 1 measures the
 /// work the incremental path avoided.
@@ -224,8 +235,8 @@ struct GreedyBatchStats {
 
 /// The greedy construction core. Every bundle's score comes from one batch
 /// scorer call per round, and the argmax takes the first strict maximum, so
-/// any batch scorer that computes per bundle the double a per-bundle scorer
-/// would yields that scorer's greedy exactly.
+/// the cover equals that of the plain per-bundle greedy of paper §IV-B fed
+/// the same scores (tests/cover/greedy_reference.hpp).
 ///
 /// `duals` and `relaxed_x` may be empty (or short), in which case the
 /// corresponding features read as 0. `start` (empty = nothing selected)
@@ -249,7 +260,7 @@ struct GreedyBatchStats {
 /// `scratch` (optional) supplies caller-owned working memory; `stats`
 /// (optional) receives the rescoring effort of this solve.
 template <typename BatchScore>
-[[nodiscard]] SolveResult greedy_solve_batched(
+[[nodiscard]] SolveResult greedy_solve(
     const Instance& instance, BatchScore&& batch_score,
     std::span<const double> duals = {}, std::span<const double> relaxed_x = {},
     std::span<const std::uint8_t> start = {},
@@ -379,21 +390,5 @@ template <typename BatchScore>
 [[nodiscard]] SolveResult greedy_solve_static(
     const Instance& instance, std::span<const double> scores,
     const GreedyOptions& options = {});
-
-/// Type-erased per-bundle greedy: greedy_solve_batched through a per-bundle
-/// adapter that is not terminal-aware, so every bundle is rescored every
-/// round.
-[[nodiscard]] SolveResult greedy_solve(const Instance& instance,
-                                       const ScoreFunction& score,
-                                       std::span<const double> duals = {},
-                                       std::span<const double> relaxed_x = {},
-                                       const GreedyOptions& options = {});
-
-/// Classic baseline score: useful-coverage per unit cost (cost-effectiveness).
-[[nodiscard]] double cost_effectiveness_score(const BundleFeatures& f);
-
-/// Baseline score using LP duals: dual-weighted coverage minus cost
-/// (the LP "attractiveness" of the column).
-[[nodiscard]] double dual_score(const BundleFeatures& f);
 
 }  // namespace carbon::cover

@@ -1,29 +1,23 @@
 // Compiled GP scoring programs: linear bytecode evaluated over bundle
-// batches in SoA layout.
+// batches in SoA layout — the one way a GP tree is scored.
 //
-// Tree::evaluate walks the prefix node vector once per (bundle, round) —
-// with a per-bundle feature-struct gather and, for large trees, a heap
-// operand stack. CompiledProgram front-loads all per-tree work into a
-// one-time compile:
+// CompiledProgram front-loads all per-tree work into a one-time compile:
 //
 //   canonicalize -> constant-fold + algebraic simplify -> CSE -> linearize
 //
 // and then evaluates the resulting register program *batched*: every
 // instruction is an elementwise loop over the whole bundle axis (contiguous
 // arrays, no std::function, no per-bundle struct, no per-call allocation
-// once the caller-owned scratch is warm). A tree evaluated M times per
-// greedy round thus costs |program| tight loops instead of M interpreter
-// walks.
+// once the caller-owned scratch is warm). A tree scored for M bundles per
+// greedy round thus costs |program| tight loops.
 //
 // Equivalence contract: for terminal features that are finite and within
-// ±detail::kValueCap, a compiled program produces bit-identical doubles to
-// Tree::evaluate on the source tree, with or without simplification (the
-// rewrites are exact under the *protected* operator semantics; commutative
-// reordering is exact because IEEE-754 + and * are commutative). With
-// simplification disabled the equivalence extends to non-finite features up
-// to NaN identity (payloads may differ; cover::detail::sanitize_score maps
-// both to the same value). tests/gp/compiled_program_test.cpp fuzzes this
-// contract against the interpreter.
+// ±detail::kValueCap, a compiled program produces bit-identical doubles to a
+// direct evaluation of the source tree under the protected operator
+// semantics of gp/eval_ops.hpp (the rewrites are exact under those
+// semantics; commutative reordering is exact because IEEE-754 + and * are
+// commutative). tests/gp/compiled_program_test.cpp fuzzes this contract
+// against a tree interpreter kept in the tests (tests/gp/interpreter.hpp).
 #pragma once
 
 #include <array>
@@ -35,21 +29,11 @@
 
 namespace carbon::gp {
 
-struct CompileOptions {
-  /// Apply canonicalization (commutative operand ordering), constant
-  /// folding, and the protected-semantics algebraic identities. Off = a
-  /// linearization of the source tree as-is. Common subexpression
-  /// elimination always runs (it is value-exact by construction).
-  bool simplify = true;
-};
-
 class CompiledProgram {
  public:
   CompiledProgram() = default;
 
-  [[nodiscard]] static CompiledProgram compile(const Tree& tree,
-                                               const CompileOptions& options =
-                                                   {});
+  [[nodiscard]] static CompiledProgram compile(const Tree& tree);
 
   /// One SoA feature batch: columns[t] holds the value of terminal t for
   /// every element of the batch. A column of size 1 broadcasts its single
@@ -59,15 +43,6 @@ class CompiledProgram {
     std::array<std::span<const double>, kNumTerminals> columns;
     std::size_t count = 0;
   };
-
-  /// Scalar evaluation (reference semantics of Tree::evaluate).
-  [[nodiscard]] double evaluate(
-      std::span<const double, kNumTerminals> features) const;
-
-  /// Scalar evaluation with a caller-owned register file (no allocation
-  /// once `scratch` has grown to num_registers()).
-  [[nodiscard]] double evaluate(std::span<const double, kNumTerminals> features,
-                                std::vector<double>& scratch) const;
 
   /// Batched evaluation: out[i] = program(batch element i). `out` must have
   /// batch.count elements; `scratch` is the register file (resized to
@@ -84,7 +59,8 @@ class CompiledProgram {
   /// True when no residual-dependent terminal (QCOV, BRES) survives
   /// simplification: scores are then invariant across greedy rounds and the
   /// sort-based cover::greedy_solve_static fast path applies. Catches
-  /// strictly more trees than the syntactic gp::is_static_heuristic check.
+  /// strictly more trees than a syntactic check of the source tree (e.g.
+  /// (sub QCOV QCOV)).
   [[nodiscard]] bool is_static() const noexcept {
     return !uses_terminal(Terminal::kQcov) && !uses_terminal(Terminal::kBres);
   }

@@ -1,11 +1,12 @@
-// The protected-operator arithmetic shared by every GP evaluation backend.
+// The protected-operator arithmetic: the single definition of what each GP
+// opcode computes.
 //
-// Tree::evaluate (the prefix-walking interpreter) and gp::CompiledProgram
-// (the linearized batch evaluator) must produce bit-identical doubles for
-// the same expression — the compiled path is only usable because this file
-// is the single definition of what each opcode computes. Keep these inline
-// and branch-compatible: any change here changes *every* score the system
-// has ever produced.
+// The scalar kernels of gp::CompiledProgram (gp/simd.cpp) apply it per
+// element, the AVX2 kernels mirror it lane for lane, constant folding in
+// gp::simplify computes with it, and the tests' tree interpreter
+// (tests/gp/interpreter.hpp) is built on it. Keep these inline and
+// branch-compatible: any change here changes *every* score the system has
+// ever produced.
 #pragma once
 
 #include <cmath>

@@ -1,22 +1,14 @@
-// Bridge from GP trees / compiled programs to the greedy solver's scoring
-// interfaces (per-bundle and batched-SoA).
+// Bridge from compiled GP programs to the greedy solver's batch scorer
+// interface (cover::BatchFeatureView in, one score per bundle out).
 #pragma once
 
-#include <array>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "carbon/cover/greedy.hpp"
 #include "carbon/gp/compiled.hpp"
-#include "carbon/gp/tree.hpp"
 
 namespace carbon::gp {
-
-/// Lays out BundleFeatures in Terminal order.
-[[nodiscard]] inline std::array<double, kNumTerminals> features_to_array(
-    const cover::BundleFeatures& f) noexcept {
-  return {f.cost, f.qsum, f.qcov, f.bres, f.dual, f.xbar};
-}
 
 /// Lays out a cover::BatchFeatureView as a compiled program's terminal
 /// batch (Terminal order; BRES broadcasts its round-scalar). The returned
@@ -34,26 +26,8 @@ namespace carbon::gp {
   return batch;
 }
 
-/// True when the tree reads neither QCOV nor BRES — its score for a bundle
-/// is then invariant across greedy rounds, enabling the sort-based
-/// cover::greedy_solve_static fast path. This is the *syntactic* check;
-/// CompiledProgram::is_static() additionally catches trees whose dynamic
-/// terminals simplify away (e.g. (sub QCOV QCOV)).
-[[nodiscard]] inline bool is_static_heuristic(const Tree& tree) noexcept {
-  return !tree.uses_terminal(Terminal::kQcov) &&
-         !tree.uses_terminal(Terminal::kBres);
-}
-
-/// Wraps a tree (copied) as a greedy scoring function.
-[[nodiscard]] inline cover::ScoreFunction make_score_function(Tree tree) {
-  return [t = std::move(tree)](const cover::BundleFeatures& f) {
-    const auto arr = features_to_array(f);
-    return t.evaluate(std::span<const double, kNumTerminals>(arr));
-  };
-}
-
 /// Dependency-aware batch scorer over a compiled program — the scorer type
-/// the incremental cover::greedy_solve_batched is designed for (it models
+/// the incremental cover::greedy_solve is designed for (it models
 /// cover::TerminalAwareBatchScorer). The dependency answers come from the
 /// CANONICAL program, so a tree whose BRES/QCOV reads simplify away — e.g.
 /// (sub BRES BRES) — correctly reports them unread and unlocks the dirty-set

@@ -1,5 +1,5 @@
-// Runtime-dispatched multi-lane kernels for the compiled GP bytecode
-// interpreter (gp::CompiledProgram::evaluate_batch).
+// Runtime-dispatched multi-lane kernels behind the only GP evaluator,
+// gp::CompiledProgram::evaluate_batch: one kernel per bytecode operation.
 //
 // Every bytecode instruction is an ELEMENTWISE loop over the batch axis —
 // there are no reductions, no fused multiply-adds, and no order-dependent

@@ -2,18 +2,17 @@
 //
 // Trees implement the paper's Table I primitive set: binary operators
 // {+, -, *, protected /, protected mod} over the terminal features a greedy
-// scoring function can observe (see cover::BundleFeatures), plus optional
+// scoring function can observe (see cover::BatchFeatureView), plus optional
 // ephemeral random constants.
 //
 // Storage is a flat prefix-order (preorder) node vector. That keeps trees
-// contiguous (cache-friendly evaluation — they are evaluated millions of
-// times per run), makes subtree extraction a simple range copy, and avoids
-// per-node allocations entirely.
+// contiguous, makes subtree extraction a simple range copy, and avoids
+// per-node allocations entirely. A tree is the genome the GP operators
+// vary; it is scored only after compilation (gp::CompiledProgram), and the
+// operator semantics live in gp/eval_ops.hpp.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -92,19 +91,6 @@ class Tree {
 
   /// Replaces the subtree rooted at `pos` with `replacement`.
   void replace_subtree(std::size_t pos, const Tree& replacement);
-
-  /// Evaluates against a terminal feature vector (size kNumTerminals).
-  /// Never returns NaN/inf: non-finite intermediate results are clamped.
-  /// Trees over 64 nodes allocate a heap operand stack per call; hot
-  /// callers should use the scratch-buffer overload instead.
-  [[nodiscard]] double evaluate(
-      std::span<const double, kNumTerminals> features) const;
-
-  /// Same evaluation, but large trees spill the operand stack into the
-  /// caller-owned `scratch` (grown as needed, reused across calls) instead
-  /// of allocating. bcpop::EvalContext owns one such buffer per thread.
-  [[nodiscard]] double evaluate(std::span<const double, kNumTerminals> features,
-                                std::vector<double>& scratch) const;
 
   /// Structural validity: every operator has its operands, exactly one root.
   [[nodiscard]] bool valid() const;

@@ -51,8 +51,7 @@ core::RunResult NestedGaSolver::run() {
     double cur_best = -std::numeric_limits<double>::infinity();
     common::RunningStats gaps;
     for (std::size_t i = 0; i < pop.size(); ++i) {
-      const bcpop::Evaluation e =
-          eval.evaluate_with_score(pop[i], cover::cost_effectiveness_score);
+      const bcpop::Evaluation e = eval.evaluate_cost_effectiveness(pop[i]);
       fitness[i] = e.ul_objective;
       cur_best = std::max(cur_best, e.ul_objective);
       gaps.add(e.gap_percent);

@@ -297,7 +297,7 @@ cover::SolveResult solve_with_program(EvalContext& ctx,
     solved = cover::greedy_solve_static(ctx.ll, ctx.static_scores, greedy);
   } else {
     cover::GreedyBatchStats stats;
-    solved = cover::greedy_solve_batched(
+    solved = cover::greedy_solve(
         ctx.ll, gp::CompiledBatchScorer(program, ctx.reg_scratch),
         relax.duals, relax.relaxed_x, {}, greedy, &ctx.greedy_scratch,
         &stats);
@@ -401,43 +401,13 @@ HeuristicBatchPlan plan_heuristic_batch(std::span<const HeuristicJob> jobs) {
   return plan;
 }
 
-namespace {
-
-/// COBRA's repair scorer, cover::cost_effectiveness_score over a batch:
-/// useful coverage per unit cost. It reads QCOV but not BRES, so the core
-/// rescores only the bundles whose coverage moved.
-struct CostPerCoverage {
-  [[nodiscard]] bool depends_on_bres() const noexcept { return false; }
-  [[nodiscard]] bool depends_on_qcov() const noexcept { return true; }
-  void operator()(const cover::BatchFeatureView& view,
-                  std::span<double> out) const {
-    for (std::size_t j = 0; j < view.count; ++j) {
-      out[j] = view.qcov[j] / std::max(view.cost[j], 1e-9);
-    }
-  }
-};
-
-}  // namespace
-
-cover::SolveResult solve_with_score(EvalContext& ctx,
-                                    const cover::Relaxation& relax,
-                                    std::span<const double> pricing,
-                                    const cover::ScoreFunction& score,
-                                    const cover::GreedyOptions& greedy) {
-  load_pricing(ctx, pricing);
-  return cover::greedy_solve(ctx.ll, score, relax.duals, relax.relaxed_x,
-                             greedy);
-}
-
 cover::SolveResult solve_with_selection(EvalContext& ctx,
                                         std::span<const double> pricing,
                                         std::span<const std::uint8_t> selection,
                                         const cover::GreedyOptions& greedy) {
   load_pricing(ctx, pricing);
-  cover::GreedyOptions repair = greedy;
-  repair.eliminate_redundancy = false;
-  return cover::greedy_solve_batched(ctx.ll, CostPerCoverage{}, {}, {},
-                                     selection, repair, &ctx.greedy_scratch);
+  return cover::greedy_solve(ctx.ll, cover::CostEffectiveness{}, {}, {},
+                             selection, greedy, &ctx.greedy_scratch);
 }
 
 Evaluation finalize_evaluation(const Instance& inst,

@@ -150,7 +150,9 @@ Evaluation ParallelEvaluator::finish_selection(EvalContext& ctx,
                                                const cover::Relaxation& relax,
                                                const SelectionJob& job) {
   return construct_with(ctx, relax, job.pricing, job.purpose,
-                        [&](const cover::GreedyOptions& options) {
+                        [&](cover::GreedyOptions options) {
+                          // Repair respects the genome: no reverse pass.
+                          options.eliminate_redundancy = false;
                           return solve_with_selection(ctx, job.pricing,
                                                       job.selection, options);
                         });
@@ -448,9 +450,8 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
   return results;
 }
 
-Evaluation ParallelEvaluator::evaluate_with_score(
-    std::span<const double> pricing, const cover::ScoreFunction& score,
-    EvalPurpose purpose) {
+Evaluation ParallelEvaluator::evaluate_cost_effectiveness(
+    std::span<const double> pricing, EvalPurpose purpose) {
   const bool injected = charge(purpose);
   // The caller's own context: a one-pricing resolve runs its stage B
   // inline on participant 0 too, strictly before construction.
@@ -458,8 +459,8 @@ Evaluation ParallelEvaluator::evaluate_with_score(
   const auto finish = [&](const cover::Relaxation& relax) {
     return construct_with(ctx, relax, pricing, purpose,
                           [&](const cover::GreedyOptions& options) {
-                            return solve_with_score(ctx, relax, pricing, score,
-                                                    options);
+                            return solve_with_selection(ctx, pricing, {},
+                                                        options);
                           });
   };
   Evaluation result;

@@ -213,9 +213,16 @@ const std::vector<obs::JsonValue>& as_array(const obs::JsonValue& v,
 }
 
 std::string rng_to_string(const common::RngState& s) {
-  std::string out = encode_u64(s.xoshiro[0]);
-  for (int i = 1; i < 4; ++i) out += " " + encode_u64(s.xoshiro[i]);
-  return out + " " + encode_u64(s.seed_mix);
+  // Five words, space-separated. Appended piecewise: no temporary string
+  // concatenation (GCC 12 misreads one as an overlapping memcpy).
+  std::string out;
+  out.reserve(5 * 17);
+  for (const std::uint64_t word : s.xoshiro) {
+    out.append(encode_u64(word));
+    out.push_back(' ');
+  }
+  out.append(encode_u64(s.seed_mix));
+  return out;
 }
 
 common::RngState rng_from_string(std::string_view text) {

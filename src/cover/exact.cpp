@@ -19,8 +19,7 @@ class BranchAndBound {
 
   ExactResult run() {
     // Warm-start the incumbent with the classic greedy.
-    const SolveResult greedy =
-        greedy_solve(inst_, cost_effectiveness_score);
+    const SolveResult greedy = greedy_solve(inst_, CostEffectiveness{});
     if (greedy.feasible) {
       incumbent_ = greedy.selection;
       incumbent_value_ = greedy.value;

@@ -5,28 +5,6 @@
 
 namespace carbon::cover {
 
-namespace {
-
-/// The per-bundle adapter onto the batch interface: fills one
-/// BundleFeatures per lane and writes out[j] = score(features of j). It is
-/// not terminal-aware, so a core driving it rescores every bundle every
-/// round.
-void score_per_bundle(const ScoreFunction& score, const BatchFeatureView& view,
-                      std::span<double> out) {
-  for (std::size_t j = 0; j < view.count; ++j) {
-    BundleFeatures f;
-    f.cost = view.cost[j];
-    f.qsum = view.qsum[j];
-    f.qcov = view.qcov[j];
-    f.bres = view.bres;
-    f.dual = view.dual[j];
-    f.xbar = view.xbar[j];
-    out[j] = score(f);
-  }
-}
-
-}  // namespace
-
 namespace detail {
 
 void eliminate_redundancy(const Instance& instance,
@@ -173,7 +151,7 @@ SolveResult greedy_solve_static(const Instance& instance,
   }
 
   // Stable order: score descending, index ascending — matches the argmax
-  // tie-breaking of greedy_solve_batched exactly.
+  // tie-breaking of greedy_solve exactly.
   std::vector<std::size_t> order(m);
   for (std::size_t j = 0; j < m; ++j) order[j] = j;
   std::stable_sort(order.begin(), order.end(),
@@ -231,24 +209,6 @@ SolveResult greedy_solve_static(const Instance& instance,
   result.feasible = true;
   result.value = instance.selection_cost(result.selection);
   return result;
-}
-
-double cost_effectiveness_score(const BundleFeatures& f) {
-  return f.qcov / std::max(f.cost, 1e-9);
-}
-
-double dual_score(const BundleFeatures& f) { return f.dual - f.cost; }
-
-SolveResult greedy_solve(const Instance& instance, const ScoreFunction& score,
-                         std::span<const double> duals,
-                         std::span<const double> relaxed_x,
-                         const GreedyOptions& options) {
-  return greedy_solve_batched(
-      instance,
-      [&score](const BatchFeatureView& view, std::span<double> out) {
-        score_per_bundle(score, view, out);
-      },
-      duals, relaxed_x, {}, options);
 }
 
 }  // namespace carbon::cover

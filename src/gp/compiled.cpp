@@ -7,7 +7,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "carbon/gp/eval_ops.hpp"
 #include "carbon/gp/simd.hpp"
 
 namespace carbon::gp {
@@ -81,14 +80,12 @@ Tree canonicalize(const Tree& tree) {
   return Tree(std::move(out));
 }
 
-CompiledProgram CompiledProgram::compile(const Tree& tree,
-                                         const CompileOptions& options) {
+CompiledProgram CompiledProgram::compile(const Tree& tree) {
   CompiledProgram p;
   if (tree.empty()) return p;
   assert(tree.valid());
 
-  const Tree canon =
-      options.simplify ? canonicalize(simplify(tree)) : tree;
+  const Tree canon = canonicalize(simplify(tree));
   p.canonical_ = canon.nodes();
   p.hash_ = fnv1a_nodes(p.canonical_);
 
@@ -187,37 +184,6 @@ CompiledProgram CompiledProgram::compile(const Tree& tree,
   p.num_regs_ = next_reg;
   p.result_reg_ = reg_of[root];
   return p;
-}
-
-double CompiledProgram::evaluate(
-    std::span<const double, kNumTerminals> features) const {
-  std::vector<double> heap;
-  return evaluate(features, heap);
-}
-
-double CompiledProgram::evaluate(std::span<const double, kNumTerminals> features,
-                                 std::vector<double>& scratch) const {
-  if (code_.empty()) return 0.0;
-  double local[64];
-  double* regs = local;
-  if (num_regs_ > 64) {
-    if (scratch.size() < num_regs_) scratch.resize(num_regs_);
-    regs = scratch.data();
-  }
-  for (const Instr& ins : code_) {
-    switch (ins.op) {
-      case OpCode::kConst:
-        regs[ins.dst] = ins.value;
-        break;
-      case OpCode::kTerminal:
-        regs[ins.dst] = features[ins.a];
-        break;
-      default:
-        regs[ins.dst] = detail::apply_op(ins.op, regs[ins.a], regs[ins.b]);
-        break;
-    }
-  }
-  return regs[result_reg_];
 }
 
 void CompiledProgram::evaluate_batch(const TerminalBatch& batch,

@@ -11,9 +11,9 @@
 
 namespace carbon::gp {
 
-// The protected-operator arithmetic lives in gp/eval_ops.hpp so that the
-// interpreter and gp::CompiledProgram share one definition (bit-identity
-// between the two paths depends on it).
+// Constant folding in simplify() computes with the same protected-operator
+// arithmetic as the compiled kernels (gp/eval_ops.hpp), so a folded constant
+// is the value the unfolded subtree would have produced.
 using detail::apply_op;
 
 const char* terminal_name(Terminal t) noexcept {
@@ -168,47 +168,6 @@ void Tree::replace_subtree(std::size_t pos, const Tree& replacement) {
   out.insert(out.end(), replacement.nodes_.begin(), replacement.nodes_.end());
   out.insert(out.end(), nodes_.begin() + static_cast<long>(end), nodes_.end());
   nodes_ = std::move(out);
-}
-
-double Tree::evaluate(std::span<const double, kNumTerminals> features) const {
-  std::vector<double> heap;
-  return evaluate(features, heap);
-}
-
-double Tree::evaluate(std::span<const double, kNumTerminals> features,
-                      std::vector<double>& scratch) const {
-  assert(valid());
-  // Evaluate right-to-left over the prefix encoding with an operand stack:
-  // leaves push, operators pop two. Scanning backwards means operands are
-  // already on the stack when their operator is reached.
-  // Fixed-size stack: depth never exceeds node count; use a small buffer,
-  // spilling into the caller's scratch only for trees over 64 nodes.
-  double local[64] = {};
-  double* stack = local;
-  if (nodes_.size() > 64) {
-    if (scratch.size() < nodes_.size()) scratch.resize(nodes_.size());
-    stack = scratch.data();
-  }
-  std::size_t top = 0;
-  for (std::size_t i = nodes_.size(); i-- > 0;) {
-    const Node& n = nodes_[i];
-    switch (n.op) {
-      case OpCode::kTerminal:
-        stack[top++] = features[n.terminal];
-        break;
-      case OpCode::kConst:
-        stack[top++] = n.value;
-        break;
-      default: {
-        const double a = stack[--top];
-        const double b = stack[--top];
-        stack[top++] = apply_op(n.op, a, b);
-        break;
-      }
-    }
-  }
-  assert(top == 1);
-  return stack[0];
 }
 
 bool Tree::valid() const {

@@ -12,7 +12,6 @@
 #include "carbon/cover/generator.hpp"
 #include "carbon/ea/binary_ops.hpp"
 #include "carbon/gp/generate.hpp"
-#include "carbon/gp/scoring.hpp"
 #include "cover/greedy_reference.hpp"
 
 namespace carbon::bcpop {
@@ -60,16 +59,18 @@ TEST(Evaluator, HeuristicEvaluationIsFeasibleAndConsistent) {
 }
 
 TEST(Evaluator, TreeAndScoreFunctionPathsAgree) {
+  // The evolved-tree path fed (div QCOV COST) and the nested-GA baseline's
+  // built-in cost-effectiveness path compute the same scores (costs are
+  // positive), so they must build the same cover.
   const Instance inst = make_instance();
   ParallelEvaluator eval(inst, /*threads=*/1);
   const Pricing pricing = mid_pricing(inst);
   const gp::Tree tree = cost_effectiveness_tree();
   const Evaluation via_tree = eval.evaluate_with_heuristic(pricing, tree);
-  const Evaluation via_fn =
-      eval.evaluate_with_score(pricing, gp::make_score_function(tree));
-  EXPECT_EQ(via_tree.selection, via_fn.selection);
-  EXPECT_DOUBLE_EQ(via_tree.ll_objective, via_fn.ll_objective);
-  EXPECT_DOUBLE_EQ(via_tree.gap_percent, via_fn.gap_percent);
+  const Evaluation via_ce = eval.evaluate_cost_effectiveness(pricing);
+  EXPECT_EQ(via_tree.selection, via_ce.selection);
+  EXPECT_EQ(via_tree.ll_objective, via_ce.ll_objective);
+  EXPECT_EQ(via_tree.gap_percent, via_ce.gap_percent);
 }
 
 TEST(Evaluator, SelectionRepairAchievesFeasibility) {
@@ -104,9 +105,11 @@ TEST(Evaluator, AlreadyFeasibleSelectionUntouched) {
 }
 
 TEST(Evaluator, SelectionRepairMatchesReferenceGreedy) {
-  // The repair is the cost-effectiveness greedy started from the genome,
-  // with no redundancy pass: it must agree bit for bit with the reference
-  // greedy given the same start, for every genome shape and round cap.
+  // solve_with_selection is the cost-effectiveness greedy started from the
+  // genome: it must agree bit for bit with the reference greedy given the
+  // same start, for every genome shape and round cap, both without the
+  // redundancy pass (COBRA's repair) and with it (the nested-GA baseline,
+  // which starts from the empty genome).
   common::Rng rng(2024);
   for (int trial = 0; trial < 12; ++trial) {
     cover::GeneratorConfig cfg;
@@ -125,7 +128,7 @@ TEST(Evaluator, SelectionRepairMatchesReferenceGreedy) {
     const std::vector<std::vector<std::uint8_t>> genomes = {
         {},
         ea::random_binary_vector(rng, m, 0.15),
-        cover::greedy_solve(ll, cover::cost_effectiveness_score).selection,
+        cover::greedy_solve(ll, cover::CostEffectiveness{}).selection,
         std::vector<std::uint8_t>(m, 1),
         ea::random_binary_vector(rng, m / 2, 0.3),
         ea::random_binary_vector(rng, m + 5, 0.1),
@@ -133,23 +136,25 @@ TEST(Evaluator, SelectionRepairMatchesReferenceGreedy) {
     EvalContext ctx(inst);
     for (std::size_t g = 0; g < genomes.size(); ++g) {
       for (const long long cap : {0LL, 1LL, 3LL}) {
-        cover::GreedyOptions options;
-        options.max_rounds = cap;
-        const cover::SolveResult got =
-            solve_with_selection(ctx, pricing, genomes[g], options);
-        cover::GreedyOptions plain = options;
-        plain.eliminate_redundancy = false;
-        const cover::SolveResult want = cover::testing::reference_greedy(
-            ll, cover::cost_effectiveness_score, {}, {}, genomes[g], plain);
-        const std::string label = "trial " + std::to_string(trial) +
-                                  " genome " + std::to_string(g) + " cap " +
-                                  std::to_string(cap);
-        ASSERT_EQ(got.selection, want.selection) << label;
-        ASSERT_EQ(got.feasible, want.feasible) << label;
-        ASSERT_EQ(got.rounds_capped, want.rounds_capped) << label;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value),
-                  std::bit_cast<std::uint64_t>(want.value))
-            << label;
+        for (const bool redundancy : {false, true}) {
+          cover::GreedyOptions options;
+          options.max_rounds = cap;
+          options.eliminate_redundancy = redundancy;
+          const cover::SolveResult got =
+              solve_with_selection(ctx, pricing, genomes[g], options);
+          const cover::SolveResult want = cover::testing::reference_greedy(
+              ll, cover::CostEffectiveness{}, {}, {}, genomes[g], options);
+          const std::string label =
+              "trial " + std::to_string(trial) + " genome " +
+              std::to_string(g) + " cap " + std::to_string(cap) +
+              (redundancy ? " redundancy pass" : "");
+          ASSERT_EQ(got.selection, want.selection) << label;
+          ASSERT_EQ(got.feasible, want.feasible) << label;
+          ASSERT_EQ(got.rounds_capped, want.rounds_capped) << label;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value),
+                    std::bit_cast<std::uint64_t>(want.value))
+              << label;
+        }
       }
     }
   }

@@ -12,6 +12,8 @@
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/scoring.hpp"
+#include "cover/greedy_reference.hpp"
+#include "gp/interpreter.hpp"
 
 namespace carbon::bcpop {
 namespace {
@@ -375,8 +377,9 @@ TEST(ParallelEvaluator, CobraRunIsThreadCountInvariant) {
 // --- Compiled scoring: same bits as the interpreter, fewer solves ---------
 
 TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
-  // The tree interpreter, driven through the type-erased score function,
-  // is the oracle for the compiled scoring path (polish off).
+  // The oracle for the compiled scoring path (polish off): the plain
+  // per-bundle greedy scored by the tree interpreter, on the same
+  // relaxation, assembled into an Evaluation the way the evaluator does.
   const Instance inst = make_instance();
   common::Rng rng(61);
   gp::GenerateConfig gen;
@@ -396,11 +399,14 @@ TEST(CompiledScoring, EvaluatorMatchesInterpreterBitwise) {
   }
 
   ParallelEvaluator compiled(inst, /*threads=*/1);
-  ParallelEvaluator interpreted(inst, /*threads=*/1);
   for (const gp::Tree& tree : trees) {
     for (const auto& p : pricings) {
-      expect_same(interpreted.evaluate_with_score(
-                      p, gp::make_score_function(tree)),
+      const auto relax = compiled.relaxation(p);
+      const cover::SolveResult solved = cover::testing::reference_greedy(
+          inst.lower_level_instance(p), gp::testing::interpreter_scorer(tree),
+          relax->duals, relax->relaxed_x);
+      expect_same(finalize_evaluation(inst, p, solved, *relax,
+                                      EvalPurpose::kBoth),
                   compiled.evaluate_with_heuristic(p, tree));
     }
   }

@@ -121,8 +121,8 @@ TEST(CarbonSolver, EvolvedHeuristicBeatsTheWorstRandomOne) {
   bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
   common::Rng rng(1);
   const auto pricing = ea::random_real_vector(rng, inst.price_bounds());
-  const auto bad = eval.evaluate_with_score(
-      pricing, [](const cover::BundleFeatures& f) { return f.cost; });
+  const auto bad = eval.evaluate_with_heuristic(
+      pricing, gp::Tree::terminal(gp::Terminal::kCost));
   const auto good = eval.evaluate_with_heuristic(pricing, r.best_heuristic);
   EXPECT_LE(good.gap_percent, bad.gap_percent + 1e-9);
 }

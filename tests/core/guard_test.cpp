@@ -543,8 +543,8 @@ TEST(GuardEvaluator, SelectionPathHonorsInjectionAndCaps) {
 }
 
 TEST(GuardEvaluator, ScorePathHonorsInjection) {
-  // evaluate_with_score (the nested-GA baseline's entry point) charges and
-  // trips like a one-job batch.
+  // evaluate_cost_effectiveness (the nested-GA baseline's entry point)
+  // charges and trips like a one-job batch.
   const bcpop::Instance inst = make_instance();
   const std::vector<double> pricing = stress_pricing(inst);
 
@@ -552,11 +552,9 @@ TEST(GuardEvaluator, ScorePathHonorsInjection) {
   guard::GuardConfig cfg;
   cfg.inject.at_eval = 1;
   eval.set_guard(cfg, 0);
-  const Evaluation first =
-      eval.evaluate_with_score(pricing, cover::cost_effectiveness_score);
+  const Evaluation first = eval.evaluate_cost_effectiveness(pricing);
   EXPECT_EQ(first.guard, guard::Outcome{});
-  const Evaluation second =
-      eval.evaluate_with_score(pricing, cover::cost_effectiveness_score);
+  const Evaluation second = eval.evaluate_cost_effectiveness(pricing);
   EXPECT_EQ(second.guard.trip, guard::Trip::kInjected);
   EXPECT_EQ(second.guard.rung, guard::Rung::kLagrangian);
   EXPECT_TRUE(second.ll_feasible);

@@ -138,7 +138,7 @@ TEST(JsonFuzz, RandomMutationsNeverCrashAndSurvivorsRoundTrip) {
           doc.resize(pos + 1);
           break;
       }
-      if (doc.empty()) doc = "x";
+      if (doc.empty()) doc.push_back('x');
     }
     try {
       const JsonValue v = parse(doc);

@@ -26,8 +26,8 @@ TEST_P(FamilySweepTest, GeneratesValidSolvableInstances) {
   EXPECT_TRUE(inst.coverable()) << fam.name;
   const Relaxation rel = relax(inst);
   ASSERT_TRUE(rel.feasible) << fam.name;
-  const auto greedy = greedy_solve(inst, cost_effectiveness_score, rel.duals,
-                                   rel.relaxed_x);
+  const auto greedy =
+      greedy_solve(inst, CostEffectiveness{}, rel.duals, rel.relaxed_x);
   ASSERT_TRUE(greedy.feasible) << fam.name;
   EXPECT_GE(greedy.value, rel.lower_bound - 1e-6) << fam.name;
 }

@@ -28,6 +28,7 @@
 #include "carbon/gp/scoring.hpp"
 #include "carbon/gp/tree.hpp"
 #include "cover/greedy_reference.hpp"
+#include "gp/interpreter.hpp"
 
 namespace carbon::cover {
 namespace {
@@ -102,11 +103,12 @@ TEST(GreedyIncremental, MatchesPerBundleReferenceAcrossRandomPrograms) {
     for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
       // Reference: per-bundle interpreter greedy (the paper's algorithm).
       const SolveResult ref = testing::reference_greedy(
-          inst, gp::make_score_function(tree), side.duals, side.xbar, start);
+          inst, gp::testing::interpreter_scorer(tree), side.duals, side.xbar,
+          start);
 
       // Incremental dirty-set greedy through the dependency-aware scorer.
       GreedyBatchStats stats;
-      const SolveResult inc = greedy_solve_batched(
+      const SolveResult inc = greedy_solve(
           inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
           side.xbar, start, {}, &scratch, &stats);
       expect_same_solve(ref, inc, tree.to_string().c_str());
@@ -114,7 +116,7 @@ TEST(GreedyIncremental, MatchesPerBundleReferenceAcrossRandomPrograms) {
       // Dense batched baseline: the same program behind a plain lambda (not
       // TerminalAware), which forces a full rescore every round.
       std::vector<double> dense_scratch;
-      const SolveResult dense = greedy_solve_batched(
+      const SolveResult dense = greedy_solve(
           inst,
           [&](const BatchFeatureView& view, std::span<double> out) {
             program.evaluate_batch(gp::view_to_batch(view), out, dense_scratch);
@@ -172,14 +174,57 @@ TEST(GreedyIncremental, QcovOnlyProgramsTakeTheDirtySetPath) {
 
       for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
         const SolveResult ref = testing::reference_greedy(
-            inst, gp::make_score_function(tree), side.duals, side.xbar, start);
+            inst, gp::testing::interpreter_scorer(tree), side.duals,
+            side.xbar, start);
         GreedyBatchStats stats;
-        const SolveResult inc = greedy_solve_batched(
+        const SolveResult inc = greedy_solve(
             inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
             side.xbar, start, {}, &scratch, &stats);
         expect_same_solve(ref, inc, text);
         if (stats.rounds > 1) {
           EXPECT_LT(stats.rescored_frac(), 1.0) << text << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(GreedyIncremental, BaselineScorersMatchReference) {
+  // The hand-written batch scorers declare their terminals: CostEffectiveness
+  // reads QCOV only (dirty-set rescoring), DualMinusCost reads neither
+  // (scored once). Both must give the reference greedy's covers, with and
+  // without the redundancy pass and under a round cap.
+  common::Rng rng(77);
+  GreedyScratch scratch;
+  for (std::uint64_t seed : {31ULL, 32ULL, 33ULL, 34ULL}) {
+    const Instance inst = small_instance(seed, 90, 9);
+    const SideInputs side = side_inputs(rng, inst);
+    for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
+      for (const GreedyOptions options :
+           {GreedyOptions{}, GreedyOptions{.eliminate_redundancy = false},
+            GreedyOptions{.max_rounds = 3}}) {
+        GreedyBatchStats ce_stats;
+        const SolveResult ce =
+            greedy_solve(inst, CostEffectiveness{}, side.duals, side.xbar,
+                         start, options, &scratch, &ce_stats);
+        expect_same_solve(
+            testing::reference_greedy(inst, CostEffectiveness{}, side.duals,
+                                      side.xbar, start, options),
+            ce, "cost-effectiveness");
+        if (ce_stats.rounds > 1) {
+          EXPECT_LT(ce_stats.rescored_frac(), 1.0) << "seed " << seed;
+        }
+
+        GreedyBatchStats dual_stats;
+        const SolveResult dual =
+            greedy_solve(inst, DualMinusCost{}, side.duals, side.xbar, start,
+                         options, &scratch, &dual_stats);
+        expect_same_solve(
+            testing::reference_greedy(inst, DualMinusCost{}, side.duals,
+                                      side.xbar, start, options),
+            dual, "dual minus cost");
+        if (dual_stats.rounds > 0) {
+          EXPECT_EQ(dual_stats.bundles_rescored, inst.num_bundles());
         }
       }
     }
@@ -201,7 +246,7 @@ TEST(GreedyIncremental, StaticProgramMatchesSortBasedFastPath) {
     const SideInputs side = side_inputs(rng, inst);
 
     GreedyBatchStats stats;
-    const SolveResult inc = greedy_solve_batched(
+    const SolveResult inc = greedy_solve(
         inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
         side.xbar, {}, {}, &scratch, &stats);
 
@@ -239,8 +284,8 @@ TEST(GreedyIncremental, ConstantScoresPreserveIndexTieBreaks) {
     const Instance inst = small_instance(seed);
     for (const std::vector<std::uint8_t>& start : starts(rng, inst)) {
       const SolveResult ref = testing::reference_greedy(
-          inst, gp::make_score_function(tree), {}, {}, start);
-      const SolveResult inc = greedy_solve_batched(
+          inst, gp::testing::interpreter_scorer(tree), {}, {}, start);
+      const SolveResult inc = greedy_solve(
           inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, start);
       expect_same_solve(ref, inc, "constant scores");
     }
@@ -270,11 +315,11 @@ TEST(GreedyIncremental, ScratchReuseIsStateless) {
     for (const std::span<const std::uint8_t> start :
          {std::span<const std::uint8_t>(partial),
           std::span<const std::uint8_t>()}) {
-      const SolveResult with_reused = greedy_solve_batched(
+      const SolveResult with_reused = greedy_solve(
           inst, gp::CompiledBatchScorer(program, reg_scratch), side.duals,
           side.xbar, start, {}, &reused);
       std::vector<double> fresh_regs;
-      const SolveResult with_fresh = greedy_solve_batched(
+      const SolveResult with_fresh = greedy_solve(
           inst, gp::CompiledBatchScorer(program, fresh_regs), side.duals,
           side.xbar, start, {}, nullptr);
       expect_same_solve(with_fresh, with_reused, tree.to_string().c_str());
@@ -359,7 +404,7 @@ TEST(GreedyIncremental, PaperClassInstancesRescoreFractionBelowOne) {
   for (std::size_t c = 0; c < paper_classes().size(); ++c) {
     const Instance inst = make_paper_instance(c, 0);
     GreedyBatchStats stats;
-    const SolveResult solved = greedy_solve_batched(
+    const SolveResult solved = greedy_solve(
         inst, gp::CompiledBatchScorer(program, reg_scratch), {}, {}, {}, {},
         &scratch, &stats);
     ASSERT_TRUE(solved.feasible) << "class " << c;

@@ -13,6 +13,8 @@
 namespace carbon::cover {
 namespace {
 
+using testing::BundleFeatures;
+
 class StaticGreedyEquivalenceTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -102,14 +104,17 @@ TEST(StaticGreedy, NanScoresSortLast) {
 TEST(IsStaticHeuristic, DetectsDynamicTerminals) {
   using gp::Terminal;
   using gp::Tree;
-  EXPECT_TRUE(gp::is_static_heuristic(Tree::terminal(Terminal::kCost)));
-  EXPECT_TRUE(gp::is_static_heuristic(
-      Tree::apply(gp::OpCode::kDiv, Tree::terminal(Terminal::kDual),
-                  Tree::terminal(Terminal::kXbar))));
-  EXPECT_FALSE(gp::is_static_heuristic(Tree::terminal(Terminal::kQcov)));
-  EXPECT_FALSE(gp::is_static_heuristic(
-      Tree::apply(gp::OpCode::kAdd, Tree::terminal(Terminal::kCost),
-                  Tree::terminal(Terminal::kBres))));
+  const auto is_static = [](const Tree& tree) {
+    return gp::CompiledProgram::compile(tree).is_static();
+  };
+  EXPECT_TRUE(is_static(Tree::terminal(Terminal::kCost)));
+  EXPECT_TRUE(is_static(Tree::apply(gp::OpCode::kDiv,
+                                    Tree::terminal(Terminal::kDual),
+                                    Tree::terminal(Terminal::kXbar))));
+  EXPECT_FALSE(is_static(Tree::terminal(Terminal::kQcov)));
+  EXPECT_FALSE(is_static(Tree::apply(gp::OpCode::kAdd,
+                                     Tree::terminal(Terminal::kCost),
+                                     Tree::terminal(Terminal::kBres))));
 }
 
 TEST(UsesTerminal, WalksAllNodes) {
@@ -124,8 +129,9 @@ TEST(UsesTerminal, WalksAllNodes) {
 }
 
 TEST(EvaluatorFastPath, StaticAndDynamicTreePathsAgree) {
-  // A static tree evaluated through the evaluator must produce the exact
-  // result of forcing it down the generic (dynamic) greedy path.
+  // A static tree evaluated through the evaluator (sort-based fast path)
+  // must produce the exact cover of the same program forced down the
+  // generic argmax core on the same relaxation.
   cover::GeneratorConfig cfg;
   cfg.num_bundles = 40;
   cfg.num_services = 5;
@@ -134,20 +140,31 @@ TEST(EvaluatorFastPath, StaticAndDynamicTreePathsAgree) {
   bcpop::ParallelEvaluator eval(market, /*threads=*/1);
   common::Rng rng(2);
 
+  int static_trees = 0;
   for (int rep = 0; rep < 20; ++rep) {
     gp::GenerateConfig gen;
     const gp::Tree tree = gp::generate_ramped(rng, gen);
-    if (!gp::is_static_heuristic(tree)) continue;
+    const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
+    if (!program.is_static()) continue;
+    ++static_trees;
     const auto pricing = ea::random_real_vector(rng, market.price_bounds());
     const auto fast = eval.evaluate_with_heuristic(pricing, tree);
-    // Forced generic path via the type-erased score function.
-    const auto slow =
-        eval.evaluate_with_score(pricing, gp::make_score_function(tree));
+    // Forced generic path: a plain lambda is not terminal-aware, so the
+    // core rescores every bundle every round.
+    const auto relax = eval.relaxation(pricing);
+    std::vector<double> reg_scratch;
+    const SolveResult slow = greedy_solve(
+        market.lower_level_instance(pricing),
+        [&](const BatchFeatureView& view, std::span<double> out) {
+          gp::CompiledBatchScorer(program, reg_scratch)(view, out);
+        },
+        relax->duals, relax->relaxed_x);
     ASSERT_EQ(fast.selection, slow.selection) << tree.to_string();
-    ASSERT_DOUBLE_EQ(fast.ll_objective, slow.ll_objective);
-    ASSERT_DOUBLE_EQ(fast.ul_objective, slow.ul_objective);
-    ASSERT_DOUBLE_EQ(fast.gap_percent, slow.gap_percent);
+    ASSERT_EQ(fast.ll_objective, slow.value);
+    ASSERT_EQ(fast.ul_objective,
+              market.leader_revenue(pricing, slow.selection));
   }
+  EXPECT_GT(static_trees, 0);
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 namespace carbon::cover {
 namespace {
 
+using testing::BundleFeatures;
+using testing::per_bundle;
+
 Instance tiny() {
   // 4 bundles x 2 services; demands (4, 4).
   // bundle 0: cheap, covers only service 0; 1: cheap, only service 1;
@@ -22,13 +25,13 @@ Instance tiny() {
 }
 
 TEST(Greedy, FindsFeasibleCover) {
-  const auto r = greedy_solve(tiny(), cost_effectiveness_score);
+  const auto r = greedy_solve(tiny(), CostEffectiveness{});
   ASSERT_TRUE(r.feasible);
   EXPECT_TRUE(tiny().feasible(r.selection));
 }
 
 TEST(Greedy, CostEffectivenessPicksTheCheapPair) {
-  const auto r = greedy_solve(tiny(), cost_effectiveness_score);
+  const auto r = greedy_solve(tiny(), CostEffectiveness{});
   ASSERT_TRUE(r.feasible);
   EXPECT_DOUBLE_EQ(r.value, 10.0);  // bundles 0 + 1
   EXPECT_EQ(r.selection[0], 1);
@@ -38,13 +41,13 @@ TEST(Greedy, CostEffectivenessPicksTheCheapPair) {
 
 TEST(Greedy, ValueMatchesSelectionCost) {
   const Instance inst = tiny();
-  const auto r = greedy_solve(inst, cost_effectiveness_score);
+  const auto r = greedy_solve(inst, CostEffectiveness{});
   EXPECT_DOUBLE_EQ(r.value, inst.selection_cost(r.selection));
 }
 
 TEST(Greedy, UncoverableInstanceReported) {
   const Instance inst({1.0, 2.0}, {{1, 0}, {2, 0}}, {1, 5});
-  const auto r = greedy_solve(inst, cost_effectiveness_score);
+  const auto r = greedy_solve(inst, CostEffectiveness{});
   EXPECT_FALSE(r.feasible);
 }
 
@@ -53,8 +56,9 @@ TEST(Greedy, RedundancyEliminationRemovesUselessBundles) {
   const auto worst_first = [](const BundleFeatures& f) { return f.cost; };
   GreedyOptions keep;
   keep.eliminate_redundancy = false;
-  const auto with = greedy_solve(tiny(), worst_first, {}, {}, {});
-  const auto without = greedy_solve(tiny(), worst_first, {}, {}, keep);
+  const auto with = greedy_solve(tiny(), per_bundle(worst_first));
+  const auto without =
+      greedy_solve(tiny(), per_bundle(worst_first), {}, {}, {}, keep);
   ASSERT_TRUE(with.feasible);
   ASSERT_TRUE(without.feasible);
   EXPECT_LE(with.value, without.value);
@@ -71,7 +75,7 @@ TEST(Greedy, RedundancyEliminationKeepsFeasibility) {
   const Instance inst = generate(cfg);
   const auto scorer = [&rng](const BundleFeatures&) { return rng.uniform(); };
   for (int rep = 0; rep < 10; ++rep) {
-    const auto r = greedy_solve(inst, scorer);
+    const auto r = greedy_solve(inst, per_bundle(scorer));
     ASSERT_TRUE(r.feasible);
     ASSERT_TRUE(inst.feasible(r.selection));
   }
@@ -81,7 +85,7 @@ TEST(Greedy, NanScoresDoNotCrashOrWin) {
   const auto nan_for_cheap = [](const BundleFeatures& f) {
     return f.cost < 10.0 ? std::numeric_limits<double>::quiet_NaN() : 1.0;
   };
-  const auto r = greedy_solve(tiny(), nan_for_cheap);
+  const auto r = greedy_solve(tiny(), per_bundle(nan_for_cheap));
   ASSERT_TRUE(r.feasible);
   // NaN-scored bundles lose against the finite score.
   EXPECT_EQ(r.selection[2], 1);
@@ -93,9 +97,9 @@ TEST(Greedy, FeaturesExposeResidualDynamics) {
   const Instance inst = tiny();
   const auto spy = [&](const BundleFeatures& f) {
     if (f.cost == 5.0 && f.qsum == 4.0) bres_seen.push_back(f.bres);
-    return cost_effectiveness_score(f);
+    return f.qcov / f.cost;
   };
-  (void)greedy_solve(inst, spy);
+  (void)greedy_solve(inst, per_bundle(spy));
   ASSERT_GE(bres_seen.size(), 2u);
   // Outstanding demand must shrink between rounds.
   EXPECT_GT(bres_seen.front(), bres_seen.back());
@@ -110,7 +114,7 @@ TEST(Greedy, QcovIsCappedByResidual) {
     if (f.qsum == 100.0) qcov0 = f.qcov;
     return f.qcov;
   };
-  (void)greedy_solve(inst, spy);
+  (void)greedy_solve(inst, per_bundle(spy));
   EXPECT_DOUBLE_EQ(qcov0, 5.0);
 }
 
@@ -122,9 +126,9 @@ TEST(Greedy, DualAndXbarFeaturesArriveWhenProvided) {
   const auto spy = [&](const BundleFeatures& f) {
     saw_dual |= f.dual != 0.0;
     saw_xbar |= f.xbar != 0.0;
-    return cost_effectiveness_score(f);
+    return f.qcov / f.cost;
   };
-  (void)greedy_solve(inst, spy, rel.duals, rel.relaxed_x);
+  (void)greedy_solve(inst, per_bundle(spy), rel.duals, rel.relaxed_x);
   EXPECT_TRUE(saw_dual);
   EXPECT_TRUE(saw_xbar);
 }
@@ -136,7 +140,7 @@ TEST(Greedy, MissingDualsReadAsZero) {
     EXPECT_EQ(f.xbar, 0.0);
     return 1.0;
   };
-  (void)greedy_solve(inst, spy);
+  (void)greedy_solve(inst, per_bundle(spy));
 }
 
 class GreedySweepTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -149,8 +153,8 @@ TEST_P(GreedySweepTest, AlwaysFeasibleAndNeverBelowLpBound) {
   const Instance inst = generate(cfg);
   const Relaxation rel = relax(inst);
   ASSERT_TRUE(rel.feasible);
-  const auto r = greedy_solve(inst, cost_effectiveness_score, rel.duals,
-                              rel.relaxed_x);
+  const auto r =
+      greedy_solve(inst, CostEffectiveness{}, rel.duals, rel.relaxed_x);
   ASSERT_TRUE(r.feasible);
   ASSERT_TRUE(inst.feasible(r.selection));
   // An integral cover can't beat the LP lower bound.
@@ -172,7 +176,7 @@ TEST(Greedy, DualScoreBeatsRandomOnAverage) {
     const Instance inst = generate(cfg);
     const Relaxation rel = relax(inst);
     dual_total +=
-        greedy_solve(inst, dual_score, rel.duals, rel.relaxed_x).value;
+        greedy_solve(inst, DualMinusCost{}, rel.duals, rel.relaxed_x).value;
     random_total +=
         testing::reference_greedy(inst,
                                   [&rng](const BundleFeatures&) {

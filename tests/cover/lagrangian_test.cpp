@@ -18,7 +18,7 @@ Instance tiny() {
 
 TEST(Lagrangian, BoundsTinyInstance) {
   const Instance inst = tiny();
-  const auto greedy = greedy_solve(inst, cost_effectiveness_score);
+  const auto greedy = greedy_solve(inst, CostEffectiveness{});
   const LagrangianResult r = lagrangian_bound(inst, greedy.value);
   // Valid lower bound on the optimum (10.0), approaching the LP bound (10).
   EXPECT_LE(r.lower_bound, 10.0 + 1e-6);
@@ -62,7 +62,7 @@ TEST_P(LagrangianSweepTest, ValidLowerBoundNearLpBound) {
   const Relaxation lp = relax(inst);
   ASSERT_TRUE(lp.feasible);
   const auto greedy =
-      greedy_solve(inst, cost_effectiveness_score, lp.duals, lp.relaxed_x);
+      greedy_solve(inst, CostEffectiveness{}, lp.duals, lp.relaxed_x);
   ASSERT_TRUE(greedy.feasible);
 
   LagrangianOptions opts;
@@ -89,7 +89,7 @@ TEST(Lagrangian, BoundNeverExceedsExactOptimum) {
     const Instance inst = generate(cfg);
     const auto exact = exact_solve(inst);
     ASSERT_TRUE(exact.feasible && exact.proven_optimal);
-    const auto greedy = greedy_solve(inst, cost_effectiveness_score);
+    const auto greedy = greedy_solve(inst, CostEffectiveness{});
     const auto lag = lagrangian_bound(inst, greedy.value);
     EXPECT_LE(lag.lower_bound, exact.value + 1e-6) << "seed " << seed;
   }

@@ -81,8 +81,8 @@ TEST_P(LocalSearchSweepTest, NeverWorsensAndKeepsFeasibility) {
 
   // Start from a sloppy random-score greedy cover.
   const auto start = testing::reference_greedy(
-      inst, [&rng](const BundleFeatures&) { return rng.uniform(); }, {}, {},
-      {}, {.eliminate_redundancy = false});
+      inst, [&rng](const testing::BundleFeatures&) { return rng.uniform(); },
+      {}, {}, {}, {.eliminate_redundancy = false});
   ASSERT_TRUE(start.feasible);
 
   std::vector<std::uint8_t> sel = start.selection;
@@ -105,7 +105,7 @@ TEST(LocalSearch, PolishedGreedyApproachesExactOptimum) {
     cfg.num_services = 4;
     cfg.seed = 800 + seed;
     const Instance inst = generate(cfg);
-    const auto greedy = greedy_solve(inst, cost_effectiveness_score);
+    const auto greedy = greedy_solve(inst, CostEffectiveness{});
     ASSERT_TRUE(greedy.feasible);
     std::vector<std::uint8_t> sel = greedy.selection;
     const auto polished = local_search(inst, sel);
@@ -127,7 +127,7 @@ TEST(LocalSearch, DeterministicGivenSameStart) {
   cfg.num_services = 5;
   cfg.seed = 33;
   const Instance inst = generate(cfg);
-  const auto greedy = greedy_solve(inst, cost_effectiveness_score);
+  const auto greedy = greedy_solve(inst, CostEffectiveness{});
   std::vector<std::uint8_t> a = greedy.selection;
   std::vector<std::uint8_t> b = greedy.selection;
   (void)local_search(inst, a);

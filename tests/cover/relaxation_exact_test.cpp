@@ -125,7 +125,7 @@ TEST_P(BoundSandwichTest, LpLowerBoundSandwichesExactAndGreedy) {
   const Relaxation rel = relax(inst);
   const ExactResult exact = exact_solve(inst);
   const SolveResult greedy =
-      greedy_solve(inst, cost_effectiveness_score, rel.duals, rel.relaxed_x);
+      greedy_solve(inst, CostEffectiveness{}, rel.duals, rel.relaxed_x);
   ASSERT_TRUE(rel.feasible);
   ASSERT_TRUE(exact.feasible && exact.proven_optimal);
   ASSERT_TRUE(greedy.feasible);

@@ -1,6 +1,7 @@
-// Differential tests for gp::CompiledProgram: the compiled batch evaluator
-// must be bit-compatible with the Tree::evaluate interpreter (the reference
-// oracle) under the equivalence contract documented in compiled.hpp.
+// Differential tests for gp::CompiledProgram, the only GP evaluator: the
+// compiled batch evaluator must be bit-compatible with the tree interpreter
+// of tests/gp/interpreter.hpp (the reference oracle) under the equivalence
+// contract documented in compiled.hpp.
 #include "carbon/gp/compiled.hpp"
 
 #include <gtest/gtest.h>
@@ -16,12 +17,12 @@
 #include "carbon/gp/scoring.hpp"
 #include "carbon/gp/tree.hpp"
 #include "cover/greedy_reference.hpp"
+#include "gp/interpreter.hpp"
 
 namespace carbon::gp {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+using testing::interpret;
 
 /// Feature values that stress the protected-operator thresholds: exactly at,
 /// just below, and just above kProtectTol (1e-9), zeros of both signs, and
@@ -32,21 +33,30 @@ const std::vector<double> kEdgeValues = {
     1e6,   -1e6,
 };
 
-double draw_feature(common::Rng& rng, bool allow_nonfinite) {
-  const double roll = rng.uniform();
-  if (allow_nonfinite && roll < 0.15) {
-    const std::vector<double> bad = {kInf, -kInf, kNan};
-    return bad[rng.below(bad.size())];
-  }
-  if (roll < 0.5) return kEdgeValues[rng.below(kEdgeValues.size())];
+/// A finite feature within the value cap: half the draws hit an edge value.
+double draw_feature(common::Rng& rng) {
+  if (rng.uniform() < 0.5) return kEdgeValues[rng.below(kEdgeValues.size())];
   return rng.uniform(-100.0, 100.0);
 }
 
-std::array<double, kNumTerminals> draw_features(common::Rng& rng,
-                                                bool allow_nonfinite) {
+std::array<double, kNumTerminals> draw_features(common::Rng& rng) {
   std::array<double, kNumTerminals> f{};
-  for (double& v : f) v = draw_feature(rng, allow_nonfinite);
+  for (double& v : f) v = draw_feature(rng);
   return f;
+}
+
+/// The compiled program at one feature vector: a batch of one element.
+double evaluate_one(const CompiledProgram& program,
+                    std::span<const double, kNumTerminals> features) {
+  CompiledProgram::TerminalBatch batch;
+  for (std::size_t t = 0; t < kNumTerminals; ++t) {
+    batch.columns[t] = features.subspan(t, 1);
+  }
+  batch.count = 1;
+  double out = 0.0;
+  std::vector<double> scratch;
+  program.evaluate_batch(batch, std::span<double>(&out, 1), scratch);
+  return out;
 }
 
 /// Bit-compatibility up to NaN identity: both NaN, or == (which treats
@@ -66,38 +76,15 @@ TEST(CompiledProgram, FuzzMatchesInterpreterSimplifyOn) {
   GenerateConfig gen;
   gen.min_depth = 2;
   gen.max_depth = 8;
-  std::vector<double> scratch;
   for (int iter = 0; iter < 1200; ++iter) {
     gen.use_constants = (iter % 3 == 0);
     const Tree tree = generate_ramped(rng, gen);
     const CompiledProgram program = CompiledProgram::compile(tree);
     for (int rep = 0; rep < 3; ++rep) {
-      // Simplify-on equivalence holds for finite features within the value
-      // cap (the identities x/x=1, x-x=0 are exact there).
-      const auto f = draw_features(rng, /*allow_nonfinite=*/false);
-      const std::span<const double, kNumTerminals> fs(f);
-      const double want = tree.evaluate(fs);
-      expect_equiv(want, program.evaluate(fs));
-      expect_equiv(want, program.evaluate(fs, scratch));
-    }
-  }
-}
-
-TEST(CompiledProgram, FuzzMatchesInterpreterSimplifyOff) {
-  common::Rng rng(7);
-  GenerateConfig gen;
-  gen.min_depth = 2;
-  gen.max_depth = 7;
-  gen.use_constants = true;
-  const CompileOptions no_simplify{.simplify = false};
-  for (int iter = 0; iter < 500; ++iter) {
-    const Tree tree = generate_ramped(rng, gen);
-    const CompiledProgram program = CompiledProgram::compile(tree, no_simplify);
-    for (int rep = 0; rep < 3; ++rep) {
-      // Without rewrites, equivalence extends to non-finite features.
-      const auto f = draw_features(rng, /*allow_nonfinite=*/true);
-      const std::span<const double, kNumTerminals> fs(f);
-      expect_equiv(tree.evaluate(fs), program.evaluate(fs));
+      // Equivalence holds for finite features within the value cap (the
+      // identities x/x=1, x-x=0 are exact there).
+      const auto f = draw_features(rng);
+      expect_equiv(interpret(tree, f), evaluate_one(program, f));
     }
   }
 }
@@ -119,10 +106,10 @@ TEST(CompiledProgram, FuzzBatchMatchesScalar) {
     std::array<std::vector<double>, kNumTerminals> columns;
     for (std::size_t t = 0; t < kNumTerminals; ++t) {
       if (t == static_cast<std::size_t>(Terminal::kBres)) {
-        columns[t] = {draw_feature(rng, false)};
+        columns[t] = {draw_feature(rng)};
       } else {
         for (std::size_t i = 0; i < kBatch; ++i) {
-          columns[t].push_back(draw_feature(rng, false));
+          columns[t].push_back(draw_feature(rng));
         }
       }
     }
@@ -139,8 +126,7 @@ TEST(CompiledProgram, FuzzBatchMatchesScalar) {
       for (std::size_t t = 0; t < kNumTerminals; ++t) {
         f[t] = columns[t].size() == 1 ? columns[t][0] : columns[t][i];
       }
-      expect_equiv(tree.evaluate(std::span<const double, kNumTerminals>(f)),
-                   out[i]);
+      expect_equiv(interpret(tree, f), out[i]);
     }
   }
 }
@@ -155,9 +141,8 @@ TEST(CompiledProgram, ProtectedDivModEdgeCases) {
       std::array<double, kNumTerminals> f{};
       f[static_cast<std::size_t>(Terminal::kCost)] = a;
       f[static_cast<std::size_t>(Terminal::kQsum)] = b;
-      const std::span<const double, kNumTerminals> fs(f);
-      expect_equiv(div.evaluate(fs), cdiv.evaluate(fs));
-      expect_equiv(mod.evaluate(fs), cmod.evaluate(fs));
+      expect_equiv(interpret(div, f), evaluate_one(cdiv, f));
+      expect_equiv(interpret(mod, f), evaluate_one(cmod, f));
     }
   }
 }
@@ -184,7 +169,7 @@ TEST(CompiledProgram, CanonicalFormMergesCommutedTrees) {
 TEST(CompiledProgram, IsStaticSeesThroughSimplification) {
   // Syntactically dynamic, semantically static: QCOV - QCOV folds to 0.
   const Tree tree = parse("(sub QCOV QCOV)");
-  EXPECT_FALSE(is_static_heuristic(tree));
+  EXPECT_TRUE(tree.uses_terminal(Terminal::kQcov));
   const CompiledProgram program = CompiledProgram::compile(tree);
   EXPECT_TRUE(program.is_static());
   EXPECT_FALSE(program.uses_terminal(Terminal::kQcov));
@@ -196,8 +181,9 @@ TEST(CompiledProgram, IsStaticSeesThroughSimplification) {
 }
 
 TEST(CompiledProgram, LargeTreeUsesScratchOverload) {
-  // Grow a deep comb so the interpreter's operand stack and the compiled
-  // register file both exceed any stack-local fast path.
+  // A full depth-9 tree needs a large register file: one caller-owned
+  // scratch, grown on first use and reused across batches of different
+  // sizes, must never change a value.
   common::Rng rng(5);
   GenerateConfig gen;
   gen.min_depth = 9;
@@ -205,15 +191,28 @@ TEST(CompiledProgram, LargeTreeUsesScratchOverload) {
   Tree tree = generate_full(rng, 9, gen);
   ASSERT_GT(tree.size(), 64u);
   const CompiledProgram program = CompiledProgram::compile(tree);
-  std::vector<double> tree_scratch;
-  std::vector<double> prog_scratch;
-  for (int rep = 0; rep < 20; ++rep) {
-    const auto f = draw_features(rng, false);
-    const std::span<const double, kNumTerminals> fs(f);
-    const double want = tree.evaluate(fs);
-    expect_equiv(want, tree.evaluate(fs, tree_scratch));
-    expect_equiv(want, program.evaluate(fs, prog_scratch));
+  std::vector<double> scratch;
+  for (const std::size_t count : {1u, 7u, 1u, 20u}) {
+    std::array<std::vector<double>, kNumTerminals> columns;
+    for (auto& col : columns) {
+      for (std::size_t i = 0; i < count; ++i) {
+        col.push_back(draw_feature(rng));
+      }
+    }
+    CompiledProgram::TerminalBatch batch;
+    for (std::size_t t = 0; t < kNumTerminals; ++t) {
+      batch.columns[t] = columns[t];
+    }
+    batch.count = count;
+    std::vector<double> out(count);
+    program.evaluate_batch(batch, out, scratch);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::array<double, kNumTerminals> f{};
+      for (std::size_t t = 0; t < kNumTerminals; ++t) f[t] = columns[t][i];
+      expect_equiv(interpret(tree, f), out[i]);
+    }
   }
+  EXPECT_GE(scratch.size(), program.num_registers() * 20);
 }
 
 TEST(CompiledProgram, GreedyBatchedMatchesGreedyWith) {
@@ -239,15 +238,10 @@ TEST(CompiledProgram, GreedyBatchedMatchesGreedyWith) {
     std::vector<double> scratch;
 
     const cover::SolveResult want = cover::testing::reference_greedy(
-        inst,
-        [&tree](const cover::BundleFeatures& f) {
-          const auto arr = features_to_array(f);
-          return tree.evaluate(std::span<const double, kNumTerminals>(arr));
-        },
-        duals, xbar);
+        inst, testing::interpreter_scorer(tree), duals, xbar);
     // A plain lambda is not a TerminalAwareBatchScorer, so this drives the
     // dense-every-round regime of the core.
-    const cover::SolveResult got = cover::greedy_solve_batched(
+    const cover::SolveResult got = cover::greedy_solve(
         inst,
         [&](const cover::BatchFeatureView& view, std::span<double> out) {
           program.evaluate_batch(view_to_batch(view), out, scratch);

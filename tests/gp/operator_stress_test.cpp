@@ -5,6 +5,7 @@
 #include "carbon/common/rng.hpp"
 #include "carbon/gp/generate.hpp"
 #include "carbon/gp/operators.hpp"
+#include "gp/interpreter.hpp"
 
 namespace carbon::gp {
 namespace {
@@ -43,14 +44,11 @@ TEST_P(OperatorChainTest, ThousandOperationsPreserveInvariants) {
     }
     ASSERT_TRUE(child.valid()) << "step " << step;
     ASSERT_LE(child.depth(), cfg.max_depth) << "step " << step;
-    const double value =
-        child.evaluate(std::span<const double, kNumTerminals>(probe));
+    const double value = testing::interpret(child, probe);
     ASSERT_TRUE(std::isfinite(value)) << "step " << step;
     // Simplification must agree with the original everywhere we probe.
     const Tree simple = simplify(child);
-    ASSERT_NEAR(
-        simple.evaluate(std::span<const double, kNumTerminals>(probe)),
-        value, 1e-6)
+    ASSERT_NEAR(testing::interpret(simple, probe), value, 1e-6)
         << child.to_string();
     pool[rng.below(pool.size())] = std::move(child);
   }

@@ -6,6 +6,7 @@
 
 #include "carbon/common/rng.hpp"
 #include "carbon/gp/generate.hpp"
+#include "gp/interpreter.hpp"
 
 namespace carbon::gp {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 using Features = std::array<double, kNumTerminals>;
 
 double eval(const Tree& t, const Features& f) {
-  return t.evaluate(std::span<const double, kNumTerminals>(f));
+  return testing::interpret(t, f);
 }
 
 const Features kF = {/*COST*/ 10.0, /*QSUM*/ 20.0, /*QCOV*/ 15.0,

@@ -142,7 +142,9 @@ TEST(ProblemFamily, FamilySolveMatchesPlainSolveAcrossRebinds) {
     // The written-back bases must match too — they seed the next step.
     EXPECT_EQ(plain_warm.status, family_warm.status);
     EXPECT_EQ(plain_warm.basic_vars, family_warm.basic_vars);
-    if (step > 0) EXPECT_TRUE(got.warm_start_used);
+    if (step > 0) {
+      EXPECT_TRUE(got.warm_start_used);
+    }
   }
   EXPECT_EQ(fam.rebinds(), static_cast<long long>(walk.size()));
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "carbon/common/rng.hpp"
 
@@ -177,6 +178,13 @@ struct CoveringCase {
   std::size_t rows;
   std::uint64_t seed;
 };
+
+/// Names a case n<vars>_m<rows>_s<seed>. ctest's test discovery puts the
+/// printed parameter in place of the case index, so this is what the ctest
+/// ids show (instead of the struct's raw bytes).
+void PrintTo(const CoveringCase& c, std::ostream* os) {
+  *os << 'n' << c.vars << "_m" << c.rows << "_s" << c.seed;
+}
 
 class CoveringLpTest : public ::testing::TestWithParam<CoveringCase> {};
 

@@ -48,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "carbon/baselines/biga.hpp"
 #include "carbon/baselines/codba.hpp"
@@ -153,17 +154,19 @@ int cmd_greedy(const common::CliArgs& args) {
   std::string how;
   if (args.has("tree")) {
     const gp::Tree tree = gp::parse(args.get("tree", ""));
-    r = cover::greedy_solve(inst, gp::make_score_function(tree), rel.duals,
-                            rel.relaxed_x);
+    const gp::CompiledProgram program = gp::CompiledProgram::compile(tree);
+    std::vector<double> reg_scratch;
+    r = cover::greedy_solve(inst, gp::CompiledBatchScorer(program, reg_scratch),
+                            rel.duals, rel.relaxed_x);
     how = tree.to_string();
   } else {
     const std::string score = args.get("score", "ce");
     if (score == "ce") {
-      r = cover::greedy_solve(inst, cover::cost_effectiveness_score,
-                              rel.duals, rel.relaxed_x);
+      r = cover::greedy_solve(inst, cover::CostEffectiveness{}, rel.duals,
+                              rel.relaxed_x);
       how = "cost-effectiveness";
     } else if (score == "dual") {
-      r = cover::greedy_solve(inst, cover::dual_score, rel.duals,
+      r = cover::greedy_solve(inst, cover::DualMinusCost{}, rel.duals,
                               rel.relaxed_x);
       how = "dual score";
     } else {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds and runs the microbenchmarks, leaving their results at the
 # repository root:
-#   BENCH_gp_eval.json       GP scoring-tree evaluation: interpreter vs
-#                            compiled-scalar vs compiled-SIMD kernels, plus
-#                            the incremental-greedy rescoring fractions;
+#   BENCH_gp_eval.json       compiled GP scoring-tree evaluation: scalar vs
+#                            SIMD kernels, plus the incremental-greedy
+#                            rescoring fractions;
 #   BENCH_lp_simplex.json    the production simplex kernels (column-panel
 #                            pricing, sparse FTRAN) vs bench-local dense
 #                            loops, and the baseline-vs-pool evaluator
