@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "carbon/common/rng.hpp"
+#include "carbon/common/simd_path.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/greedy.hpp"
 #include "carbon/gp/compiled.hpp"
@@ -145,9 +146,9 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
   std::vector<double> out_scalar(m);
   std::vector<double> out_simd(m);
   std::vector<double> reg_scratch;
-  gp::simd::select_path("scalar");
+  common::simd::select_path("scalar");
   program.evaluate_batch(cols.batch, out_scalar, reg_scratch);
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
   program.evaluate_batch(cols.batch, out_simd, reg_scratch);
   for (std::size_t i = 0; i < m; ++i) {
     if (std::bit_cast<std::uint64_t>(out_scalar[i]) !=
@@ -161,7 +162,7 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
   }
 
   std::vector<double> out(m);
-  gp::simd::select_path("scalar");
+  common::simd::select_path("scalar");
   const double scalar_ns = best_of([&] {
     for (std::size_t r = 0; r < reps; ++r) {
       program.evaluate_batch(cols.batch, out, reg_scratch);
@@ -169,7 +170,7 @@ Case run_case(common::Rng& rng, const char* pool, int depth, std::size_t m,
     }
   });
 
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
   const double simd_ns = best_of([&] {
     for (std::size_t r = 0; r < reps; ++r) {
       program.evaluate_batch(cols.batch, out, reg_scratch);
@@ -252,10 +253,10 @@ int main(int argc, char** argv) {
   common::Rng rng(12345);
 
   // Resolve + report the dispatch up front (also what the JSON records).
-  const bool cpu_avx2 = gp::simd::cpu_supports_avx2();
-  const bool built_avx2 = gp::simd::avx2_kernels_available();
-  gp::simd::select_path("auto");
-  const char* dispatched = gp::simd::path_name();
+  const bool cpu_avx2 = common::simd::cpu_supports_avx2();
+  const bool built_avx2 = common::simd::avx2_available();
+  common::simd::select_path("auto");
+  const char* dispatched = common::simd::path_name();
   const std::size_t lanes = gp::simd::lanes();
   std::printf("simd: cpu_avx2=%d compiled_avx2=%d dispatched=%s lanes=%zu\n",
               cpu_avx2 ? 1 : 0, built_avx2 ? 1 : 0, dispatched, lanes);

@@ -1,16 +1,25 @@
 // Microbenchmark of the production revised-simplex kernels.
 //
 // Part 1 — kernel grid: for relaxation-shaped problems (n = 4m covering
-// columns, >= rows) across an m x density grid, times the two inner loops
-// the solver spends its life in — the pricing sweep (A_j^T y for every
-// column) and FTRAN column formation (B^-1 A_j) — against dense loops over
-// columns materialized with their zeros, kept here as the reference.
-// Pricing has three rows: the dense per-column dot, the per-column dot over
-// stored nonzeros that the solver priced with before column panels ("csc",
-// kept here only as a comparison point), and the library's own panel pass,
-// lp::ColumnPanels::multiply_transposed, which is what the simplex runs.
+// columns, >= rows) across an m x density grid, plus the paper's class-8
+// shape (m = 30, n = 500, density 0.75), times the two inner loops the
+// solver spends its life in — pricing (A_j^T y for every column, and the
+// entering-column choice) and FTRAN column formation (B^-1 A_j) — against
+// dense loops over columns materialized with their zeros, kept here as the
+// reference. Pricing has these rows, all per column:
+//   dense      the per-column dense dot;
+//   csc        the per-column dot over stored nonzeros that the solver
+//              priced with before column panels (a comparison point);
+//   panel      lp::ColumnPanels::multiply_transposed on the active path;
+//   3-pass     the pricing the simplex ran before the fused pass, on the
+//              portable path: the panel pass into an array, then a scalar
+//              scan of the scores (a comparison point);
+//   fused      lp::ColumnPanels::choose_entering, what the simplex runs,
+//              once per kernel path (portable SSE2, and AVX2 when the build
+//              and the CPU have it).
 // The sparse FTRAN loop mirrors the solver's over the same storage. Every
-// variant must compute bit-identical results (asserted).
+// variant must compute bit-identical results (asserted; the choices of the
+// fused pass against a scan of the dense dots).
 //
 // Part 2 — evaluator replay: simulates the UL population walk the
 // evaluator actually serves (a population of pricings mutating
@@ -27,6 +36,7 @@
 //   repetition counts to a sub-second run for the bench-smoke ctest label.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -36,6 +46,7 @@
 
 #include "carbon/bcpop/basis_pool.hpp"
 #include "carbon/common/rng.hpp"
+#include "carbon/common/simd_path.hpp"
 #include "carbon/cover/generator.hpp"
 #include "carbon/cover/relaxation.hpp"
 #include "carbon/lp/column_panels.hpp"
@@ -92,9 +103,12 @@ struct KernelCase {
   double nnz_frac;  ///< measured nonzero fraction of the matrix
   double pricing_dense_ns;   ///< full pricing sweep, per column
   double pricing_csc_ns;     ///< per-column dot over stored nonzeros
-  double pricing_panel_ns;   ///< lp::ColumnPanels pass (the solver's kernel)
+  double pricing_panel_ns;   ///< lp::ColumnPanels::multiply_transposed
   double pricing_speedup;    ///< dense / panel
   double pricing_panel_vs_csc;  ///< csc / panel
+  double three_pass_ns;      ///< panel pass + scalar scan, portable path
+  double fused_sse2_ns;      ///< choose_entering, portable path
+  double fused_avx2_ns;      ///< choose_entering, AVX2 path (-1: n/a)
   double ftran_dense_ns;     ///< one B^-1 A_j, per column
   double ftran_sparse_ns;
   double ftran_speedup;
@@ -167,6 +181,66 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
     }
   }
 
+  // Entering-column choice. Costs sit near the dense A_j^T y so that many
+  // columns are eligible, and the directions mix the three kinds: -1 (at
+  // lower), +1 (at upper), 0 (basic or fixed), as in a mid-solve basis.
+  constexpr double kTol = 1e-7;
+  std::vector<double> cost(n);
+  std::vector<double> dir(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    cost[j] = dense_aty[j] + rng.uniform(-1.0, 1.0);
+    const double u = rng.uniform(0.0, 1.0);
+    dir[j] = u < 0.6 ? -1.0 : u < 0.9 ? 1.0 : 0.0;
+  }
+  lp::ColumnPanels::Choice want{n, kTol};
+  for (std::size_t j = 0; j < n; ++j) {
+    const double score = dir[j] * (cost[j] - dense_aty[j]);
+    if (score > want.score) want = {j, score};
+  }
+  const auto check_choice = [&](const lp::ColumnPanels::Choice& got) {
+    if (got.column != want.column ||
+        std::bit_cast<std::uint64_t>(got.score) !=
+            std::bit_cast<std::uint64_t>(want.score)) {
+      std::fprintf(stderr,
+                   "fused choice mismatch at m=%zu density=%.2f path=%s: "
+                   "column %zu vs %zu\n",
+                   m, density, common::simd::path_name(), got.column,
+                   want.column);
+      std::abort();
+    }
+  };
+
+  // The pre-fusion pricing: panel pass into an array, then a scalar scan.
+  common::simd::select_path("scalar");
+  const auto t5 = Clock::now();
+  for (std::size_t r = 0; r < sweep_reps; ++r) {
+    panels.multiply_transposed(y, panel_aty);
+    lp::ColumnPanels::Choice best{n, kTol};
+    for (std::size_t j = 0; j < n; ++j) {
+      const double score = dir[j] * (cost[j] - panel_aty[j]);
+      if (score > best.score) best = {j, score};
+    }
+    check_choice(best);
+  }
+  const double three_pass_s = seconds_since(t5);
+
+  // The fused pass, once per kernel path.
+  const auto time_fused = [&]() {
+    const auto t = Clock::now();
+    for (std::size_t r = 0; r < sweep_reps; ++r) {
+      lp::ColumnPanels::Choice best{n, kTol};
+      panels.choose_entering(y, cost, dir, /*first_eligible=*/false, best);
+      check_choice(best);
+    }
+    return seconds_since(t);
+  };
+  const double fused_sse2_s = time_fused();
+  double fused_avx2_s = -1.0;
+  if (common::simd::select_path("avx2") == common::simd::Path::kAvx2) {
+    fused_avx2_s = time_fused();
+  }
+  common::simd::select_path("auto");
+
   // FTRAN: alpha = B^-1 A_j for a rotating set of columns.
   const std::size_t ftran_reps = std::max<std::size_t>(
       3, target_macs / std::max<std::size_t>(1, m * m * 8));
@@ -227,6 +301,10 @@ KernelCase run_kernel_case(common::Rng& rng, std::size_t m, std::size_t n,
   c.pricing_panel_ns = panel_sweep_s * 1e9 / sweep_cols;
   c.pricing_speedup = c.pricing_dense_ns / c.pricing_panel_ns;
   c.pricing_panel_vs_csc = c.pricing_csc_ns / c.pricing_panel_ns;
+  c.three_pass_ns = three_pass_s * 1e9 / sweep_cols;
+  c.fused_sse2_ns = fused_sse2_s * 1e9 / sweep_cols;
+  c.fused_avx2_ns =
+      fused_avx2_s < 0.0 ? -1.0 : fused_avx2_s * 1e9 / sweep_cols;
   const double ftran_cols = static_cast<double>(ftran_reps) * 8.0;
   c.ftran_dense_ns = dense_ftran_s * 1e9 / ftran_cols;
   c.ftran_sparse_ns = sparse_ftran_s * 1e9 / ftran_cols;
@@ -410,18 +488,24 @@ int main(int argc, char** argv) {
       kernels.push_back(run_kernel_case(rng, m, 4 * m, d, smoke));
     }
   }
+  // The paper's class 8 (30 services, 500 bundles, density 0.75): the
+  // shape of the LPs the class-8 e2e workloads solve.
+  if (!smoke) kernels.push_back(run_kernel_case(rng, 30, 500, 0.75, smoke));
 
-  std::printf("kernel grid (pricing sweep + FTRAN, per column)\n");
-  std::printf("%5s %6s %8s %8s | %11s %11s %11s %8s %8s | %11s %11s %8s\n",
-              "m", "n", "density", "nnz", "price dn/ns", "price csc/ns",
-              "price pnl/ns", "dn/pnl", "csc/pnl", "ftran dn/ns",
-              "ftran sp/ns", "speedup");
+  std::printf("kernel grid (pricing + FTRAN, ns per column; simd: cpu_avx2=%d "
+              "compiled_avx2=%d)\n",
+              common::simd::cpu_supports_avx2() ? 1 : 0,
+              common::simd::avx2_available() ? 1 : 0);
+  std::printf(
+      "%5s %6s %8s %8s | %8s %8s %8s %8s %8s %8s | %8s %8s %8s\n", "m", "n",
+      "density", "nnz", "dense", "csc", "panel", "3-pass", "fus sse2",
+      "fus avx2", "ftran dn", "ftran sp", "speedup");
   for (const KernelCase& c : kernels) {
     std::printf(
-        "%5zu %6zu %8.2f %8.3f | %11.1f %11.1f %11.1f %7.2fx %7.2fx | %11.1f "
-        "%11.1f %7.2fx\n",
+        "%5zu %6zu %8.2f %8.3f | %8.1f %8.1f %8.1f %8.2f %8.2f %8.2f | %8.1f "
+        "%8.1f %7.2fx\n",
         c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns, c.pricing_csc_ns,
-        c.pricing_panel_ns, c.pricing_speedup, c.pricing_panel_vs_csc,
+        c.pricing_panel_ns, c.three_pass_ns, c.fused_sse2_ns, c.fused_avx2_ns,
         c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup);
   }
 
@@ -465,7 +549,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"lp_simplex\",\n  \"kernel_grid\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"lp_simplex\",\n  \"simd\": {\"cpu_avx2\": %s, "
+               "\"compiled_avx2\": %s},\n  \"kernel_grid\": [\n",
+               common::simd::cpu_supports_avx2() ? "true" : "false",
+               common::simd::avx2_available() ? "true" : "false");
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelCase& c = kernels[i];
     std::fprintf(
@@ -473,11 +561,15 @@ int main(int argc, char** argv) {
         "    {\"m\": %zu, \"n\": %zu, \"density\": %.3f, \"nnz_frac\": %.4f, "
         "\"pricing_dense_ns_per_col\": %.2f, \"pricing_csc_ns_per_col\": "
         "%.2f, \"pricing_panel_ns_per_col\": %.2f, \"pricing_speedup\": "
-        "%.3f, \"pricing_panel_vs_csc\": %.3f, \"ftran_dense_ns_per_col\": "
+        "%.3f, \"pricing_panel_vs_csc\": %.3f, "
+        "\"pricing_three_pass_sse2_ns_per_col\": %.3f, "
+        "\"pricing_fused_sse2_ns_per_col\": %.3f, "
+        "\"pricing_fused_avx2_ns_per_col\": %.3f, \"ftran_dense_ns_per_col\": "
         "%.2f, \"ftran_sparse_ns_per_col\": %.2f, \"ftran_speedup\": "
         "%.3f}%s\n",
         c.m, c.n, c.density, c.nnz_frac, c.pricing_dense_ns, c.pricing_csc_ns,
         c.pricing_panel_ns, c.pricing_speedup, c.pricing_panel_vs_csc,
+        c.three_pass_ns, c.fused_sse2_ns, c.fused_avx2_ns,
         c.ftran_dense_ns, c.ftran_sparse_ns, c.ftran_speedup,
         i + 1 < kernels.size() ? "," : "");
   }

@@ -77,9 +77,10 @@ struct Problem {
   std::size_t add_constraint(std::span<const RowEntry> entries, RowSense s,
                              double b);
 
-  /// Validates dimensions, column structure (sorted in-range row indices)
-  /// and bound sanity; returns a diagnostic message or an empty string when
-  /// the problem is well-formed.
+  /// Validates dimensions, column structure (sorted in-range row indices),
+  /// finiteness (coefficients, objective, lower bounds and rhs finite; upper
+  /// bounds finite or +infinity, never NaN) and bound order; returns a
+  /// diagnostic message or an empty string when the problem is well-formed.
   [[nodiscard]] std::string validate() const;
 };
 

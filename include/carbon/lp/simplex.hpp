@@ -8,16 +8,17 @@
 //
 // The inverse basis is maintained densely with product-form pivot updates and
 // periodic refactorization (Gauss-Jordan with partial pivoting). Pricing
-// computes A_j^T y for every structural column in one pass over the
-// ColumnPanels of the constraint matrix (8 columns per panel, independent
-// accumulators; see column_panels.hpp), then picks the entering column from
-// those values. FTRAN column formation, crash/residual accumulation and
-// basis assembly iterate only each column's stored nonzeros. Every kernel
-// adds each output's terms in ascending row order, and a skipped or padded
-// term adds an exact +-0.0 to a sum that starts at +0.0, so the pivot
-// sequence, duals and primal values are bit-for-bit those of per-column
-// dense loops; tests/lp/simplex_differential_test.cpp pins them as frozen
-// fingerprints. Pricing is Dantzig's rule with an automatic switch to
+// and the entering-column choice are one fused pass over the ColumnPanels
+// of the constraint matrix (8 columns per panel, independent accumulators;
+// see column_panels.hpp): per panel it forms A_j^T y, the reduced costs and
+// the scores and keeps the running best; the slack and artificial columns
+// follow in index order. FTRAN column formation, crash/residual
+// accumulation and basis assembly iterate only each column's stored
+// nonzeros. Every kernel adds each output's terms in ascending row order,
+// and a skipped or padded term adds an exact +-0.0 to a sum that starts at
+// +0.0, so the pivot sequence, duals and primal values are bit-for-bit
+// those of per-column dense loops on either kernel path;
+// tests/lp/simplex_differential_test.cpp pins them as frozen fingerprints. Pricing is Dantzig's rule with an automatic switch to
 // Bland's rule after a stall threshold, which guarantees termination.
 #pragma once
 
@@ -39,6 +40,8 @@ struct SimplexOptions {
   int bland_threshold = 2000;
   /// Refactorize the basis inverse every this many pivots.
   int refactor_interval = 100;
+  /// Tolerances; lp::solve throws std::invalid_argument unless all three
+  /// are finite, optimality_tol > 0 and the other two >= 0.
   double feasibility_tol = 1e-7;
   double optimality_tol = 1e-7;
   double pivot_tol = 1e-9;
@@ -71,11 +74,12 @@ struct SolveScratch {
   std::vector<detail::VarStatus> status, status_cand;
   std::vector<unsigned char> mark;
   std::vector<std::size_t> basis;
-  std::vector<double> xb, y, alpha, work, work2, aty;
+  std::vector<double> xb, y, dir, alpha, work, work2;
   DenseMatrix binv, refactor;
 };
 
-/// Solves `problem` (minimization). The problem must pass validate(); the
+/// Solves `problem` (minimization). Throws std::invalid_argument when the
+/// problem fails validate() or the options' tolerances are out of range; the
 /// column panels and the working memory are built per call.
 /// When `warm` is non-null and holds a compatible basis, the solve starts
 /// from it (skipping Phase 1); on optimal exit the basis is written back.

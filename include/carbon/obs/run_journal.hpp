@@ -106,8 +106,8 @@ class RunJournal {
 
   /// Emits the "run_start" record and resets the per-run state (timing
   /// baseline, wall clock). Solvers call this at run() entry. `simd` names
-  /// the GP kernel path (gp::simd::path_name()); it arrives as a string so
-  /// obs does not depend on gp.
+  /// the kernel path of the process (common::simd::path_name()), which the
+  /// GP bytecode kernels and the simplex pricing panel kernel both follow.
   void begin_run(std::string_view algo, std::uint64_t seed,
                  std::size_t eval_threads, std::string_view lp_warm,
                  std::string_view simd);

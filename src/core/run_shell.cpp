@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "carbon/gp/simd.hpp"
+#include "carbon/common/simd_path.hpp"
 
 namespace carbon::core {
 
@@ -73,7 +73,7 @@ RunShell::RunShell(const Settings& settings, bcpop::EvaluatorInterface& eval,
   if (journal != nullptr) {
     journal->begin_run(s_.algo, s_.seed, s_.eval_threads,
                        bcpop::to_string(eval_.lp_warm()),
-                       gp::simd::path_name());
+                       common::simd::path_name());
   }
   result_.best_gap = std::numeric_limits<double>::infinity();
   result_.best_ul_objective = -std::numeric_limits<double>::infinity();

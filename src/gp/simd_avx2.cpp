@@ -1,7 +1,9 @@
-// AVX2 table of the GP bytecode kernels — the only translation unit in the
-// project compiled with -mavx2 (see src/CMakeLists.txt). Nothing here runs
-// unless simd::kernels() dispatched to this table after a runtime CPU check,
-// so the rest of the binary stays executable on pre-AVX2 hardware.
+// AVX2 table of the GP bytecode kernels — one of the two translation units
+// compiled with -mavx2 (see src/CMakeLists.txt; the other is the simplex
+// pricing panel kernel, lp/column_panels_avx2.cpp). Nothing here runs
+// unless simd::kernels() dispatched to this table after the runtime check of
+// common::simd, so the rest of the binary stays executable on pre-AVX2
+// hardware.
 //
 // Bit-identity with the scalar table (src/gp/simd.cpp) is by construction:
 //   * add/sub/mul/div use the single-rounded vector instruction for the
@@ -119,9 +121,8 @@ void copy4(const double* src, double* dst, std::size_t n) {
   for (; i < n; ++i) dst[i] = src[i];
 }
 
-constexpr Kernels kAvx2Table = {
-    add4, sub4, mul4, div4, mod4, splat4, copy4,
-    Path::kAvx2, /*lanes=*/4, "avx2"};
+constexpr Kernels kAvx2Table = {add4,   sub4,   mul4, div4, mod4,
+                                splat4, copy4, /*lanes=*/4};
 
 }  // namespace
 

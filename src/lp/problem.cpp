@@ -85,9 +85,22 @@ std::string Problem::validate() const {
         err << "column " << j << " row indices are not strictly increasing";
         return err.str();
       }
+      if (!std::isfinite(col.values[k])) {
+        err << "column " << j << " has a non-finite coefficient in row "
+            << col.rows[k];
+        return err.str();
+      }
+    }
+    if (!std::isfinite(objective[j])) {
+      err << "variable " << j << " has a non-finite objective coefficient";
+      return err.str();
     }
     if (!std::isfinite(lower[j])) {
       err << "variable " << j << " must have a finite lower bound";
+      return err.str();
+    }
+    if (std::isnan(upper[j])) {
+      err << "variable " << j << " has a NaN upper bound";
       return err.str();
     }
     if (upper[j] < lower[j]) {

@@ -22,9 +22,13 @@ class SimplexSolver {
   Solution run(Basis* warm);
 
  private:
-  /// aty[j] = A_j^T y for every column: one panel pass over the structural
-  /// columns, then the single +-1 entry of each slack and artificial.
-  void price(const std::vector<double>& y, std::vector<double>& aty) const;
+  /// The entering column of Dantzig's rule (Bland's under `bland`), or
+  /// n_total_ when no column improves: one fused pricing-and-choice pass.
+  std::size_t choose_entering(const std::vector<double>& y, bool bland) const;
+  /// Sets status_[j] and keeps dir_[j] in step with it.
+  void set_status(std::size_t j, VarStatus st);
+  /// Rebuilds dir_ from status_ and the bounds.
+  void refresh_directions();
   /// out[i] += scale * A(i, j) over the stored nonzeros of column j.
   void axpy_column(std::size_t j, double scale, std::vector<double>& out) const;
   /// alpha = B^-1 A_j (the simplex FTRAN).
@@ -81,7 +85,9 @@ class SimplexSolver {
   std::vector<unsigned char>& mark_;
   DenseMatrix& refactor_;
   std::vector<double>& y_;
-  std::vector<double>& aty_;  // A_j^T y of every column
+  // Pricing direction of every column inside iterate(): -1 at lower, +1 at
+  // upper, 0 when basic or fixed (see set_status).
+  std::vector<double>& dir_;
   std::vector<double>& alpha_;
   std::vector<double>& work_;
   std::vector<double>& work2_;
@@ -112,7 +118,7 @@ SimplexSolver::SimplexSolver(const Problem& problem, const ColumnPanels& panels,
       mark_(scratch.mark),
       refactor_(scratch.refactor),
       y_(scratch.y),
-      aty_(scratch.aty),
+      dir_(scratch.dir),
       alpha_(scratch.alpha),
       work_(scratch.work),
       work2_(scratch.work2) {
@@ -154,16 +160,42 @@ SimplexSolver::SimplexSolver(const Problem& problem, const ColumnPanels& panels,
   }
 }
 
-void SimplexSolver::price(const std::vector<double>& y,
-                          std::vector<double>& aty) const {
-  // Each column adds its terms in ascending row order, padded entries adding
-  // exact zeros: bit-identical to a per-column dense dot (see
-  // column_panels.hpp).
-  panels_.multiply_transposed(y, aty);
-  for (std::size_t i = 0; i < m_; ++i) {
-    aty[n_struct_ + i] = slack_sign_[i] * y[i];
-    aty[n_struct_ + m_ + i] = art_sign_[i] * y[i];
+std::size_t SimplexSolver::choose_entering(const std::vector<double>& y,
+                                          bool bland) const {
+  // Reduced cost d_j = c_j - A_j^T y; a column scores dir_j * d_j and is
+  // eligible when the score exceeds optimality_tol (> 0, so a zero
+  // direction never is). Dantzig takes the first maximum score (strict >),
+  // Bland the first eligible index. The structural columns go through the
+  // panels; the slacks and artificials, whose one entry is +-1 in row i,
+  // follow in index order. Each A_j^T y has the bits of a per-column dense
+  // dot (see column_panels.hpp).
+  ColumnPanels::Choice best{n_total_, opt_.optimality_tol};
+  if (panels_.choose_entering(y, cost_, dir_, bland, best) && bland) {
+    return best.column;
   }
+  for (std::size_t k = 0; k < 2 * m_; ++k) {
+    const std::size_t j = n_struct_ + k;
+    const std::size_t i = k < m_ ? k : k - m_;
+    const double sign = k < m_ ? slack_sign_[i] : art_sign_[i];
+    const double score = dir_[j] * (cost_[j] - sign * y[i]);
+    if (score > best.score) {
+      if (bland) return j;
+      best = {j, score};
+    }
+  }
+  return best.column;
+}
+
+void SimplexSolver::set_status(std::size_t j, VarStatus st) {
+  status_[j] = st;
+  dir_[j] = st == VarStatus::kBasic || lower_[j] == upper_[j] ? 0.0
+            : st == VarStatus::kAtLower                      ? -1.0
+                                                             : 1.0;
+}
+
+void SimplexSolver::refresh_directions() {
+  dir_.resize(n_total_);
+  for (std::size_t j = 0; j < n_total_; ++j) set_status(j, status_[j]);
 }
 
 void SimplexSolver::axpy_column(std::size_t j, double scale,
@@ -440,8 +472,10 @@ void SimplexSolver::recompute_basic_values() {
 SolveStatus SimplexSolver::iterate(bool phase1) {
   std::vector<double>& y = y_;
   y.assign(m_, 0.0);
-  std::vector<double>& aty = aty_;
-  aty.assign(n_total_, 0.0);
+  // Status changes between phases (start bases, purge, phase 2's pinned
+  // artificials) only touch status_ and the bounds; inside the loop every
+  // change goes through set_status().
+  refresh_directions();
   std::vector<double>& alpha = alpha_;
   alpha.assign(m_, 0.0);
   int phase_iterations = 0;
@@ -458,26 +492,8 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
     // Duals: y^T = cB^T B^-1.
     compute_duals(y);
 
-    // Pricing: reduced cost d_j = c_j - A_j^T y. A nonbasic, non-fixed
-    // column at its lower bound scores -d_j, one at its upper bound d_j; it
-    // is eligible when the score exceeds optimality_tol. Dantzig takes the
-    // first maximum score (strict >), Bland the first eligible index.
-    price(y, aty);
     const bool bland = phase_iterations >= opt_.bland_threshold;
-    std::size_t entering = n_total_;
-    double best_score = opt_.optimality_tol;
-    for (std::size_t j = 0; j < n_total_; ++j) {
-      const VarStatus st = status_[j];
-      const double d = cost_[j] - aty[j];
-      const double score = st == VarStatus::kAtLower ? -d : d;
-      // `&` instead of `&&`: one rarely taken branch per column.
-      if ((st != VarStatus::kBasic) & (lower_[j] != upper_[j]) &
-          (score > best_score)) {
-        entering = j;
-        if (bland) break;
-        best_score = score;
-      }
-    }
+    const std::size_t entering = choose_entering(y, bland);
     if (entering == n_total_) {
       return SolveStatus::kOptimal;  // no improving direction
     }
@@ -535,8 +551,8 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
       for (std::size_t i = 0; i < m_; ++i) {
         xb_[i] -= entering_sigma * alpha[i] * t_max;
       }
-      status_[entering] = entering_sigma > 0.0 ? VarStatus::kAtUpper
-                                               : VarStatus::kAtLower;
+      set_status(entering, entering_sigma > 0.0 ? VarStatus::kAtUpper
+                                                : VarStatus::kAtLower);
       continue;
     }
 
@@ -556,11 +572,11 @@ SolveStatus SimplexSolver::iterate(bool phase1) {
       xb_[i] -= entering_sigma * alpha[i] * t_max;
     }
     const std::size_t leaving_var = basis_[leaving_row];
-    status_[leaving_var] =
-        leaving_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
+    set_status(leaving_var,
+               leaving_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower);
     xb_[leaving_row] = nonbasic_value(entering) + entering_sigma * t_max;
     basis_[leaving_row] = entering;
-    status_[entering] = VarStatus::kBasic;
+    set_status(entering, VarStatus::kBasic);
 
     // Product-form update of B^-1. A rank-1 update row whose pivot-column
     // entry is exactly zero is skipped — the update would add 0 * row, which
@@ -686,10 +702,9 @@ Solution SimplexSolver::run(Basis* warm) {
   sol.duals.assign(m_, 0.0);
   compute_duals(sol.duals);
   sol.reduced_costs.assign(n_struct_, 0.0);
-  aty_.assign(n_total_, 0.0);
-  price(sol.duals, aty_);
+  panels_.multiply_transposed(sol.duals, sol.reduced_costs);
   for (std::size_t j = 0; j < n_struct_; ++j) {
-    sol.reduced_costs[j] = p_.objective[j] - aty_[j];
+    sol.reduced_costs[j] = p_.objective[j] - sol.reduced_costs[j];
   }
   // Basis contains no artificials here unless a redundant row pinned one;
   // such a basis still warm-starts correctly (the artificial is fixed at 0),
@@ -707,8 +722,32 @@ Solution SimplexSolver::run(Basis* warm) {
 
 }  // namespace
 
+namespace {
+
+/// Throws std::invalid_argument unless every tolerance is finite, with
+/// optimality_tol positive (pricing relies on it: a column that may not
+/// move scores +-0 and must never pass the test) and the other two
+/// non-negative.
+void check_options(const SimplexOptions& o) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("lp::solve: ") + what);
+  };
+  if (!std::isfinite(o.optimality_tol) || o.optimality_tol <= 0.0) {
+    reject("optimality_tol must be finite and positive");
+  }
+  if (!std::isfinite(o.feasibility_tol) || o.feasibility_tol < 0.0) {
+    reject("feasibility_tol must be finite and non-negative");
+  }
+  if (!std::isfinite(o.pivot_tol) || o.pivot_tol < 0.0) {
+    reject("pivot_tol must be finite and non-negative");
+  }
+}
+
+}  // namespace
+
 Solution solve(const Problem& problem, const SimplexOptions& options,
                Basis* warm) {
+  check_options(options);
   const std::string err = problem.validate();
   if (!err.empty()) {
     throw std::invalid_argument("lp::solve: malformed problem: " + err);
@@ -720,6 +759,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
 
 Solution solve(const ProblemFamily& family, const SimplexOptions& options,
                Basis* warm, SolveScratch* scratch) {
+  check_options(options);
   // ProblemFamily validated and built its panels at construction.
   SolveScratch local;
   return SimplexSolver(family.problem(), family.panels(), options,

@@ -36,7 +36,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Restores the auto-dispatched path when a test finishes, so path forcing
 /// cannot leak across tests.
 struct PathGuard {
-  ~PathGuard() { simd::select_path("auto"); }
+  ~PathGuard() { common::simd::select_path("auto"); }
 };
 
 [[nodiscard]] std::uint64_t bits(double v) noexcept {
@@ -87,30 +87,31 @@ FuzzBatch make_batch(common::Rng& rng, std::size_t count) {
 
 TEST(SimdEval, DispatchReportsAConsistentTable) {
   PathGuard guard;
-  const simd::Path forced = simd::select_path("scalar");
+  const simd::Path forced = common::simd::select_path("scalar");
   EXPECT_EQ(forced, simd::Path::kScalar);
-  EXPECT_STREQ(simd::path_name(), "scalar");
+  EXPECT_STREQ(common::simd::path_name(), "scalar");
   EXPECT_EQ(simd::lanes(), 1u);
 
-  const simd::Path requested = simd::select_path("avx2");
-  if (simd::avx2_kernels_available()) {
+  const simd::Path requested = common::simd::select_path("avx2");
+  if (common::simd::avx2_available()) {
     EXPECT_EQ(requested, simd::Path::kAvx2);
-    EXPECT_STREQ(simd::path_name(), "avx2");
+    EXPECT_STREQ(common::simd::path_name(), "avx2");
     EXPECT_EQ(simd::lanes(), 4u);
   } else {
     // Forcing AVX2 without build/CPU support degrades to scalar, visibly.
     EXPECT_EQ(requested, simd::Path::kScalar);
-    EXPECT_STREQ(simd::path_name(), "scalar");
+    EXPECT_STREQ(common::simd::path_name(), "scalar");
   }
 
   // Unknown strings read as auto and must match availability.
-  const simd::Path auto_path = simd::select_path("definitely-not-a-path");
-  EXPECT_EQ(auto_path, simd::avx2_kernels_available() ? simd::Path::kAvx2
+  const simd::Path auto_path =
+      common::simd::select_path("definitely-not-a-path");
+  EXPECT_EQ(auto_path, common::simd::avx2_available() ? simd::Path::kAvx2
                                                       : simd::Path::kScalar);
 }
 
 TEST(SimdEval, KernelTablesAgreeBitwiseOnEdgeVectors) {
-  if (!simd::avx2_kernels_available()) {
+  if (!common::simd::avx2_available()) {
     GTEST_SKIP() << "AVX2 kernels not available on this build/CPU";
   }
   const simd::Kernels& scalar = simd::detail::scalar_table();
@@ -157,7 +158,7 @@ TEST(SimdEval, KernelTablesAgreeBitwiseOnEdgeVectors) {
 }
 
 TEST(SimdEval, ScalarVsSimdDifferentialFuzz) {
-  if (!simd::avx2_kernels_available()) {
+  if (!common::simd::avx2_available()) {
     GTEST_SKIP() << "AVX2 kernels not available on this build/CPU";
   }
   PathGuard guard;
@@ -182,9 +183,9 @@ TEST(SimdEval, ScalarVsSimdDifferentialFuzz) {
 
     std::vector<double> out_s(count);
     std::vector<double> out_v(count);
-    ASSERT_EQ(simd::select_path("scalar"), simd::Path::kScalar);
+    ASSERT_EQ(common::simd::select_path("scalar"), simd::Path::kScalar);
     program.evaluate_batch(fb.batch, out_s, scratch_s);
-    ASSERT_EQ(simd::select_path("avx2"), simd::Path::kAvx2);
+    ASSERT_EQ(common::simd::select_path("avx2"), simd::Path::kAvx2);
     program.evaluate_batch(fb.batch, out_v, scratch_v);
 
     for (std::size_t i = 0; i < count; ++i) {
@@ -202,7 +203,7 @@ TEST(SimdEval, ConcurrentEvaluationsAgreeAcrossThreads) {
   // evaluating the same program and require identical outputs. (Under TSan
   // this also proves the once-per-process resolution is race-free.)
   PathGuard guard;
-  simd::select_path("auto");
+  common::simd::select_path("auto");
   common::Rng rng(31);
   GenerateConfig gen;
   gen.min_depth = 5;

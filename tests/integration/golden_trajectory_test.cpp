@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "carbon/cobra/cobra_solver.hpp"
+#include "carbon/common/simd_path.hpp"
 #include "carbon/core/carbon_solver.hpp"
-#include "carbon/gp/simd.hpp"
 #include "carbon/obs/json.hpp"
 #include "carbon/obs/run_journal.hpp"
 #include "golden_common.hpp"
@@ -41,7 +41,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
   const Trajectory& golden = golden::kCarbonBaseline;
 
   for (const char* simd : {"auto", "scalar"}) {
-    gp::simd::select_path(simd);
+    common::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (const bool telemetry : {false, true}) {
         core::CarbonConfig cfg = carbon_config();
@@ -57,7 +57,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
 
         const core::CarbonResult r = core::CarbonSolver(inst, cfg).run();
         const std::string label =
-            std::string("simd=") + gp::simd::path_name() +
+            std::string("simd=") + common::simd::path_name() +
             " threads=" + std::to_string(threads) +
             " telemetry=" + std::to_string(telemetry);
         expect_same_trajectory(golden, trajectory_of(r), label);
@@ -73,7 +73,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
           EXPECT_EQ(start.at("eval_threads").as_integer(),
                     static_cast<long long>(threads));
           EXPECT_EQ(start.at("lp_warm").as_string(), "baseline");
-          EXPECT_EQ(start.at("simd").as_string(), gp::simd::path_name());
+          EXPECT_EQ(start.at("simd").as_string(), common::simd::path_name());
           EXPECT_EQ(records.back().at("type").as_string(), "summary");
           EXPECT_EQ(records.back().at("best_ul").as_number(),
                     r.best_ul_objective);
@@ -81,7 +81,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
       }
     }
   }
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
 }
 
 TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsWithMemoHits) {
@@ -93,14 +93,14 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsWithMemoHits) {
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
-    gp::simd::select_path(simd);
+    common::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       core::CarbonConfig cfg = carbon_config();
       cfg.eval_threads = threads;
       obs::MetricsRegistry metrics;
       cfg.telemetry.metrics = &metrics;
       const std::string label = std::string("simd=") +
-                                gp::simd::path_name() +
+                                common::simd::path_name() +
                                 " threads=" + std::to_string(threads);
       expect_same_trajectory(
           golden::kCarbonBaseline,
@@ -111,7 +111,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsWithMemoHits) {
       EXPECT_GT(hits->second, 0) << label;
     }
   }
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
 }
 
 TEST(GoldenTrajectory, CobraIsInvariantAcrossThreads) {

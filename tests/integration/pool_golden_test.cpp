@@ -30,10 +30,10 @@
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/cobra/cobra_solver.hpp"
 #include "carbon/common/rng.hpp"
+#include "carbon/common/simd_path.hpp"
 #include "carbon/core/carbon_solver.hpp"
 #include "carbon/ea/real_ops.hpp"
 #include "carbon/gp/generate.hpp"
-#include "carbon/gp/simd.hpp"
 #include "carbon/obs/json.hpp"
 #include "carbon/obs/run_journal.hpp"
 #include "common/temp_dir.hpp"
@@ -52,14 +52,14 @@ TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
-    gp::simd::select_path(simd);
+    common::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         core::CarbonConfig cfg = golden::carbon_config();
         cfg.lp_warm = bcpop::LpWarm::kPool;
         cfg.eval_threads = threads;
         const std::string label =
-            std::string("pool simd=") + gp::simd::path_name() +
+            std::string("pool simd=") + common::simd::path_name() +
             " threads=" + std::to_string(threads) +
             " repeat=" + std::to_string(repeat);
         expect_same_trajectory(
@@ -68,21 +68,21 @@ TEST(PoolGolden, CarbonPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
       }
     }
   }
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
 }
 
 TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
   const bcpop::Instance inst = make_instance();
 
   for (const char* simd : {"auto", "scalar"}) {
-    gp::simd::select_path(simd);
+    common::simd::select_path(simd);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         cobra::CobraConfig cfg = golden::cobra_config();
         cfg.lp_warm = bcpop::LpWarm::kPool;
         cfg.eval_threads = threads;
         const std::string label =
-            std::string("pool simd=") + gp::simd::path_name() +
+            std::string("pool simd=") + common::simd::path_name() +
             " threads=" + std::to_string(threads) +
             " repeat=" + std::to_string(repeat);
         expect_same_trajectory(
@@ -91,7 +91,7 @@ TEST(PoolGolden, CobraPoolTrajectoryIsInvariantAcrossSimdThreadsRepeats) {
       }
     }
   }
-  gp::simd::select_path("auto");
+  common::simd::select_path("auto");
 }
 
 TEST(PoolGolden, DefaultCobraConfigRunsThePoolTrajectory) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 namespace carbon::lp {
 namespace {
@@ -132,6 +133,43 @@ TEST(Problem, ValidateCatchesUnsortedRowIndices) {
   p.add_constraint({2.0}, RowSense::kLessEqual, 1.0);
   std::swap(p.columns[0].rows[0], p.columns[0].rows[1]);
   EXPECT_FALSE(p.validate().empty());
+}
+
+TEST(Problem, ValidateCatchesNonFiniteCoefficient) {
+  for (const double bad : {kInfinity, -kInfinity,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    Problem p;
+    p.add_variable(1.0, 0.0, 1.0);
+    p.add_variable(1.0, 0.0, 1.0);
+    p.add_constraint({1.0, 1.0}, RowSense::kGreaterEqual, 1.0);
+    p.add_constraint({2.0, 3.0}, RowSense::kGreaterEqual, 1.0);
+    p.columns[1].values[1] = bad;
+    EXPECT_EQ(p.validate(), "column 1 has a non-finite coefficient in row 1")
+        << bad;
+  }
+}
+
+TEST(Problem, ValidateCatchesNaNUpperBound) {
+  Problem p;
+  p.add_variable(1.0, 0.0, 1.0);
+  p.add_variable(1.0, 0.0, std::numeric_limits<double>::quiet_NaN());
+  p.add_constraint({1.0, 1.0}, RowSense::kGreaterEqual, 1.0);
+  EXPECT_EQ(p.validate(), "variable 1 has a NaN upper bound");
+  // An infinite upper bound is how a free-above variable is written.
+  p.upper[1] = kInfinity;
+  EXPECT_TRUE(p.validate().empty());
+}
+
+TEST(Problem, ValidateCatchesNonFiniteObjective) {
+  for (const double bad : {kInfinity, -kInfinity,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    Problem p;
+    p.add_variable(1.0, 0.0, 1.0);
+    p.add_variable(bad, 0.0, 1.0);
+    p.add_constraint({1.0, 1.0}, RowSense::kGreaterEqual, 1.0);
+    EXPECT_EQ(p.validate(), "variable 1 has a non-finite objective coefficient")
+        << bad;
+  }
 }
 
 TEST(Problem, StatusStrings) {

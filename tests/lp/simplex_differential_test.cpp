@@ -7,6 +7,10 @@
 // status, iterations, refactorizations, the bits of the objective, x, duals
 // and reduced costs, the warm-start flags and the exported basis.
 //
+// FusedChoiceMatchesThreePassReference checks the simplex's fused
+// pricing-and-choice pass against the three-pass pricing it replaced, on
+// the portable and the AVX2 panel kernel.
+//
 // The literals are the answers of the dense reference kernels (per-column
 // dense pricing, dense FTRAN, dense basis assembly) that the solver carried
 // until the panel/sparse kernels replaced them; both kernel sets produced
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "carbon/common/rng.hpp"
+#include "carbon/common/simd_path.hpp"
 #include "carbon/lp/column_panels.hpp"
 #include "carbon/lp/problem_family.hpp"
 #include "carbon/lp/simplex.hpp"
@@ -330,6 +335,166 @@ TEST(SimplexDifferential, PanelPassMatchesDenseDotsBitwise) {
       }
     }
   }
+}
+
+using detail::VarStatus;
+
+/// The pricing the simplex ran before the fused pass, kept as its oracle:
+/// first A_j^T y for every column (a per-column dense dot, bit-equal to the
+/// old panel pass), then one scan of all columns that scores each from its
+/// status and bounds and keeps the first strict maximum above `tol`, or
+/// under Bland the first eligible column.
+ColumnPanels::Choice three_pass_choice(const Problem& p,
+                                       const std::vector<double>& y,
+                                       const std::vector<double>& cost,
+                                       const std::vector<VarStatus>& status,
+                                       double tol, bool bland) {
+  const std::size_t n = p.num_vars();
+  std::vector<double> aty(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < p.num_rows(); ++i) {
+      acc += p.coefficient(i, j) * y[i];
+    }
+    aty[j] = acc;
+  }
+  ColumnPanels::Choice best{n, tol};
+  for (std::size_t j = 0; j < n; ++j) {
+    const VarStatus st = status[j];
+    const double d = cost[j] - aty[j];
+    const double score = st == VarStatus::kAtLower ? -d : d;
+    if (st != VarStatus::kBasic && p.lower[j] != p.upper[j] &&
+        score > best.score) {
+      best = {j, score};
+      if (bland) break;
+    }
+  }
+  return best;
+}
+
+/// The fused pass's direction of a column: -1 at lower, +1 at upper, 0 when
+/// basic or fixed.
+std::vector<double> directions(const Problem& p,
+                               const std::vector<VarStatus>& status) {
+  std::vector<double> dir(status.size());
+  for (std::size_t j = 0; j < status.size(); ++j) {
+    dir[j] = status[j] == VarStatus::kBasic || p.lower[j] == p.upper[j]
+                 ? 0.0
+             : status[j] == VarStatus::kAtLower ? -1.0
+                                                : 1.0;
+  }
+  return dir;
+}
+
+/// Restores the auto-dispatched kernel path when a test finishes.
+struct PathGuard {
+  ~PathGuard() { common::simd::select_path("auto"); }
+};
+
+/// Runs the fused-vs-three-pass comparison on the active kernel path and
+/// returns how many choices it compared.
+int check_fused_choice_on_active_path() {
+  common::Rng rng(109);
+  int compared = 0;
+  const auto compare = [&](const Problem& p, const ColumnPanels& panels,
+                           const std::vector<double>& y,
+                           const std::vector<double>& cost,
+                           const std::vector<VarStatus>& status,
+                           const std::string& what) {
+    const double tol = 1e-7;
+    const std::vector<double> dir = directions(p, status);
+    for (const bool bland : {false, true}) {
+      SCOPED_TRACE(what + (bland ? " bland" : " dantzig"));
+      const ColumnPanels::Choice want =
+          three_pass_choice(p, y, cost, status, tol, bland);
+      ColumnPanels::Choice got{p.num_vars(), tol};
+      const bool moved = panels.choose_entering(y, cost, dir, bland, got);
+      EXPECT_EQ(got.column, want.column);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score),
+                std::bit_cast<std::uint64_t>(want.score));
+      EXPECT_EQ(moved, want.column != p.num_vars());
+      ++compared;
+    }
+  };
+
+  for (const std::size_t n : {1, 7, 8, 9, 17}) {
+    for (const std::size_t m : {1, 3, 9, 30}) {
+      const std::string shape =
+          "m=" + std::to_string(m) + " n=" + std::to_string(n);
+      Problem p = panel_shaped_lp(rng, m, n);
+      // A few fixed columns (lower == upper): never eligible.
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rng.chance(0.15)) p.upper[j] = p.lower[j];
+      }
+      const ColumnPanels panels(p);
+
+      // The second panel entry point, on the same path.
+      std::vector<double> y(m);
+      for (double& v : y) v = rng.uniform(-3.0, 3.0);
+      std::vector<double> aty(n, -1.0);
+      panels.multiply_transposed(y, aty);
+      for (std::size_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < m; ++i) acc += p.coefficient(i, j) * y[i];
+        EXPECT_EQ(aty[j], acc) << shape << " col " << j;
+      }
+
+      for (int rep = 0; rep < 6; ++rep) {
+        // Random statuses (basic columns included) and costs; even reps
+        // use small integers everywhere, so equal scores are common and
+        // the first maximum must win.
+        const bool integral = rep % 2 == 0;
+        for (double& v : y) {
+          v = integral ? std::floor(rng.uniform(-3.0, 3.0))
+                       : rng.uniform(-3.0, 3.0);
+        }
+        std::vector<double> cost(n);
+        std::vector<VarStatus> status(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          cost[j] = integral ? std::floor(rng.uniform(-20.0, 20.0))
+                             : rng.uniform(-20.0, 20.0);
+          const double u = rng.uniform(0.0, 1.0);
+          status[j] = u < 0.5   ? VarStatus::kAtLower
+                      : u < 0.8 ? VarStatus::kAtUpper
+                                : VarStatus::kBasic;
+        }
+        compare(p, panels, y, cost, status, shape + " random");
+
+        // Every column scores the same: y = 0, cost -1 at lower and +1 at
+        // upper. The first non-basic, non-fixed column must win, across
+        // panel boundaries.
+        const std::vector<double> zero_y(m, 0.0);
+        std::vector<double> tied(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          tied[j] = status[j] == VarStatus::kAtLower ? -1.0 : 1.0;
+        }
+        compare(p, panels, zero_y, tied, status, shape + " tied");
+
+        // Nothing eligible: every column basic, then every column fixed.
+        const std::vector<VarStatus> basic(n, VarStatus::kBasic);
+        compare(p, panels, y, cost, basic, shape + " all basic");
+        Problem fixed = p;
+        fixed.upper = fixed.lower;
+        compare(fixed, panels, y, cost, status, shape + " all fixed");
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(SimplexDifferential, FusedChoiceMatchesThreePassReference) {
+  // The fused pricing-and-choice pass against the three-pass reference it
+  // replaced, bitwise in the chosen column and its score, on both panel
+  // kernel paths.
+  PathGuard guard;
+  ASSERT_EQ(common::simd::select_path("scalar"), common::simd::Path::kScalar);
+  EXPECT_EQ(check_fused_choice_on_active_path(), 5 * 4 * 6 * 4 * 2);
+  if (!common::simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2 panel kernel not available on this build/CPU; "
+                    "the portable path was checked";
+  }
+  ASSERT_EQ(common::simd::select_path("avx2"), common::simd::Path::kAvx2);
+  EXPECT_EQ(check_fused_choice_on_active_path(), 5 * 4 * 6 * 4 * 2);
 }
 
 TEST(SimplexDifferential, PanelShapesAgreeThroughBothEntryPoints) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <ostream>
+#include <string>
 
 #include "carbon/common/rng.hpp"
 
@@ -155,6 +157,65 @@ TEST(Simplex, MalformedProblemThrows) {
   p.add_variable(1, 0, 1);
   p.lower[0] = 2.0;  // lower > upper
   EXPECT_THROW((void)solve(p), std::invalid_argument);
+}
+
+TEST(Simplex, NonFiniteProblemDataThrows) {
+  // Each of these used to reach the solver: a NaN upper bound on this
+  // bounded problem made it report "unbounded", a NaN objective "optimal"
+  // with a NaN objective value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto base = [] {
+    Problem p;
+    p.add_variable(1.0, 0.0, 1.0);
+    p.add_constraint({1.0}, RowSense::kGreaterEqual, 0.5);
+    p.add_constraint({2.0}, RowSense::kLessEqual, 3.0);
+    return p;
+  };
+  ASSERT_TRUE(solve(base()).optimal());
+  Problem nan_upper = base();
+  nan_upper.upper[0] = nan;
+  Problem nan_objective = base();
+  nan_objective.objective[0] = nan;
+  Problem inf_coefficient = base();
+  inf_coefficient.columns[0].values[1] = kInfinity;
+  for (const Problem* p : {&nan_upper, &nan_objective, &inf_coefficient}) {
+    EXPECT_THROW((void)solve(*p), std::invalid_argument);
+    EXPECT_THROW(ProblemFamily{*p}, std::invalid_argument);
+  }
+}
+
+TEST(Simplex, OutOfRangeTolerancesThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Problem p;
+  p.add_variable(1.0, 0.0, 1.0);
+  p.add_constraint({1.0}, RowSense::kGreaterEqual, 0.5);
+  const ProblemFamily family(p);
+  const auto expect_rejected = [&](const SimplexOptions& o,
+                                   const std::string& what) {
+    SCOPED_TRACE(what);
+    SolveScratch scratch;
+    EXPECT_THROW((void)solve(p, o), std::invalid_argument);
+    EXPECT_THROW((void)solve(family, o, nullptr, &scratch),
+                 std::invalid_argument);
+  };
+  for (const double bad : {0.0, -1e-7, nan, kInfinity}) {
+    SimplexOptions o;
+    o.optimality_tol = bad;
+    expect_rejected(o, "optimality_tol " + std::to_string(bad));
+  }
+  for (const double bad : {-1e-7, nan, kInfinity}) {
+    SimplexOptions feas;
+    feas.feasibility_tol = bad;
+    expect_rejected(feas, "feasibility_tol " + std::to_string(bad));
+    SimplexOptions pivot;
+    pivot.pivot_tol = bad;
+    expect_rejected(pivot, "pivot_tol " + std::to_string(bad));
+  }
+  // Zero feasibility and pivot tolerances are exact tests, not errors.
+  SimplexOptions exact;
+  exact.feasibility_tol = 0.0;
+  exact.pivot_tol = 0.0;
+  EXPECT_TRUE(solve(p, exact).optimal());
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {
