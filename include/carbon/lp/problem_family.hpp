@@ -41,9 +41,12 @@ class ProblemFamily {
   /// Cost-only rebind: copies `c` over the first c.size() objective
   /// coefficients; trailing coefficients keep their current values (the
   /// pricing-prefix convention of the LL relaxation, where only owned
-  /// services are re-priced). Throws std::invalid_argument when `c` is
-  /// longer than the objective. Constraint data is untouched, so any basis
-  /// saved from a previous solve of this family stays primal-feasible.
+  /// services are re-priced). Throws std::invalid_argument, leaving the
+  /// objective and the rebind count as they were, when `c` is longer than
+  /// the objective or holds a non-finite entry (the check lp::solve's
+  /// validate() makes for a plain Problem). Constraint data is untouched,
+  /// so any basis saved from a previous solve of this family stays
+  /// primal-feasible.
   void rebind(std::span<const double> c);
 
   [[nodiscard]] const Problem& problem() const noexcept { return p_; }

@@ -1,38 +1,41 @@
 #include "carbon/baselines/biga.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/statistics.hpp"
+#include "carbon/core/run_shell.hpp"
 #include "carbon/ea/archive.hpp"
 
 namespace carbon::baselines {
 
 namespace {
 
+using core::Basket;
+
 struct ArchivedSolution {
   bcpop::Pricing pricing;
-  std::vector<std::uint8_t> basket;
+  Basket basket;
   bcpop::Evaluation evaluation;
 };
+
+void validate_config(const BigaConfig& cfg) {
+  if (cfg.population_size < 2) {
+    throw std::invalid_argument("BigaSolver: population size >= 2");
+  }
+}
 
 }  // namespace
 
 BigaSolver::BigaSolver(const bcpop::Instance& instance, BigaConfig config)
     : inst_(&instance), cfg_(std::move(config)) {
-  if (cfg_.population_size < 2) {
-    throw std::invalid_argument("BigaSolver: population size >= 2");
-  }
+  validate_config(cfg_);
 }
 
 BigaSolver::BigaSolver(bcpop::EvaluatorInterface& evaluator, BigaConfig config)
     : external_(&evaluator), cfg_(std::move(config)) {
-  if (cfg_.population_size < 2) {
-    throw std::invalid_argument("BigaSolver: population size >= 2");
-  }
+  validate_config(cfg_);
 }
 
 core::RunResult BigaSolver::run() {
@@ -45,12 +48,10 @@ core::RunResult BigaSolver::run_with(bcpop::EvaluatorInterface& eval) {
   common::Rng rng(cfg_.seed);
   const auto bounds = eval.price_bounds();
   const std::size_t genome = eval.genome_length();
-  const long long ul_start = eval.ul_evaluations();
-  const long long ll_start = eval.ll_evaluations();
 
   const std::size_t pop = cfg_.population_size;
   std::vector<bcpop::Pricing> xs;
-  std::vector<std::vector<std::uint8_t>> ys;
+  std::vector<Basket> ys;
   for (std::size_t i = 0; i < pop; ++i) {
     xs.push_back(ea::random_real_vector(rng, bounds));
     ys.push_back(ea::random_binary_vector(rng, genome, cfg_.ll_init_density));
@@ -58,50 +59,30 @@ core::RunResult BigaSolver::run_with(bcpop::EvaluatorInterface& eval) {
 
   ea::Archive<ArchivedSolution> archive(cfg_.archive_size, /*maximize=*/true);
   core::RunResult result;
-  result.best_gap = std::numeric_limits<double>::infinity();
-  result.best_ul_objective = -std::numeric_limits<double>::infinity();
+  core::RunLedger ledger(cfg_, eval, result);
 
   std::vector<double> f_upper(pop, 0.0);
   std::vector<double> f_lower(pop, 0.0);
 
-  int generation = 0;
-  while (eval.ul_evaluations() - ul_start < cfg_.ul_eval_budget &&
-         eval.ll_evaluations() - ll_start < cfg_.ll_eval_budget) {
-    double cur_best = -std::numeric_limits<double>::infinity();
+  while (ledger.budget_left()) {
+    common::RunningStats uls;
     common::RunningStats gaps;
     for (std::size_t i = 0; i < pop; ++i) {
       const bcpop::Evaluation e = eval.evaluate_with_selection(xs[i], ys[i]);
       f_upper[i] = e.ul_objective;
       f_lower[i] = e.ll_objective;
-      cur_best = std::max(cur_best, e.ul_objective);
+      uls.add(e.ul_objective);
       gaps.add(e.gap_percent);
-      if (e.ll_feasible) {
-        result.best_gap = std::min(result.best_gap, e.gap_percent);
-        if (e.ul_objective > result.best_ul_objective) {
-          result.best_ul_objective = e.ul_objective;
-          result.best_pricing = xs[i];
-          result.best_evaluation = e;
-        }
-      }
+      ledger.note(xs[i], e);
       archive.add({xs[i], ys[i], e}, e.ul_objective);
     }
+    ledger.point("biga", uls, gaps);
 
-    if (cfg_.record_convergence) {
-      core::ConvergencePoint pt;
-      pt.generation = generation;
-      pt.ul_evaluations = eval.ul_evaluations() - ul_start;
-      pt.ll_evaluations = eval.ll_evaluations() - ll_start;
-      pt.best_ul_so_far = result.best_ul_objective;
-      pt.best_gap_so_far = result.best_gap;
-      pt.current_best_ul = cur_best;
-      pt.current_mean_gap = gaps.mean();
-      pt.phase = "biga";
-      result.convergence.push_back(std::move(pt));
-    }
-
-    // Breed both halves simultaneously: pricings on F, baskets on f.
+    // Breed both halves simultaneously: pricings on F, baskets on f. The
+    // pricing and basket draws interleave in one RNG stream, so this loop
+    // cannot be split into breed_pricings and breed_baskets.
     std::vector<bcpop::Pricing> next_x;
-    std::vector<std::vector<std::uint8_t>> next_y;
+    std::vector<Basket> next_y;
     next_x.reserve(pop);
     next_y.reserve(pop);
     while (next_x.size() < pop) {
@@ -121,8 +102,8 @@ core::RunResult BigaSolver::run_with(bcpop::EvaluatorInterface& eval) {
 
       const std::size_t ya = ea::binary_tournament(rng, f_lower, false);
       const std::size_t yb = ea::binary_tournament(rng, f_lower, false);
-      std::vector<std::uint8_t> cy1 = ys[ya];
-      std::vector<std::uint8_t> cy2 = ys[yb];
+      Basket cy1 = ys[ya];
+      Basket cy2 = ys[yb];
       if (rng.chance(cfg_.ll_crossover_prob)) {
         ea::two_point_crossover(rng, cy1, cy2);
       }
@@ -144,14 +125,8 @@ core::RunResult BigaSolver::run_with(bcpop::EvaluatorInterface& eval) {
     }
     xs = std::move(next_x);
     ys = std::move(next_y);
-    ++generation;
   }
-
-  result.generations = generation;
-  result.ul_evaluations = eval.ul_evaluations() - ul_start;
-  result.ll_evaluations = eval.ll_evaluations() - ll_start;
-  if (!std::isfinite(result.best_ul_objective)) result.best_ul_objective = 0.0;
-  if (!std::isfinite(result.best_gap)) result.best_gap = 1e9;
+  ledger.finish();
   return result;
 }
 

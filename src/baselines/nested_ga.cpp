@@ -1,12 +1,11 @@
 #include "carbon/baselines/nested_ga.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "carbon/bcpop/parallel_evaluator.hpp"
 #include "carbon/common/statistics.hpp"
+#include "carbon/core/run_shell.hpp"
 #include "carbon/ea/archive.hpp"
 
 namespace carbon::baselines {
@@ -32,6 +31,9 @@ core::RunResult NestedGaSolver::run() {
   common::Rng rng(cfg_.seed);
   bcpop::ParallelEvaluator eval(inst_, /*threads=*/1);
   const auto bounds = inst_.price_bounds();
+  const core::UpperVariation variation{cfg_.crossover_prob,
+                                       cfg_.mutation_prob, cfg_.sbx,
+                                       cfg_.mutation};
 
   std::vector<bcpop::Pricing> pop;
   for (std::size_t i = 0; i < cfg_.population_size; ++i) {
@@ -42,76 +44,29 @@ core::RunResult NestedGaSolver::run() {
   ea::Archive<ArchivedSolution> archive(cfg_.archive_size, /*maximize=*/true);
 
   core::RunResult result;
-  result.best_gap = std::numeric_limits<double>::infinity();
-  result.best_ul_objective = -std::numeric_limits<double>::infinity();
-
-  int generation = 0;
-  while (eval.ul_evaluations() < cfg_.ul_eval_budget &&
-         eval.ll_evaluations() < cfg_.ll_eval_budget) {
-    double cur_best = -std::numeric_limits<double>::infinity();
+  core::RunLedger ledger(cfg_, eval, result);
+  while (ledger.budget_left()) {
+    common::RunningStats uls;
     common::RunningStats gaps;
     for (std::size_t i = 0; i < pop.size(); ++i) {
       const bcpop::Evaluation e = eval.evaluate_cost_effectiveness(pop[i]);
       fitness[i] = e.ul_objective;
-      cur_best = std::max(cur_best, e.ul_objective);
+      uls.add(e.ul_objective);
       gaps.add(e.gap_percent);
-      if (e.ll_feasible) {
-        result.best_gap = std::min(result.best_gap, e.gap_percent);
-        if (e.ul_objective > result.best_ul_objective) {
-          result.best_ul_objective = e.ul_objective;
-          result.best_pricing = pop[i];
-          result.best_evaluation = e;
-        }
-      }
+      ledger.note(pop[i], e);
       archive.add({pop[i], e}, e.ul_objective);
     }
+    ledger.point("nested", uls, gaps);
 
-    if (cfg_.record_convergence) {
-      core::ConvergencePoint pt;
-      pt.generation = generation;
-      pt.ul_evaluations = eval.ul_evaluations();
-      pt.ll_evaluations = eval.ll_evaluations();
-      pt.best_ul_so_far = result.best_ul_objective;
-      pt.best_gap_so_far = result.best_gap;
-      pt.current_best_ul = cur_best;
-      pt.current_mean_gap = gaps.mean();
-      pt.phase = "nested";
-      result.convergence.push_back(std::move(pt));
-    }
-
-    std::vector<bcpop::Pricing> next;
-    next.reserve(pop.size());
-    while (next.size() < pop.size()) {
-      const std::size_t ia = ea::binary_tournament(rng, fitness, true);
-      const std::size_t ib = ea::binary_tournament(rng, fitness, true);
-      bcpop::Pricing a = pop[ia];
-      bcpop::Pricing b = pop[ib];
-      if (rng.chance(cfg_.crossover_prob)) {
-        ea::sbx_crossover(rng, a, b, bounds, cfg_.sbx);
-      }
-      if (rng.chance(cfg_.mutation_prob)) {
-        ea::polynomial_mutation(rng, a, bounds, cfg_.mutation);
-      }
-      if (rng.chance(cfg_.mutation_prob)) {
-        ea::polynomial_mutation(rng, b, bounds, cfg_.mutation);
-      }
-      next.push_back(std::move(a));
-      if (next.size() < pop.size()) next.push_back(std::move(b));
-    }
+    pop = core::breed_pricings(rng, pop, fitness, bounds, variation,
+                               /*metrics=*/nullptr);
     const std::size_t reinject =
-        std::min({cfg_.archive_reinjection, archive.size(), next.size()});
+        std::min({cfg_.archive_reinjection, archive.size(), pop.size()});
     for (std::size_t r = 0; r < reinject; ++r) {
-      next[next.size() - 1 - r] = archive.at(r).item.pricing;
+      pop[pop.size() - 1 - r] = archive.at(r).item.pricing;
     }
-    pop = std::move(next);
-    ++generation;
   }
-
-  result.generations = generation;
-  result.ul_evaluations = eval.ul_evaluations();
-  result.ll_evaluations = eval.ll_evaluations();
-  if (!std::isfinite(result.best_ul_objective)) result.best_ul_objective = 0.0;
-  if (!std::isfinite(result.best_gap)) result.best_gap = 1e9;
+  ledger.finish();
   return result;
 }
 

@@ -12,13 +12,13 @@ namespace carbon::cobra {
 
 namespace {
 
+using core::Basket;
+
 struct ArchivedSolution {
   bcpop::Pricing pricing;
-  std::vector<std::uint8_t> basket;
+  Basket basket;
   bcpop::Evaluation evaluation;
 };
-
-using Basket = std::vector<std::uint8_t>;
 
 void validate_config(const CobraConfig& cfg) {
   if (cfg.ul_population_size < 2 || cfg.ll_population_size < 2) {
@@ -130,14 +130,7 @@ core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {
                                  const bcpop::Evaluation& e) {
     upper_archive.add({x, y, e}, e.ul_objective);
     lower_archive.add({x, y, e}, e.ll_objective);
-    if (e.ll_feasible) {
-      result.best_gap = std::min(result.best_gap, e.gap_percent);
-      if (e.ul_objective > result.best_ul_objective) {
-        result.best_ul_objective = e.ul_objective;
-        result.best_pricing = x;
-        result.best_evaluation = e;
-      }
-    }
+    shell.note(x, e);
   };
 
   while (shell.budget_left()) {
@@ -198,26 +191,9 @@ core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {
       shell.record("lower", uls, gaps, upper_archive.size(),
                    lower_archive.size());
 
-      std::vector<Basket> next;
-      next.reserve(ll_pop.size());
-      while (next.size() < ll_pop.size()) {
-        obs::ScopedTimer sel_timer(metrics, "time/selection");
-        const std::size_t ia = ea::binary_tournament(rng, ll_fitness, false);
-        const std::size_t ib = ea::binary_tournament(rng, ll_fitness, false);
-        sel_timer.stop();
-        Basket a = ll_pop[ia];
-        Basket b = ll_pop[ib];
-        obs::ScopedTimer var_timer(metrics, "time/variation");
-        if (rng.chance(cfg_.ll_crossover_prob)) {
-          ea::two_point_crossover(rng, a, b);
-        }
-        ea::swap_mutation(rng, a, cfg_.ll_mutation_prob);
-        ea::swap_mutation(rng, b, cfg_.ll_mutation_prob);
-        var_timer.stop();
-        next.push_back(std::move(a));
-        if (next.size() < ll_pop.size()) next.push_back(std::move(b));
-      }
-      ll_pop = std::move(next);
+      ll_pop = core::breed_baskets(rng, ll_pop, ll_fitness,
+                                   cfg_.ll_crossover_prob,
+                                   cfg_.ll_mutation_prob, metrics);
     }
     // Champion basket for the next upper phase.
     if (!lower_archive.empty()) {

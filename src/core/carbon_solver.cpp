@@ -203,14 +203,7 @@ CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {
         }
       }
       ul_fitness[i] = e.ul_objective;
-      if (e.ll_feasible) {
-        result.best_gap = std::min(result.best_gap, e.gap_percent);
-        if (e.ul_objective > result.best_ul_objective) {
-          result.best_ul_objective = e.ul_objective;
-          result.best_pricing = ul_pop[i];
-          result.best_evaluation = e;
-        }
-      }
+      shell.note(ul_pop[i], e);
       solution_archive.add({ul_pop[i], std::move(e)}, ul_fitness[i]);
     }
 

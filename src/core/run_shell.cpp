@@ -1,12 +1,12 @@
 #include "carbon/core/run_shell.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "carbon/common/simd_path.hpp"
+#include "carbon/ea/binary_ops.hpp"
 
 namespace carbon::core {
 
@@ -56,15 +56,84 @@ std::vector<bcpop::Pricing> breed_pricings(
   return next;
 }
 
-RunShell::RunShell(const Settings& settings, bcpop::EvaluatorInterface& eval,
-                   common::Rng& rng, RunResult& result,
+std::vector<Basket> breed_baskets(common::Rng& rng, std::span<const Basket> pop,
+                                  std::span<const double> fitness,
+                                  double crossover_prob, double mutation_prob,
+                                  obs::MetricsRegistry* metrics) {
+  std::vector<Basket> next;
+  next.reserve(pop.size());
+  while (next.size() < pop.size()) {
+    obs::ScopedTimer sel_timer(metrics, "time/selection");
+    const std::size_t ia =
+        ea::binary_tournament(rng, fitness, /*maximize=*/false);
+    const std::size_t ib =
+        ea::binary_tournament(rng, fitness, /*maximize=*/false);
+    sel_timer.stop();
+    Basket a = pop[ia];
+    Basket b = pop[ib];
+    obs::ScopedTimer var_timer(metrics, "time/variation");
+    if (rng.chance(crossover_prob)) ea::two_point_crossover(rng, a, b);
+    ea::swap_mutation(rng, a, mutation_prob);
+    ea::swap_mutation(rng, b, mutation_prob);
+    var_timer.stop();
+    next.push_back(std::move(a));
+    if (next.size() < pop.size()) next.push_back(std::move(b));
+  }
+  return next;
+}
+
+void RunLedger::note(const bcpop::Pricing& pricing,
+                     const bcpop::Evaluation& e) {
+  if (!e.ll_feasible) return;
+  result_.best_gap = std::min(result_.best_gap, e.gap_percent);
+  if (e.ul_objective > result_.best_ul_objective) {
+    result_.best_ul_objective = e.ul_objective;
+    result_.best_pricing = pricing;
+    result_.best_evaluation = e;
+  }
+}
+
+ConvergencePoint* RunLedger::point(std::string_view phase,
+                                   const common::RunningStats& ul,
+                                   const common::RunningStats& gap) {
+  ConvergencePoint* pt = nullptr;
+  if (record_convergence_) {
+    ConvergencePoint& p = result_.convergence.emplace_back();
+    p.generation = generation_;
+    p.ul_evaluations = ul_spent();
+    p.ll_evaluations = ll_spent();
+    p.best_ul_so_far = result_.best_ul_objective;
+    p.best_gap_so_far = result_.best_gap;
+    p.current_best_ul = ul.max();
+    p.current_mean_gap = gap.mean();
+    p.phase = phase;
+    pt = &p;
+  }
+  ++generation_;
+  return pt;
+}
+
+void RunLedger::finish() {
+  result_.generations = generation_;
+  result_.ul_evaluations = ul_spent();
+  result_.ll_evaluations = ll_spent();
+  if (!std::isfinite(result_.best_ul_objective)) {
+    result_.best_ul_objective = 0.0;  // nothing feasible was found
+  }
+  if (!std::isfinite(result_.best_gap)) result_.best_gap = 1e9;
+}
+
+void RunLedger::resume(SolverProgress& progress) {
+  generation_ = progress.generation;
+  ul_start_ = eval_.ul_evaluations() - progress.consumed_ul;
+  ll_start_ = eval_.ll_evaluations() - progress.consumed_ll;
+  result_ = std::move(progress.result);
+}
+
+RunShell::RunShell(const Settings& settings, RunLedger ledger,
+                   bcpop::EvaluatorInterface& eval, common::Rng& rng,
                    SolverProgress* resumed)
-    : s_(settings),
-      eval_(eval),
-      rng_(rng),
-      result_(result),
-      ul_start_(eval.ul_evaluations()),
-      ll_start_(eval.ll_evaluations()) {
+    : s_(settings), ledger_(std::move(ledger)), eval_(eval), rng_(rng) {
   // Telemetry is pure observation: nothing reads it back, so the
   // trajectory is bit-identical whether or not sinks are attached.
   obs::RunJournal* const journal = s_.telemetry.journal;
@@ -75,31 +144,23 @@ RunShell::RunShell(const Settings& settings, bcpop::EvaluatorInterface& eval,
                        bcpop::to_string(eval_.lp_warm()),
                        common::simd::path_name());
   }
-  result_.best_gap = std::numeric_limits<double>::infinity();
-  result_.best_ul_objective = -std::numeric_limits<double>::infinity();
   if (resumed != nullptr) {
     rng_.set_state(resumed->rng);
-    generation_ = resumed->generation;
-    ul_start_ = eval_.ul_evaluations() - resumed->consumed_ul;
-    ll_start_ = eval_.ll_evaluations() - resumed->consumed_ll;
     backend_start_ -= resumed->backend;
-    result_ = std::move(resumed->result);
-    // Counters survive clear_caches(); the offsets above rely on them.
+    ledger_.resume(*resumed);
+    // Counters survive clear_caches(); the ledger's offsets rely on them.
     eval_.clear_caches();
     if (journal != nullptr) {
-      journal->write_resume({.generation = generation_,
+      journal->write_resume({.generation = ledger_.generation(),
                              .ul_evals = resumed->consumed_ul,
                              .ll_evals = resumed->consumed_ll,
                              .checkpoint_path = s_.checkpoint->resume_from});
     }
   }
-  eval_.set_guard(*s_.guard, ll_start_);
-  next_checkpoint_ =
-      s_.checkpoint->every > 0 ? generation_ + s_.checkpoint->every : 0;
-}
-
-bool RunShell::budget_left() const {
-  return ul_spent() < s_.ul_eval_budget && ll_spent() < s_.ll_eval_budget;
+  eval_.set_guard(*s_.guard, ledger_.ll_start());
+  next_checkpoint_ = s_.checkpoint->every > 0
+                         ? ledger_.generation() + s_.checkpoint->every
+                         : 0;
 }
 
 ConvergencePoint* RunShell::record(std::string_view phase,
@@ -107,23 +168,10 @@ ConvergencePoint* RunShell::record(std::string_view phase,
                                    const common::RunningStats& gap,
                                    std::size_t archive_size,
                                    std::size_t ll_archive_size) {
-  ConvergencePoint* point = nullptr;
-  if (s_.record_convergence) {
-    ConvergencePoint pt;
-    pt.generation = generation_;
-    pt.ul_evaluations = ul_spent();
-    pt.ll_evaluations = ll_spent();
-    pt.best_ul_so_far = result_.best_ul_objective;
-    pt.best_gap_so_far = result_.best_gap;
-    pt.current_best_ul = ul.max();
-    pt.current_mean_gap = gap.mean();
-    pt.phase = phase;
-    result_.convergence.push_back(std::move(pt));
-    point = &result_.convergence.back();
-  }
   if (s_.telemetry.journal != nullptr) {
+    const RunResult& result = ledger_.result();
     obs::GenerationRecord rec;
-    rec.generation = generation_;
+    rec.generation = ledger_.generation();
     rec.phase = phase;
     rec.best_ul = ul.max();
     rec.mean_ul = ul.mean();
@@ -131,59 +179,53 @@ ConvergencePoint* RunShell::record(std::string_view phase,
     rec.best_gap = gap.min();
     rec.mean_gap = gap.mean();
     rec.std_gap = gap.stddev();
-    rec.best_ul_so_far = result_.best_ul_objective;
-    rec.best_gap_so_far = result_.best_gap;
+    rec.best_ul_so_far = result.best_ul_objective;
+    rec.best_gap_so_far = result.best_gap;
     rec.archive_size = archive_size;
     rec.ll_archive_size = ll_archive_size;
-    rec.ul_evals = ul_spent();
-    rec.ll_evals = ll_spent();
+    rec.ul_evals = ledger_.ul_spent();
+    rec.ll_evals = ledger_.ll_spent();
     rec.backend = backend_spent();
     s_.telemetry.journal->write_generation(rec);
   }
-  ++generation_;
-  return point;
+  return ledger_.point(phase, ul, gap);
 }
 
 SolverProgress RunShell::progress() const {
   SolverProgress p;
   p.rng = rng_.state();
-  p.generation = generation_;
-  p.consumed_ul = ul_spent();
-  p.consumed_ll = ll_spent();
+  p.generation = ledger_.generation();
+  p.consumed_ul = ledger_.ul_spent();
+  p.consumed_ll = ledger_.ll_spent();
   p.backend = backend_spent();
-  p.result = result_;
+  p.result = ledger_.result();
   return p;
 }
 
 bool RunShell::checkpoint_due() const noexcept {
-  return s_.checkpoint->every > 0 && generation_ >= next_checkpoint_;
+  return s_.checkpoint->every > 0 && ledger_.generation() >= next_checkpoint_;
 }
 
 bool RunShell::checkpoint_written() {
-  next_checkpoint_ = generation_ + s_.checkpoint->every;
+  next_checkpoint_ = ledger_.generation() + s_.checkpoint->every;
   // A resume from this file starts from empty caches and an empty basis
   // pool; the run being checkpointed does the same, so the two agree bit
   // for bit. Under kBaseline a relaxation is a pure function of the
   // pricing, and only the cache-hit counters see the flush.
   eval_.clear_caches();
   return s_.checkpoint->stop_after_checkpoint &&
-         s_.checkpoint->stop_after_checkpoint(generation_);
+         s_.checkpoint->stop_after_checkpoint(ledger_.generation());
 }
 
 void RunShell::finish() {
-  result_.generations = generation_;
-  result_.ul_evaluations = ul_spent();
-  result_.ll_evaluations = ll_spent();
-  if (!std::isfinite(result_.best_ul_objective)) {
-    result_.best_ul_objective = 0.0;  // nothing feasible was found
-  }
-  if (!std::isfinite(result_.best_gap)) result_.best_gap = 1e9;
+  ledger_.finish();
   if (s_.telemetry.journal != nullptr) {
-    s_.telemetry.journal->finish_run({.generations = result_.generations,
-                                      .ul_evals = result_.ul_evaluations,
-                                      .ll_evals = result_.ll_evaluations,
-                                      .best_ul = result_.best_ul_objective,
-                                      .best_gap = result_.best_gap,
+    const RunResult& result = ledger_.result();
+    s_.telemetry.journal->finish_run({.generations = result.generations,
+                                      .ul_evals = result.ul_evaluations,
+                                      .ll_evals = result.ll_evaluations,
+                                      .best_ul = result.best_ul_objective,
+                                      .best_gap = result.best_gap,
                                       .backend = backend_spent()});
   }
 }

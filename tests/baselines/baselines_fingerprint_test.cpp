@@ -16,10 +16,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
-
-#include <limits>
 
 #include "carbon/baselines/biga.hpp"
 #include "carbon/baselines/codba.hpp"

@@ -72,6 +72,8 @@ TEST(Biga, InvalidConfigThrows) {
   BigaConfig cfg;
   cfg.population_size = 1;
   EXPECT_THROW(BigaSolver(inst, cfg), std::invalid_argument);
+  bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
+  EXPECT_THROW(BigaSolver(eval, cfg), std::invalid_argument);
 }
 
 TEST(Codba, SmokeFeasibleAndDeterministic) {
@@ -108,13 +110,26 @@ TEST(Codba, BudgetStopsSubpopulations) {
 }
 
 TEST(Codba, InvalidConfigsThrow) {
+  // A zero decomposition width or subpopulation generation count makes a
+  // generation evaluate nothing, so the budget loop would never end. Both
+  // constructors reject them; the solvers are only constructed, never run.
   const bcpop::Instance inst = small_instance();
+  bcpop::ParallelEvaluator eval(inst, /*threads=*/1);
+  const auto expect_rejected = [&](const CodbaConfig& cfg) {
+    EXPECT_THROW(CodbaSolver(inst, cfg), std::invalid_argument);
+    EXPECT_THROW(CodbaSolver(eval, cfg), std::invalid_argument);
+  };
   CodbaConfig cfg;
   cfg.ll_subpopulation_size = 1;
-  EXPECT_THROW(CodbaSolver(inst, cfg), std::invalid_argument);
+  expect_rejected(cfg);
   cfg = CodbaConfig{};
   cfg.decomposition_width = 0;
-  EXPECT_THROW(CodbaSolver(inst, cfg), std::invalid_argument);
+  expect_rejected(cfg);
+  cfg = CodbaConfig{};
+  cfg.ll_subpopulation_generations = 0;
+  expect_rejected(cfg);
+  cfg.ll_subpopulation_generations = -1;
+  expect_rejected(cfg);
 }
 
 TEST(Baselines, RunOnMultiFollowerMarkets) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -85,6 +86,26 @@ TEST(ProblemFamily, RebindCopiesPrefixAndCountsCalls) {
   EXPECT_EQ(assigned.rebinds(), 1);
   assigned = fam;
   EXPECT_EQ(assigned.rebinds(), 0);
+}
+
+TEST(ProblemFamily, RebindRejectsNonFiniteCostsAndKeepsTheObjective) {
+  ProblemFamily fam(covering_problem({3, 5, 2, 7, 4, 6}));
+  fam.rebind(std::vector<double>{1.0, 2.0});
+  const std::vector<double> before = fam.problem().objective;
+  SolveScratch scratch;
+  const Solution want = solve(fam, {}, nullptr, &scratch);
+  ASSERT_TRUE(want.optimal());
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(fam.rebind(std::vector<double>{9.0, bad}),
+                 std::invalid_argument);
+    EXPECT_EQ(fam.problem().objective, before);
+    EXPECT_EQ(fam.rebinds(), 1);
+  }
+  // The family still solves as it did before the rejected rebinds.
+  expect_bitwise_equal(want, solve(fam, {}, nullptr, &scratch));
 }
 
 TEST(ProblemFamily, CopiesShareColumnPanelsAndRebindLeavesThemUntouched) {
