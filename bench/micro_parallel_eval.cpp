@@ -10,14 +10,13 @@
 //   Every cell asserts both produce bit-equal result checksums before
 //   timing, so a speedup can never come from a semantic divergence. The
 //   ratio is the scheduler's parallel speedup net of its coordination
-//   overhead (pre-dealt blocks on lock-free deques, stealing once a block
-//   drains).
+//   overhead (one shared atomic counter dealing the job indices, plus the
+//   wake-up and the barrier).
 //
 //   evaluator — a CARBON-shaped workload (generations of pricing x
 //   heuristic batches, the pricing pool reused across generations) replayed
 //   through ParallelEvaluator, reporting evaluations/second, the
-//   cross-generation memo hit rate, and the scheduler's task/steal
-//   counters.
+//   cross-generation memo hit rate, and the scheduler's task counter.
 //
 // Note the wall-clock numbers are bounded by the machine: with fewer
 // hardware threads than participants the scheduler can only show its
@@ -96,8 +95,8 @@ struct CostProfile {
 /// a hash probe plus a copy — a few hundred ns), 8% at 3us (memo-path
 /// scoring), 2% at 20us (fresh warm-started solves) — the CARBON
 /// generation shape once the cache is warm. heavy_tail: one 500us
-/// straggler amid 1us jobs — the worst case for chunk barriers, the best
-/// for stealing.
+/// straggler amid 1us jobs — the worst case for static chunking, which
+/// one-index-at-a-time dealing absorbs.
 double cost_uniform(std::size_t) { return 2.0; }
 double cost_skewed(std::size_t i) {
   const std::uint64_t h = mix(i * 2654435761u);
@@ -219,7 +218,6 @@ struct EvalRow {
   long long relax_hits = 0;
   long long xgen_hits = 0;
   long long sched_tasks = 0;
-  long long sched_steals = 0;
 };
 
 EvalRow run_eval_row(const Workload& w, std::size_t threads) {
@@ -241,7 +239,6 @@ EvalRow run_eval_row(const Workload& w, std::size_t threads) {
   row.relax_hits = eval.relaxation_cache_hits();
   row.xgen_hits = eval.score_cache().hits();
   row.sched_tasks = eval.sched_stats().tasks;
-  row.sched_steals = eval.sched_stats().steals;
   return row;
 }
 
@@ -295,12 +292,11 @@ int main(int argc, char** argv) {
   for (const std::size_t t : thread_counts) {
     rows.push_back(run_eval_row(w, t));
   }
-  std::printf("%8s %9s %12s %11s %10s %8s\n", "threads", "sec", "evals/s",
-              "relax-hits", "xgen-hits", "steals");
+  std::printf("%8s %9s %12s %11s %10s\n", "threads", "sec", "evals/s",
+              "relax-hits", "xgen-hits");
   for (const EvalRow& r : rows) {
-    std::printf("%8zu %9.3f %12.0f %11lld %10lld %8lld\n", r.threads,
-                r.seconds, r.evals_per_s, r.relax_hits, r.xgen_hits,
-                r.sched_steals);
+    std::printf("%8zu %9.3f %12.0f %11lld %10lld\n", r.threads, r.seconds,
+                r.evals_per_s, r.relax_hits, r.xgen_hits);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -327,9 +323,9 @@ int main(int argc, char** argv) {
         f,
         "    {\"threads\": %zu, \"seconds\": %.4f, \"evals_per_s\": %.0f, "
         "\"relax_solves\": %lld, \"relax_hits\": %lld, \"xgen_hits\": %lld, "
-        "\"sched_tasks\": %lld, \"sched_steals\": %lld}%s\n",
+        "\"sched_tasks\": %lld}%s\n",
         r.threads, r.seconds, r.evals_per_s, r.relax_solves, r.relax_hits,
-        r.xgen_hits, r.sched_tasks, r.sched_steals,
+        r.xgen_hits, r.sched_tasks,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

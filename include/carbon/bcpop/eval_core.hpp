@@ -113,13 +113,12 @@ struct ConstructionBudget {
     const guard::Limits& limits, const cover::Relaxation& relax);
 
 /// Assembles the Evaluation for a construction stage that never ran (node
-/// budget exhausted before the greedy, or the wall-clock watchdog fired):
-/// infeasible, sentinel gap, all-zero selection, budget_exhausted set.
-/// `trip` overrides the relaxation's own trip when that is kNone.
+/// budget exhausted before the greedy): infeasible, sentinel gap, all-zero
+/// selection, budget_exhausted set. The trip is the relaxation's own, or
+/// kNodeBudget when that is kNone.
 [[nodiscard]] Evaluation skipped_evaluation(const Instance& inst,
                                             std::span<const double> pricing,
                                             const cover::Relaxation& relax,
-                                            guard::Trip trip,
                                             EvalPurpose purpose);
 
 /// Records the solver-effort counters of a freshly computed relaxation into

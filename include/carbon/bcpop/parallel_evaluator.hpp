@@ -12,10 +12,11 @@
 //
 // A generation evaluates hundreds of independent (pricing × heuristic) or
 // (pricing × genome) pairs before any reduction happens — the hottest path
-// of the whole system. ParallelEvaluator fans those batches across a
-// work-stealing common::TaskScheduler: threads == 1 makes the calling thread
-// the only participant (no worker thread is spawned), threads == N > 1 runs
-// N workers plus the caller, threads == 0 means hardware concurrency.
+// of the whole system. ParallelEvaluator fans those batches across
+// common::TaskScheduler (one shared job counter): threads == 1 makes the
+// calling thread the only participant (no worker thread is spawned),
+// threads == N > 1 runs N workers plus the caller, threads == 0 means
+// hardware concurrency.
 // Participant p evaluates on its own EvalContext, contexts_[p] (market
 // copy, LP, scratch); the scheduler guarantees that participant 0 is the
 // calling thread and that no two jobs share a participant at once.
@@ -48,10 +49,7 @@
 // evaluation consumes no RNG), budget counters are charged per job in
 // submission order — memo hits included, so the Table II accounting never
 // changes — and batch results are returned in submission order. A run is
-// therefore bit-identical for any thread count at a fixed seed. The only
-// exception is the opt-in wall-clock watchdog: it times each stage-B solve,
-// and when one overruns, the job that owned the miss skips construction
-// (Trip::kWatchdog) while the score memo stays suspended.
+// therefore bit-identical for any thread count at a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -127,7 +125,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
 
   /// When enabled, heuristic-built covers are polished with
   /// cover::local_search (drop + swap descent) before scoring — the memetic
-  /// variant evaluated by bench/ablation_memetic. Off by default: the
+  /// variant evaluated by bench/taxonomy_comparison. Off by default: the
   /// paper's CARBON scores the raw greedy output. Toggling drops the
   /// cross-generation score cache (entries were computed under the other
   /// setting). Configure between batches.
@@ -157,7 +155,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
   [[nodiscard]] const BasisPool& basis_pool() const noexcept {
     return basis_pool_;
   }
-  /// Scheduler-side counters (tasks/steals/idle). Timing-dependent —
+  /// Scheduler-side counters (tasks/idle). Timing-dependent —
   /// observability only.
   [[nodiscard]] common::TaskScheduler::Stats sched_stats() const noexcept {
     return scheduler_.stats();
@@ -187,8 +185,7 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// Cross-generation score memoization (docs/ALGORITHMS.md §14): finished
   /// heuristic Evaluations are cached across batches and generations, keyed
   /// by the canonical program. Hits still charge the Table II budgets, so
-  /// trajectories are bit-identical to fresh solves. Suspended while the
-  /// wall-clock watchdog is armed.
+  /// trajectories are bit-identical to fresh solves.
   [[nodiscard]] const ScoreCache& score_cache() const noexcept {
     return xgen_;
   }
@@ -221,26 +218,12 @@ class ParallelEvaluator final : public EvaluatorInterface {
   void clear_caches() noexcept override;
 
  private:
-  /// One pricing answered by resolve_relaxations.
-  struct Resolved {
-    RelaxationPtr relax;
-    /// The armed watchdog expired while this pricing's own miss was being
-    /// solved (in-batch duplicates and cache hits never expire).
-    bool watchdog_expired = false;
-  };
-
   /// Runs body(contexts_[participant], i) for every i in [0, n) on the
-  /// scheduler and pushes sched/{tasks,steals,idle_ns} deltas to the
+  /// scheduler and pushes sched/{tasks,idle_ns} deltas to the
   /// metrics registry at the barrier. With a single participant every job
   /// runs inline, in order.
   void for_each(std::size_t n,
                 const std::function<void(EvalContext&, std::size_t)>& body);
-
-  /// True when the cross-generation cache may serve/absorb results right
-  /// now (armed watchdog makes evaluations wall-clock-dependent).
-  [[nodiscard]] bool xgen_active() const noexcept {
-    return guard_.limits.watchdog_seconds <= 0.0;
-  }
 
   /// The staged relaxation resolve behind every evaluation (see the header
   /// comment): stage A probes the cache and chooses start bases on the
@@ -251,20 +234,12 @@ class ParallelEvaluator final : public EvaluatorInterface {
   /// final bases to the pool and inserts the results into the cache.
   /// Returns one pinned relaxation per input pricing; duplicates share a
   /// solve and count as cache hits.
-  [[nodiscard]] std::vector<Resolved> resolve_relaxations(
+  [[nodiscard]] std::vector<RelaxationPtr> resolve_relaxations(
       std::span<const std::span<const double>> pricings);
   /// Force-tripped relaxation of the injected evaluation. Its degradation
   /// is ordinal-dependent, so it bypasses the cache and the pool.
   [[nodiscard]] cover::Relaxation injected_relaxation(
       EvalContext& ctx, std::span<const double> pricing) const;
-  /// construct(relax) for a resolved relaxation, or a skipped evaluation
-  /// (Trip::kWatchdog) when the watchdog expired on its miss. The caller
-  /// charges per submitted job, so memo hits still pay.
-  template <typename Construct>
-  Evaluation construct_resolved(const Resolved& resolved,
-                                std::span<const double> pricing,
-                                EvalPurpose purpose,
-                                const Construct& construct) const;
   /// Construction stage under the guard plan: skipped when the node budget
   /// is gone, otherwise solve(greedy options) under the ll_solve timer,
   /// then finalized.

@@ -56,8 +56,7 @@ class ScoreCache {
   /// Inserts (or refreshes) the evaluation for this key, evicting
   /// least-recently-used entries beyond the capacity. Callers must
   /// only insert results that are pure functions of the key — injected
-  /// (ordinal-dependent) and watchdog-skipped (wall-clock-dependent)
-  /// evaluations never belong here.
+  /// (ordinal-dependent) evaluations never belong here.
   void insert(std::span<const gp::Node> nodes, std::span<const double> pricing,
               EvalPurpose purpose, const Evaluation& result);
 

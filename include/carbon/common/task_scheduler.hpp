@@ -1,32 +1,31 @@
-// Deterministic work-stealing task scheduler for index-space batches — the
-// one thread engine of the library: the evaluator's batch fan-out and the
-// experiment runner's replications both run on it.
+// Deterministic task scheduler for index-space batches — the one thread
+// engine of the library: the evaluator's batch fan-out and the experiment
+// runner's replications both run on it.
 //
 // A CARBON generation fans out hundreds of sub-millisecond evaluation jobs,
 // and a single slow job (an LP-relaxation cache miss) must not park every
 // other thread on the final barrier. A per-index task queue would pay a
 // heap allocation, a future and a global-mutex round trip per job;
-// TaskScheduler instead uses the classic work-stealing design:
+// TaskScheduler instead deals the indices from ONE shared atomic counter:
 //
 //   * each PARTICIPANT (the calling thread plus `workers()` persistent
-//     threads) owns a Chase-Lev-style deque of job indices. A batch
-//     pre-splits [0, n) into contiguous blocks, one per participant, before
-//     any worker wakes — so during execution the owner only pops from the
-//     bottom and thieves only steal from the top (no concurrent push);
-//   * a participant that drains its own block steals from victims chosen by
-//     a per-participant xorshift sequence (seeded by participant id, so the
-//     victim order is reproducible even though the interleaving is not);
+//     threads) claims its next job with next_.fetch_add(1) until the
+//     counter passes n. Jobs are dealt one index at a time, so a participant
+//     stuck on a slow job simply claims nothing more while the others drain
+//     the rest — load balance needs nothing beyond the counter;
+//   * the counter is reset per batch and published, with the job, under the
+//     mutex/epoch handshake that wakes the workers;
 //   * the caller participates instead of blocking, so a batch never idles
 //     the submitting core and `threads + 1` contexts are all doing work.
 //
-// Determinism: the scheduler itself makes NO ordering promises — steals
-// interleave however the hardware likes. Bit-identical trajectories come
-// from the commit discipline instead: every job i is executed exactly once,
-// by some participant, and commits its result into slot i of a
-// caller-provided array. Jobs that are pure functions of their inputs (the
-// eval_core contract) therefore produce an identical result array for any
-// thread count and any steal schedule. The scheduler-level counters
-// (tasks, steals, idle time) are timing-dependent and surface only through
+// Determinism: the scheduler itself makes NO ordering promises — which
+// participant claims which index depends on timing. Bit-identical
+// trajectories come from the commit discipline instead: every job i is
+// executed exactly once, by some participant, and commits its result into
+// slot i of a caller-provided array. Jobs that are pure functions of their
+// inputs (the eval_core contract) therefore produce an identical result
+// array for any thread count and any interleaving. The scheduler-level
+// counters (tasks, idle time) are timing-dependent and surface only through
 // observability, never through results.
 //
 // Exceptions: every job runs even if an earlier one threw (jobs capture the
@@ -50,13 +49,11 @@ namespace carbon::common {
 class TaskScheduler {
  public:
   /// Cumulative scheduler-side counters (timing-dependent; observability
-  /// only). `tasks` counts executed jobs, `steals` successful steals (a job
-  /// executed by a participant other than the one whose deque it was dealt
-  /// to), `idle_ns` time participants spent failing to find work before the
-  /// batch drained.
+  /// only). `tasks` counts executed jobs, `idle_ns` the time the calling
+  /// thread waited at the barrier after the counter ran dry (the workers
+  /// still finishing their last jobs).
   struct Stats {
     long long tasks = 0;
-    long long steals = 0;
     long long idle_ns = 0;
   };
 
@@ -89,54 +86,33 @@ class TaskScheduler {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Cumulative counters since construction (merged at each batch barrier,
-  /// so reads between batches need no synchronization).
+  /// Cumulative counters since construction (updated by the caller after
+  /// each batch barrier, so reads between batches need no synchronization).
   [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
  private:
-  /// One participant's deque of job indices plus its scratch counters,
-  /// padded so owners and thieves on different deques never share a line.
-  struct alignas(64) Deque {
-    // Chase-Lev top/bottom over this participant's block: bottom is
-    // owner-private except for the last-element race, top is CAS-advanced
-    // by thieves. The block holds the contiguous indices
-    // [base, base + bottom0), so slot p simply IS index base + p — no ring
-    // storage needed because nothing is pushed mid-batch.
-    std::atomic<std::int64_t> top{0};
-    std::atomic<std::int64_t> bottom{0};
-    std::size_t base = 0;
-    // Per-participant batch-local counters, merged under the barrier.
-    long long tasks = 0;
-    long long steals = 0;
-    long long idle_ns = 0;
-    std::int64_t first_error_index = -1;
-    std::exception_ptr first_error;
-    std::uint64_t rng;  ///< xorshift state for victim selection
-  };
-
   void worker_loop(std::size_t participant);
-  /// Executes jobs until the batch drains: own deque first, then steal
-  /// sweeps over the other participants.
-  void run_participant(std::size_t participant);
-  void execute(Deque& self, std::size_t index, std::size_t participant);
-  /// Pops from the bottom of the participant's own deque.
-  [[nodiscard]] bool pop_own(Deque& d, std::size_t* out) noexcept;
-  /// Steals from the top of a victim's deque.
-  [[nodiscard]] bool steal_from(Deque& victim, std::size_t* out) noexcept;
+  /// Claims and runs jobs until the shared counter passes the batch size.
+  void run_jobs(std::size_t participant);
 
   std::vector<std::thread> workers_;
-  std::vector<Deque> deques_;  ///< one per participant; [0] = caller
 
   // Batch state, published under mutex_ before workers wake.
   const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
-  std::atomic<std::size_t> remaining_{0};
-  std::atomic<std::size_t> active_{0};  ///< workers still inside the batch
+  std::size_t size_ = 0;
+  /// Next unclaimed job index, written by every claim. Cache-line aligned;
+  /// the fields after it change only at batch start and end.
+  alignas(64) std::atomic<std::size_t> next_{0};
+  // Everything below is guarded by mutex_.
+  std::size_t active_ = 0;  ///< workers still inside the batch
+  std::size_t error_index_ = 0;
+  std::exception_ptr error_;  ///< lowest-index exception of the batch
   std::uint64_t epoch_ = 0;
   bool stopping_ = false;
   std::mutex mutex_;
   std::condition_variable cv_;
 
-  Stats stats_{};  ///< cumulative, merged at batch barriers (caller only)
+  Stats stats_{};  ///< cumulative, updated at batch barriers (caller only)
 };
 
 }  // namespace carbon::common

@@ -117,6 +117,14 @@ struct UpperVariation {
 /// A follower basket: one 0/1 entry per bundle.
 using Basket = std::vector<std::uint8_t>;
 
+/// A complete bi-level solution held in a solver's archive. CARBON and the
+/// nested GA, whose followers answer by construction, leave the basket empty.
+struct ArchivedSolution {
+  bcpop::Pricing pricing;
+  Basket basket;
+  bcpop::Evaluation evaluation;
+};
+
 /// One generation of LL offspring (the COBRA lower phase, a CODBA
 /// subpopulation): binary tournaments on `fitness` (minimized), two-point
 /// crossover with probability crossover_prob, then swap mutation of each

@@ -3,10 +3,10 @@
 //
 // A production deployment cannot let one pathological instance stall a whole
 // experiment, but the repo's core guarantee — bit-identical trajectories for
-// any eval_threads × SIMD path — rules out wall-clock
-// limits as the default mechanism. Budgets are therefore counted in
-// deterministic work units (simplex iterations, subgradient iterations,
-// greedy selection rounds), and tripping a budget degrades the evaluation
+// any eval_threads × SIMD path — rules out wall-clock limits. Budgets are
+// therefore counted in deterministic work units (simplex iterations,
+// subgradient iterations, greedy selection rounds), and tripping a budget
+// degrades the evaluation
 // along a fixed ladder instead of aborting it:
 //
 //   rung 0  kFullLp      capped sparse revised simplex (exact LB on success)
@@ -43,7 +43,6 @@ enum class Trip : unsigned char {
   kConstructionCap,  ///< Greedy hit its selection-round cap.
   kNodeBudget,       ///< Per-evaluation LL node budget exhausted.
   kInjected,         ///< Forced by GuardConfig::inject (fault hook).
-  kWatchdog,         ///< Opt-in wall-clock watchdog fired (non-deterministic).
 };
 
 [[nodiscard]] constexpr const char* to_string(Rung r) noexcept {
@@ -62,7 +61,6 @@ enum class Trip : unsigned char {
     case Trip::kConstructionCap: return "construction_cap";
     case Trip::kNodeBudget: return "node_budget";
     case Trip::kInjected: return "injected";
-    case Trip::kWatchdog: return "watchdog";
   }
   return "invalid";
 }
@@ -102,15 +100,10 @@ struct Limits {
   /// Total deterministic node budget per evaluation: LP/subgradient
   /// iterations spent on the bound plus greedy selection rounds.
   long long ll_node_cap = 0;
-  /// Opt-in wall-clock watchdog (seconds; 0 disables). Checked only at
-  /// stage boundaries and NEVER affects the cached relaxation — explicitly
-  /// non-deterministic, for service deployments that prefer liveness over
-  /// reproducibility.
-  double watchdog_seconds = 0.0;
 
   [[nodiscard]] bool unlimited() const noexcept {
     return lp_iteration_cap == 0 && construction_round_cap == 0 &&
-           ll_node_cap == 0 && watchdog_seconds == 0.0;
+           ll_node_cap == 0;
   }
 
   friend bool operator==(const Limits&, const Limits&) = default;
@@ -136,17 +129,14 @@ struct GuardConfig {
   friend bool operator==(const GuardConfig&, const GuardConfig&) = default;
 };
 
-/// Rejects malformed configurations (negative caps, negative watchdog,
-/// injection ordinal below -1). Shared by the solvers' config validation
+/// Rejects malformed configurations (negative caps, injection ordinal
+/// below -1). Shared by the solvers' config validation
 /// and the CLI.
 inline void validate(const GuardConfig& cfg) {
   const Limits& l = cfg.limits;
   if (l.lp_iteration_cap < 0 || l.lagrangian_iteration_cap < 0 ||
       l.construction_round_cap < 0 || l.ll_node_cap < 0) {
     throw std::invalid_argument("guard: budget caps must be >= 0");
-  }
-  if (l.watchdog_seconds < 0.0) {
-    throw std::invalid_argument("guard: watchdog_seconds must be >= 0");
   }
   if (cfg.inject.at_eval < -1) {
     throw std::invalid_argument("guard: inject.at_eval must be >= -1");

@@ -14,12 +14,6 @@ namespace {
 
 using core::Basket;
 
-struct ArchivedSolution {
-  bcpop::Pricing pricing;
-  Basket basket;
-  bcpop::Evaluation evaluation;
-};
-
 void validate_config(const BigaConfig& cfg) {
   if (cfg.population_size < 2) {
     throw std::invalid_argument("BigaSolver: population size >= 2");
@@ -57,7 +51,8 @@ core::RunResult BigaSolver::run_with(bcpop::EvaluatorInterface& eval) {
     ys.push_back(ea::random_binary_vector(rng, genome, cfg_.ll_init_density));
   }
 
-  ea::Archive<ArchivedSolution> archive(cfg_.archive_size, /*maximize=*/true);
+  ea::Archive<core::ArchivedSolution> archive(cfg_.archive_size,
+                                              /*maximize=*/true);
   core::RunResult result;
   core::RunLedger ledger(cfg_, eval, result);
 

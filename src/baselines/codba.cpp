@@ -15,12 +15,6 @@ namespace {
 
 using core::Basket;
 
-struct ArchivedSolution {
-  bcpop::Pricing pricing;
-  Basket basket;
-  bcpop::Evaluation evaluation;
-};
-
 // A zero decomposition width or subpopulation generation count would make
 // every generation evaluate nothing, so the budget loop would never end.
 void validate_config(const CodbaConfig& cfg) {
@@ -68,7 +62,8 @@ core::RunResult CodbaSolver::run_with(bcpop::EvaluatorInterface& eval) {
 
   // Archive of complete solutions (keyed by F); its baskets seed the LL
   // subpopulations ("mate with the best archived LL solutions").
-  ea::Archive<ArchivedSolution> archive(cfg_.archive_size, /*maximize=*/true);
+  ea::Archive<core::ArchivedSolution> archive(cfg_.archive_size,
+                                              /*maximize=*/true);
 
   core::RunResult result;
   core::RunLedger ledger(cfg_, eval, result);

@@ -10,15 +10,6 @@
 
 namespace carbon::baselines {
 
-namespace {
-
-struct ArchivedSolution {
-  bcpop::Pricing pricing;
-  bcpop::Evaluation evaluation;
-};
-
-}  // namespace
-
 NestedGaSolver::NestedGaSolver(const bcpop::Instance& instance,
                                NestedGaConfig config)
     : inst_(instance), cfg_(std::move(config)) {
@@ -41,7 +32,8 @@ core::RunResult NestedGaSolver::run() {
   }
   std::vector<double> fitness(pop.size(), 0.0);
 
-  ea::Archive<ArchivedSolution> archive(cfg_.archive_size, /*maximize=*/true);
+  ea::Archive<core::ArchivedSolution> archive(cfg_.archive_size,
+                                              /*maximize=*/true);
 
   core::RunResult result;
   core::RunLedger ledger(cfg_, eval, result);
@@ -54,7 +46,7 @@ core::RunResult NestedGaSolver::run() {
       uls.add(e.ul_objective);
       gaps.add(e.gap_percent);
       ledger.note(pop[i], e);
-      archive.add({pop[i], e}, e.ul_objective);
+      archive.add({pop[i], {}, e}, e.ul_objective);
     }
     ledger.point("nested", uls, gaps);
 

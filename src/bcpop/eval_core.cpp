@@ -230,7 +230,7 @@ ConstructionBudget plan_construction(const guard::Limits& limits,
 Evaluation skipped_evaluation(const Instance& inst,
                               std::span<const double> pricing,
                               const cover::Relaxation& relax,
-                              guard::Trip trip, EvalPurpose purpose) {
+                              EvalPurpose purpose) {
   Evaluation out;
   out.ll_feasible = false;
   out.ll_objective = 0.0;
@@ -239,7 +239,8 @@ Evaluation skipped_evaluation(const Instance& inst,
   out.selection.assign(inst.market().num_bundles(), 0);
   out.guard.rung = relax.guard_rung;
   out.guard.trip =
-      relax.guard_trip != guard::Trip::kNone ? relax.guard_trip : trip;
+      relax.guard_trip != guard::Trip::kNone ? relax.guard_trip
+                                             : guard::Trip::kNodeBudget;
   out.guard.budget_exhausted = true;
   if (purpose == EvalPurpose::kBoth) {
     out.ul_objective = inst.leader_revenue(pricing, out.selection);

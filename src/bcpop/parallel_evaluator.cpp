@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "carbon/common/stopwatch.hpp"
 #include "carbon/gp/simd.hpp"
 
 namespace carbon::bcpop {
@@ -51,9 +50,6 @@ void ParallelEvaluator::for_each(
   if (metrics_ != nullptr) {
     const common::TaskScheduler::Stats after = scheduler_.stats();
     obs::count(metrics_, "sched/tasks", after.tasks - before.tasks);
-    if (after.steals > before.steals) {
-      obs::count(metrics_, "sched/steals", after.steals - before.steals);
-    }
     if (after.idle_ns > before.idle_ns) {
       obs::count(metrics_, "sched/idle_ns", after.idle_ns - before.idle_ns);
     }
@@ -117,7 +113,7 @@ void ParallelEvaluator::clear_caches() noexcept {
 ParallelEvaluator::RelaxationPtr ParallelEvaluator::relaxation(
     std::span<const double> pricing) {
   const std::span<const double> one[] = {pricing};
-  return resolve_relaxations(one).front().relax;
+  return resolve_relaxations(one).front();
 }
 
 template <typename Solve>
@@ -126,8 +122,7 @@ Evaluation ParallelEvaluator::construct_with(
     std::span<const double> pricing, EvalPurpose purpose, const Solve& solve) {
   const ConstructionBudget plan = plan_construction(ctx.guard, relax);
   if (plan.skip) {
-    return skipped_evaluation(inst_, pricing, relax, guard::Trip::kNodeBudget,
-                              purpose);
+    return skipped_evaluation(inst_, pricing, relax, purpose);
   }
   obs::ScopedTimer timer(metrics_, "time/ll_solve");
   const cover::SolveResult solved = solve(plan.options);
@@ -164,19 +159,6 @@ cover::Relaxation ParallelEvaluator::injected_relaxation(
                                   guard_.inject.degrade_to);
 }
 
-template <typename Construct>
-Evaluation ParallelEvaluator::construct_resolved(
-    const Resolved& resolved, std::span<const double> pricing,
-    EvalPurpose purpose, const Construct& construct) const {
-  if (resolved.watchdog_expired) {
-    // Only this evaluation's construction stage is skipped; the cached
-    // relaxation stays full-fidelity. Opt-in, explicitly non-deterministic.
-    return skipped_evaluation(inst_, pricing, *resolved.relax,
-                              guard::Trip::kWatchdog, purpose);
-  }
-  return construct(*resolved.relax);
-}
-
 void ParallelEvaluator::memoize(std::span<const gp::Node> key,
                                 std::span<const double> pricing,
                                 EvalPurpose purpose,
@@ -187,17 +169,16 @@ void ParallelEvaluator::memoize(std::span<const gp::Node> key,
   if (evicted > 0) obs::count(metrics_, "memo/xgen_evictions", evicted);
 }
 
-std::vector<ParallelEvaluator::Resolved>
+std::vector<ParallelEvaluator::RelaxationPtr>
 ParallelEvaluator::resolve_relaxations(
     std::span<const std::span<const double>> pricings) {
-  std::vector<Resolved> out(pricings.size());
+  std::vector<RelaxationPtr> out(pricings.size());
   struct Pending {
     std::size_t out_index = 0;
     std::span<const double> pricing;
     lp::Basis warm;          ///< copied pooled start basis (from_pool only)
     bool from_pool = false;
     bool rejected = false;   ///< pooled basis rejected, re-solved baseline
-    bool watchdog_expired = false;
     cover::Relaxation relax;
     lp::Basis final_basis;   ///< valid iff relax.stats.basis_saved
     RelaxationPtr result;
@@ -217,7 +198,7 @@ ParallelEvaluator::resolve_relaxations(
       continue;
     }
     if (RelaxationPtr hit = cache_.lookup(pricings[i])) {
-      out[i].relax = std::move(hit);
+      out[i] = std::move(hit);
       continue;
     }
     Pending p;
@@ -235,12 +216,9 @@ ParallelEvaluator::resolve_relaxations(
 
   // Stage B — fan-out: each miss solves from its chosen start basis. A
   // rejected pooled basis re-solves from the fixed baseline, so the result
-  // is bit-identical to what a pool miss produces. The watchdog (opt-in)
-  // times each solve for the job that owns the miss.
-  const double watchdog_seconds = guard_.limits.watchdog_seconds;
+  // is bit-identical to what a pool miss produces.
   for_each(pending.size(), [&](EvalContext& ctx, std::size_t k) {
     Pending& p = pending[k];
-    const common::Stopwatch clock;
     obs::ScopedTimer timer(metrics_, "time/lp_relaxation");
     const lp::Basis& start = p.from_pool ? p.warm : ctx.baseline_basis;
     p.relax = solve_relaxation_from(ctx, p.pricing, start, &p.final_basis);
@@ -250,8 +228,6 @@ ParallelEvaluator::resolve_relaxations(
       p.relax = solve_relaxation_from(ctx, p.pricing, ctx.baseline_basis,
                                       &p.final_basis);
     }
-    p.watchdog_expired =
-        watchdog_seconds > 0.0 && clock.seconds() > watchdog_seconds;
   });
 
   // Stage C — calling thread, pending order: metrics, counters, pool
@@ -284,7 +260,7 @@ ParallelEvaluator::resolve_relaxations(
     }
     p.result = std::make_shared<const cover::Relaxation>(std::move(p.relax));
     cache_.insert(p.pricing, p.result);
-    out[p.out_index] = {p.result, p.watchdog_expired};
+    out[p.out_index] = p.result;
   }
   // In-batch duplicates read back through the cache so the hit counters
   // and the LRU walk match a sequence of one-job calls; the pinned pointer
@@ -296,7 +272,7 @@ ParallelEvaluator::resolve_relaxations(
       cache_.count_pinned_hit();
       hit = pending[k].result;
     }
-    out[i].relax = std::move(hit);
+    out[i] = std::move(hit);
   }
   return out;
 }
@@ -351,13 +327,12 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   // out only the misses, then insert the fresh results — again in unique
   // order, after the barrier. The cache state after the batch is therefore
   // a pure function of the submitted jobs.
-  const bool use_xgen = xgen_active();
   std::vector<std::size_t> misses;
   misses.reserve(plan.uniques.size());
   long long xgen_hits = 0;
   for (std::size_t u = 0; u < plan.uniques.size(); ++u) {
-    if (use_xgen && xgen_.lookup(key_nodes_of(u), job_of(u).pricing,
-                                 job_of(u).purpose, &unique_results[u])) {
+    if (xgen_.lookup(key_nodes_of(u), job_of(u).pricing, job_of(u).purpose,
+                     &unique_results[u])) {
       ++xgen_hits;
     } else {
       misses.push_back(u);
@@ -370,22 +345,16 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_heuristic_batch(
   std::vector<std::span<const double>> pricings;
   pricings.reserve(misses.size());
   for (const std::size_t u : misses) pricings.push_back(job_of(u).pricing);
-  const std::vector<Resolved> resolved = resolve_relaxations(pricings);
+  const std::vector<RelaxationPtr> resolved = resolve_relaxations(pricings);
   for_each(misses.size(), [&](EvalContext& ctx, std::size_t m) {
     const std::size_t u = misses[m];
-    unique_results[u] = construct_resolved(
-        resolved[m], job_of(u).pricing, job_of(u).purpose,
-        [&](const cover::Relaxation& relax) {
-          return finish_heuristic(ctx, relax, job_of(u),
-                                  *plan.uniques[u].program);
-        });
+    unique_results[u] = finish_heuristic(ctx, *resolved[m], job_of(u),
+                                         *plan.uniques[u].program);
   });
 
-  if (use_xgen) {
-    for (const std::size_t u : misses) {
-      memoize(key_nodes_of(u), job_of(u).pricing, job_of(u).purpose,
-              unique_results[u]);
-    }
+  for (const std::size_t u : misses) {
+    memoize(key_nodes_of(u), job_of(u).pricing, job_of(u).purpose,
+            unique_results[u]);
   }
   // Every submitted job pays the budget — the memo optimizes wall-clock,
   // never the Table II accounting, so trajectories stay bit-identical.
@@ -429,19 +398,17 @@ std::vector<Evaluation> ParallelEvaluator::evaluate_selection_batch(
       pricings.push_back(jobs[i].pricing);
     }
   }
-  const std::vector<Resolved> resolved = resolve_relaxations(pricings);
+  const std::vector<RelaxationPtr> resolved = resolve_relaxations(pricings);
   // Tasks write disjoint slots of `results`; the scheduler drains every
   // task before returning (even on exceptions), so the by-reference
   // captures cannot dangle.
   for_each(jobs.size(), [&](EvalContext& ctx, std::size_t i) {
-    const auto finish = [&](const cover::Relaxation& relax) {
-      return finish_selection(ctx, relax, jobs[i]);
-    };
-    results[i] = injected(i)
-                     ? finish(injected_relaxation(ctx, jobs[i].pricing))
-                     : construct_resolved(resolved[staged_at[i]],
-                                          jobs[i].pricing, jobs[i].purpose,
-                                          finish);
+    if (injected(i)) {
+      results[i] = finish_selection(
+          ctx, injected_relaxation(ctx, jobs[i].pricing), jobs[i]);
+    } else {
+      results[i] = finish_selection(ctx, *resolved[staged_at[i]], jobs[i]);
+    }
   });
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     charge(jobs[i].purpose);
@@ -467,9 +434,7 @@ Evaluation ParallelEvaluator::evaluate_cost_effectiveness(
   if (injected) {
     result = finish(injected_relaxation(ctx, pricing));
   } else {
-    const std::span<const double> one[] = {pricing};
-    result = construct_resolved(resolve_relaxations(one).front(), pricing,
-                                purpose, finish);
+    result = finish(*relaxation(pricing));
   }
   count_guard(result);
   return result;

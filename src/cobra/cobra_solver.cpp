@@ -14,12 +14,6 @@ namespace {
 
 using core::Basket;
 
-struct ArchivedSolution {
-  bcpop::Pricing pricing;
-  Basket basket;
-  bcpop::Evaluation evaluation;
-};
-
 void validate_config(const CobraConfig& cfg) {
   if (cfg.ul_population_size < 2 || cfg.ll_population_size < 2) {
     throw std::invalid_argument("CobraSolver: population sizes must be >= 2");
@@ -66,8 +60,10 @@ core::RunResult CobraSolver::run_with(bcpop::EvaluatorInterface& eval) {
 
   // Upper archive keyed by F (max); lower archive keyed by f (min) — the
   // paper extracts results from the lower archive.
-  ea::Archive<ArchivedSolution> upper_archive(cfg_.ul_archive_size, true);
-  ea::Archive<ArchivedSolution> lower_archive(cfg_.ll_archive_size, false);
+  ea::Archive<core::ArchivedSolution> upper_archive(cfg_.ul_archive_size,
+                                                    true);
+  ea::Archive<core::ArchivedSolution> lower_archive(cfg_.ll_archive_size,
+                                                    false);
   std::vector<bcpop::Pricing> ul_pop;
   std::vector<Basket> ll_pop;
   // Current champions used for pairing across levels.

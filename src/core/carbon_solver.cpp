@@ -14,12 +14,6 @@ namespace carbon::core {
 
 namespace {
 
-/// A complete bi-level solution held in the archive.
-struct ArchivedSolution {
-  bcpop::Pricing pricing;
-  bcpop::Evaluation evaluation;
-};
-
 void validate_config(const CarbonConfig& cfg) {
   if (cfg.ul_population_size < 2 || cfg.gp_population_size < 2) {
     throw std::invalid_argument("CarbonSolver: population sizes must be >= 2");
@@ -88,7 +82,7 @@ CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {
     // Archives are stored best-first; re-adding in that order reproduces
     // the exact internal ordering (ties keep insertion order).
     for (ArchivedPricingState& e : ck->solution_archive) {
-      solution_archive.add({std::move(e.pricing), std::move(e.evaluation)},
+      solution_archive.add({std::move(e.pricing), {}, std::move(e.evaluation)},
                            e.fitness);
     }
     for (ArchivedHeuristicState& e : ck->heuristic_archive) {
@@ -204,7 +198,7 @@ CarbonResult CarbonSolver::run_with(bcpop::EvaluatorInterface& eval) {
       }
       ul_fitness[i] = e.ul_objective;
       shell.note(ul_pop[i], e);
-      solution_archive.add({ul_pop[i], std::move(e)}, ul_fitness[i]);
+      solution_archive.add({ul_pop[i], {}, std::move(e)}, ul_fitness[i]);
     }
 
     // ---- 4. Convergence trace and journal ----

@@ -273,7 +273,7 @@ bcpop::Evaluation read_evaluation(const obs::JsonValue& v) {
     const long long rung = v.at("grng").as_integer();
     const long long trip = v.at("gtrip").as_integer();
     if (rung < 0 || rung > static_cast<long long>(guard::Rung::kGreedyOnly) ||
-        trip < 0 || trip > static_cast<long long>(guard::Trip::kWatchdog)) {
+        trip < 0 || trip > static_cast<long long>(guard::Trip::kInjected)) {
       fail("checkpoint: guard outcome out of range");
     }
     e.guard.rung = static_cast<guard::Rung>(rung);

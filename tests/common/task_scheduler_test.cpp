@@ -26,7 +26,7 @@ std::uint64_t mix(std::uint64_t x) {
 std::uint64_t job_value(std::uint64_t seed, std::size_t i) {
   std::uint64_t h = mix(seed ^ i);
   // Top 4 bits pick the duration class; class 15 spins two orders of
-  // magnitude longer than class 0, so steal interleavings vary per seed.
+  // magnitude longer than class 0, so claim interleavings vary per seed.
   const std::uint64_t rounds = 1 + (h >> 60) * ((h >> 58) & 0x3 ? 1 : 40);
   for (std::uint64_t r = 0; r < rounds; ++r) h = mix(h + r);
   return h;
@@ -110,7 +110,7 @@ TEST(TaskScheduler, ZeroWorkersRunEverythingOnTheCaller) {
   ASSERT_EQ(order.size(), 50u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
   EXPECT_EQ(sched.stats().tasks, 50);
-  EXPECT_EQ(sched.stats().steals, 0);
+  EXPECT_EQ(sched.stats().idle_ns, 0);  // no barrier to wait at
 
   // Every job still runs when some throw, and the lowest index wins.
   std::vector<int> hits(64, 0);
@@ -136,13 +136,35 @@ TEST(TaskScheduler, StatsCountEveryTask) {
   sched.parallel_for(1, [](std::size_t, std::size_t) {});  // inline path
   const auto after = sched.stats();
   EXPECT_EQ(after.tasks - before.tasks, 257);
-  EXPECT_GE(after.steals, before.steals);
   EXPECT_GE(after.idle_ns, before.idle_ns);
+}
+
+// Callers index per-participant scratch without locks (the evaluator's
+// EvalContexts), which is sound only if no two running jobs ever share a
+// participant id. Each job marks its participant busy on entry, holds it
+// for a job_value's worth of work, and counts a clash if the mark was
+// already set — over many back-to-back batches of varying size.
+TEST(TaskScheduler, ParticipantIsNeverSharedByTwoRunningJobs) {
+  for (const std::size_t workers : {std::size_t{3}, std::size_t{7}}) {
+    TaskScheduler sched(workers);
+    std::vector<std::atomic<bool>> busy(sched.participants());
+    std::vector<std::uint64_t> sink(64);
+    std::atomic<int> clashes{0};
+    for (std::uint64_t batch = 0; batch < 300; ++batch) {
+      const std::size_t n = 1 + mix(batch) % sink.size();
+      sched.parallel_for(n, [&](std::size_t participant, std::size_t i) {
+        if (busy[participant].exchange(true)) clashes.fetch_add(1);
+        sink[i] = job_value(batch, i);
+        busy[participant].store(false);
+      });
+    }
+    EXPECT_EQ(clashes.load(), 0) << workers << " workers";
+  }
 }
 
 // The determinism contract (docs/ALGORITHMS.md §14): for PURE jobs committed
 // into index-ordered result slots, the result vector is bitwise identical to
-// the serial loop for any worker count and any steal interleaving. 500
+// the serial loop for any worker count and any claim interleaving. 500
 // seeds × skewed job durations × workers {0,1,2,4,8}; each seed also varies
 // the batch size (including n < participants and n == 0 edge shapes).
 TEST(TaskScheduler, DeterminismFuzzMatchesSerialBitwise) {

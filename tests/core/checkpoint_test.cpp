@@ -363,6 +363,21 @@ TEST(CheckpointSnapshot, OutOfRangeGuardEnumsAreRejected) {
                CheckpointError);
 }
 
+TEST(CheckpointSnapshot, TripCodesPastInjectedAreRejected) {
+  // kInjected (4) is the last trip code. Code 5 was the retired wall-clock
+  // skip; no evaluation can carry it, so a body that does is malformed.
+  CarbonCheckpoint ck = make_carbon_checkpoint();
+  ck.progress.result.best_evaluation.guard.trip = guard::Trip::kInjected;
+  std::string body = ck.to_json();
+  EXPECT_NO_THROW((void)CarbonCheckpoint::from_json(obs::parse_json(body)));
+  const std::string needle = "\"gtrip\":4";
+  const std::size_t at = body.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, needle.size(), "\"gtrip\":5");
+  EXPECT_THROW((void)CarbonCheckpoint::from_json(obs::parse_json(body)),
+               CheckpointError);
+}
+
 TEST(CheckpointSnapshot, SaveLoadRoundTripsThroughTheFileLayer) {
   const std::string path = temp_path("roundtrip.ckpt");
   const CarbonCheckpoint ck = make_carbon_checkpoint();

@@ -107,9 +107,6 @@ TEST(GuardConfig, ValidateRejectsMalformedConfigs) {
   bad.limits.ll_node_cap = -3;
   EXPECT_THROW(guard::validate(bad), std::invalid_argument);
   bad = {};
-  bad.limits.watchdog_seconds = -0.5;
-  EXPECT_THROW(guard::validate(bad), std::invalid_argument);
-  bad = {};
   bad.inject.at_eval = -2;
   EXPECT_THROW(guard::validate(bad), std::invalid_argument);
 }
@@ -123,7 +120,6 @@ TEST(GuardConfig, ToStringCoversEveryEnumerator) {
   EXPECT_STREQ(to_string(guard::Trip::kConstructionCap), "construction_cap");
   EXPECT_STREQ(to_string(guard::Trip::kNodeBudget), "node_budget");
   EXPECT_STREQ(to_string(guard::Trip::kInjected), "injected");
-  EXPECT_STREQ(to_string(guard::Trip::kWatchdog), "watchdog");
 }
 
 TEST(GuardOutcome, DegradedAndTrippedPredicates) {
@@ -139,9 +135,9 @@ TEST(GuardOutcome, DegradedAndTrippedPredicates) {
   o.budget_exhausted = true;
   EXPECT_TRUE(o.degraded());
   o = {};
-  o.trip = guard::Trip::kWatchdog;
+  o.trip = guard::Trip::kLpIterationCap;
   EXPECT_TRUE(o.tripped());
-  EXPECT_FALSE(o.degraded());  // watchdog skip sets budget_exhausted itself
+  EXPECT_FALSE(o.degraded());  // a trip alone is not a degradation
 }
 
 // ---- Degradation ladder (eval_core) ----------------------------------------
@@ -561,71 +557,6 @@ TEST(GuardEvaluator, ScorePathHonorsInjection) {
   EXPECT_EQ(second.selection, first.selection);  // bound-independent score
   EXPECT_EQ(eval.ul_evaluations(), 2);
   EXPECT_EQ(eval.ll_evaluations(), 2);
-}
-
-TEST(GuardEvaluator, WatchdogSkipsTheMissOwnerUnderBothWarmStarts) {
-  // The opt-in wall-clock watchdog times each staged relaxation solve; one
-  // over the limit skips construction (Trip::kWatchdog) for the job that
-  // owned the miss. A limit far below any real solve time makes every miss
-  // expire, so the outcome below does not depend on machine speed.
-  const bcpop::Instance inst = make_instance();
-  const gp::Tree tree = gp::parse("(div QCOV COST)");
-  const std::vector<double> p1 = stress_pricing(inst);
-  std::vector<double> p2 = p1;
-  for (double& x : p2) x *= 0.5;
-  std::vector<double> p3 = p1;
-  for (double& x : p3) x *= 0.25;
-  const std::vector<std::uint8_t> empty_genome(inst.num_bundles(), 0);
-
-  for (const bcpop::LpWarm warm :
-       {bcpop::LpWarm::kBaseline, bcpop::LpWarm::kPool}) {
-    SCOPED_TRACE(bcpop::to_string(warm));
-    ParallelEvaluator eval(inst, {.threads = 1, .lp_warm = warm});
-    guard::GuardConfig cfg;
-    cfg.limits.watchdog_seconds = 1e-12;
-    eval.set_guard(cfg, 0);
-
-    // Scalar path: the first evaluation owns the miss and is skipped.
-    const Evaluation skipped = eval.evaluate_with_heuristic(p1, tree);
-    EXPECT_EQ(skipped.guard.trip, guard::Trip::kWatchdog);
-    EXPECT_TRUE(skipped.guard.budget_exhausted);
-    EXPECT_FALSE(skipped.ll_feasible);
-    EXPECT_EQ(skipped.gap_percent, 1e9);
-    // The cached relaxation stays full-fidelity: a repeat is a cache hit,
-    // solves nothing, and constructs normally.
-    const Evaluation repeat = eval.evaluate_with_heuristic(p1, tree);
-    EXPECT_EQ(repeat.guard, guard::Outcome{});
-    EXPECT_TRUE(repeat.ll_feasible);
-    EXPECT_EQ(repeat.lower_bound, skipped.lower_bound);
-
-    // Selection batch: only the job that owned the miss is skipped; its
-    // in-batch duplicate reads the relaxation back as a hit.
-    const std::vector<bcpop::SelectionJob> genomes = {
-        {p2, empty_genome, EvalPurpose::kBoth},
-        {p2, empty_genome, EvalPurpose::kBoth}};
-    const std::vector<Evaluation> repaired =
-        eval.evaluate_selection_batch(genomes);
-    EXPECT_EQ(repaired[0].guard.trip, guard::Trip::kWatchdog);
-    EXPECT_TRUE(repaired[0].guard.budget_exhausted);
-    EXPECT_EQ(repaired[1].guard, guard::Outcome{});
-    EXPECT_TRUE(repaired[1].ll_feasible);
-
-    // Heuristic batch: a fresh pricing expires the same way.
-    const std::vector<bcpop::HeuristicJob> heuristics = {
-        {p3, &tree, EvalPurpose::kBoth}};
-    EXPECT_EQ(eval.evaluate_heuristic_batch(heuristics)[0].guard.trip,
-              guard::Trip::kWatchdog);
-
-    // The score memo stays suspended while the watchdog is armed: never
-    // probed, never filled.
-    EXPECT_EQ(eval.score_cache().size(), 0u);
-    EXPECT_EQ(eval.score_cache().hits(), 0);
-    EXPECT_EQ(eval.score_cache().misses(), 0);
-    const bcpop::BackendStats stats = eval.backend_stats();
-    EXPECT_EQ(stats.guard_budget_exhausted, 3);
-    EXPECT_EQ(stats.guard_trips, 3);
-    EXPECT_EQ(stats.relaxation_cache_misses, 3);
-  }
 }
 
 }  // namespace

@@ -231,14 +231,16 @@ TEST(Cli, SolveRejectsUnknownFlags) {
   // A typo must not silently fall back to a default (here: one thread).
   EXPECT_EQ(exit_code(run(solve + " --thread 4")), 1);
   EXPECT_EQ(exit_code(run(solve + " --shed parallel_for")), 1);
-  // Retired switches — the evaluator engine and the cross-generation memo
-  // toggle — are rejected like any unknown flag.
+  // Retired switches — the evaluator engine, the cross-generation memo
+  // toggle and the wall-clock guard — are rejected like any unknown flag.
   const std::string retired = "sched";
   EXPECT_EQ(exit_code(run(solve + " --" + retired + " stealing")), 1);
   EXPECT_EQ(exit_code(run(solve + " --" + retired + "=parallel_for")), 1);
   const std::string retired_memo = std::string("memo-") + "xgen";
   EXPECT_EQ(exit_code(run(solve + " --threads 2 --" + retired_memo + " off")),
             1);
+  const std::string retired_guard = std::string("guard-") + "watchdog";
+  EXPECT_EQ(exit_code(run(solve + " --" + retired_guard + " 0.5")), 1);
 }
 
 TEST(Cli, SolveRejectsUnknownAlgorithm) {

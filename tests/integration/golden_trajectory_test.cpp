@@ -87,7 +87,7 @@ TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsTelemetry) {
 TEST(GoldenTrajectory, CarbonIsInvariantAcrossSimdThreadsWithMemoHits) {
   // The cross-generation score memo serves repeated (program, pricing)
   // evaluations without moving a bit — memo hits still charge the Table II
-  // budgets — and the work-stealing scheduler only reorders execution of
+  // budgets — and the task scheduler only reorders execution of
   // pure jobs committed into index-ordered slots (docs/ALGORITHMS.md §14).
   // Each cell must match the frozen trajectory WITH the memo answering.
   const bcpop::Instance inst = make_instance();

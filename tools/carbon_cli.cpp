@@ -19,7 +19,7 @@
 //                [--journal OUT.jsonl] [--metrics]
 //                [--checkpoint FILE --checkpoint-every N] [--resume FILE]
 //                [--guard-lp-iters N] [--guard-rounds N] [--guard-nodes N]
-//                [--guard-watchdog SECONDS] [--lp-warm baseline|pool]
+//                [--lp-warm baseline|pool]
 //       Treats the first L bundles as the leader's and solves the bi-level
 //       pricing problem. Any other flag is rejected as a usage error.
 //       --threads 1 (the default) evaluates on the calling thread alone;
@@ -32,8 +32,8 @@
 //       continues bit-identically from such a file (carbon and cobra only;
 //       schema: docs/ALGORITHMS.md §11). --guard-* set deterministic
 //       per-evaluation budgets (simplex iterations, greedy rounds, total LL
-//       nodes) with a fixed degradation ladder, plus an opt-in wall-clock
-//       watchdog (carbon and cobra only; docs/ALGORITHMS.md §13).
+//       nodes) with a fixed degradation ladder (carbon and cobra only;
+//       docs/ALGORITHMS.md §13).
 //       --lp-warm picks the LL relaxation warm-start policy: baseline
 //       (the fixed base-cost basis; carbon's default) or pool (the nearest
 //       pooled basis; cobra's default, deterministic for any --threads but
@@ -192,7 +192,7 @@ int cmd_solve(const common::CliArgs& args) {
           {"in", "owned", "algo", "pop", "ul-budget", "ll-budget", "seed",
            "threads", "convergence", "memetic", "journal", "metrics",
            "checkpoint", "checkpoint-every", "resume", "guard-lp-iters",
-           "guard-rounds", "guard-nodes", "guard-watchdog", "lp-warm"})) {
+           "guard-rounds", "guard-nodes", "lp-warm"})) {
     std::fprintf(stderr, "solve: unknown flag --%s\n", flag->c_str());
     return 1;
   }
@@ -240,11 +240,6 @@ int cmd_solve(const common::CliArgs& args) {
   guard_cfg.limits.construction_round_cap =
       args.get_positive_int("guard-rounds", 0);
   guard_cfg.limits.ll_node_cap = args.get_positive_int("guard-nodes", 0);
-  guard_cfg.limits.watchdog_seconds = args.get_double("guard-watchdog", 0.0);
-  if (guard_cfg.limits.watchdog_seconds < 0.0) {
-    std::fprintf(stderr, "solve: --guard-watchdog must be >= 0\n");
-    return 1;
-  }
   if (guard_cfg.enabled() && algo != "carbon" && algo != "cobra") {
     std::fprintf(stderr, "solve: --guard-* require --algo carbon|cobra\n");
     return 1;

@@ -8,7 +8,7 @@
 #                            pricing, sparse FTRAN) vs bench-local dense
 #                            loops, and the baseline-vs-pool evaluator
 #                            replay;
-#   BENCH_parallel_eval.json the work-stealing TaskScheduler vs a serial
+#   BENCH_parallel_eval.json the shared-counter TaskScheduler vs a serial
 #                            loop on the calling thread over skewed job-cost
 #                            grids, plus the ParallelEvaluator replay across
 #                            thread counts.

@@ -10,10 +10,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The tests that exercise shared-state code paths: the work-stealing task
-# scheduler (Chase-Lev-style deques probed by the
-# determinism fuzz: 500 seeds of skewed job durations across worker counts
-# 0/1/2/4/8, where TSan sees every owner-pop vs thief-CAS interleaving), the
+# The tests that exercise shared-state code paths: the task scheduler (one
+# shared job counter published under the mutex/epoch handshake, probed by
+# the determinism fuzz: 500 seeds of skewed job durations across worker
+# counts 0/1/2/4/8, plus hundreds of back-to-back batches checking that no
+# two running jobs share a participant, so TSan sees every claim racing the
+# batch reset and the barrier), the
 # relaxation and score caches (single-threaded LRUs: ASan checks the list
 # splices and pinned entries outliving their eviction), the parallel
 # evaluator (its caches are touched only by the submitting thread, so TSan
